@@ -9,14 +9,14 @@ one of three modes:
   * Kalman centroid: distance gating against the predicted centroid,
     scored so that nearer pairs win;
   * Kalman bbox: box-expansion matching against the box predicted by
-    six per-face scalar filters.
+    a filter over the six box faces.
 
 Conflicts are resolved greedily on the score matrix, guaranteeing a
 one-to-one pairing.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -31,32 +31,17 @@ class AssocMode(Enum):
     KALMAN_BBOX = "kalman_bbox"
 
 
-_WEIGHT_KEYS = {
-    AssocMode.BBOX_EXPANSION: ("bbox_match",),
-    AssocMode.KALMAN_CENTROID: ("centroid_gate",),
-    AssocMode.KALMAN_BBOX: ("bbox_gate",),
-}
-
-
 @dataclass(frozen=True)
 class AssociationConfig:
     mode: AssocMode = AssocMode.BBOX_EXPANSION
     expansion_e: int = 2
     gate_radius: float = 5.0
-    attribute_weights: dict[str, float] = field(
-        default_factory=lambda: {"bbox_match": 1.0}
-    )
 
     def __post_init__(self) -> None:
         if self.expansion_e < 0:
             raise ValueError("expansion_e must be nonnegative")
         if self.gate_radius <= 0:
             raise ValueError("gate_radius must be positive")
-        if any(w < 0 for w in self.attribute_weights.values()):
-            raise ValueError("attribute weights must be nonnegative")
-
-    def weight_for(self, key: str) -> float:
-        return self.attribute_weights.get(key, 1.0)
 
 
 def expand_bbox(b: BoundingBox, e: int) -> BoundingBox:
@@ -115,20 +100,20 @@ def build_association_matrix(
 def _pair_score(old, obs: TargetObservation, cfg: AssociationConfig) -> float:
     if cfg.mode is AssocMode.BBOX_EXPANSION:
         if bbox_match(old.bbox, obs.bbox, cfg.expansion_e):
-            return cfg.weight_for("bbox_match")
+            return 1.0
         return 0.0
     if cfg.mode is AssocMode.KALMAN_CENTROID:
         if old.pred_centroid is None:
             raise ValueError("centroid mode needs predicted centroids")
         if centroid_gate(old.pred_centroid, obs.centroid, cfg.gate_radius):
             dist = float(np.linalg.norm(old.pred_centroid - obs.centroid))
-            return cfg.weight_for("centroid_gate") / (1.0 + dist)
+            return 1.0 / (1.0 + dist)
         return 0.0
     if cfg.mode is AssocMode.KALMAN_BBOX:
         if old.pred_bbox is None:
             raise ValueError("bbox-filter mode needs predicted boxes")
         if bbox_match(old.pred_bbox, obs.bbox, cfg.expansion_e):
-            return cfg.weight_for("bbox_gate")
+            return 1.0
         return 0.0
     raise ValueError(f"unknown association mode {cfg.mode!r}")
 

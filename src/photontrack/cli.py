@@ -10,9 +10,10 @@ Three subcommands cover the usual workflow:
     writes its three projections.
 
 Exit codes separate user mistakes from environment trouble: 1 means the
-input could not be interpreted (bad scene, config or raw layout), 2
-means file I/O failed, and for ``track`` 3 flags an internal invariant
-violation worth a bug report.
+input could not be interpreted (bad scene, config or raw layout, or
+Kalman settings under which a filter's innovation variance is zero or
+not finite), 2 means file I/O failed, and for ``track`` 3 flags an
+internal invariant violation worth a bug report.
 """
 from __future__ import annotations
 
@@ -35,6 +36,7 @@ from .errors import (
     ConfigViolationError,
     EmptyInputError,
     SceneParseError,
+    SingularInnovationError,
     TruncatedFileError,
 )
 from .kalman import KalmanParams
@@ -259,10 +261,13 @@ def cmd_track(args) -> int:
     except (TruncatedFileError, EmptyInputError) as exc:
         _err(f"raw stream: {exc}")
         return 1
+    except SingularInnovationError as exc:
+        _err(f"config: {exc}")
+        return 1
     except OSError as exc:
         _err(str(exc))
         return 2
-    except (AssertionError, ConfigViolationError) as exc:
+    except ConfigViolationError as exc:
         _err(f"internal invariant violated: {exc!r}")
         return 3
     n_tracks = len(

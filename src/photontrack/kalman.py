@@ -1,24 +1,27 @@
 """Constant-velocity Kalman filtering for target centroids and boxes.
 
 State is [position, velocity] per axis with discrete white-noise
-acceleration driving the velocity.  The transition and process-noise
-matrices have a 2x2 block structure, so predict and update are written
-against the d-dimensional blocks directly rather than materializing the
-full 2d x 2d matrices.
+acceleration driving the velocity.  The initial covariance is diagonal
+with one value per block, q and r are the same on every axis, and the
+measurement picks out the position (H = [I 0]).  Predict and update
+therefore map a covariance of the form (2x2) ⊗ I to another of that
+form, so every axis shares one position/velocity variance triple
+(pp, pv, vv) and the gain is a pair of scalars: the alpha-beta filter
+(Kalata, "The tracking index", 1984).  ``KalmanState.P`` rebuilds the
+dense 2d x 2d matrix on request.
 
-Two usages share this module: one 3D filter per track centroid, and a
-bank of six independent scalar filters for the faces of a bounding box.
+Two usages share this module: one 3D filter per track centroid, and one
+6D filter for the faces of a bounding box (min xyz then max xyz).
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SingularInnovationError
 from .labeling import BoundingBox
-
-_COND_LIMIT = 1e12
 
 
 @dataclass(frozen=True)
@@ -45,83 +48,95 @@ class KalmanParams:
 
 @dataclass(frozen=True)
 class KalmanState:
-    """Filter state: x stacks position then velocity, P is 2d x 2d."""
+    """Filter state: per-axis position and velocity plus the covariance
+    triple shared by all axes."""
 
-    x: np.ndarray
-    P: np.ndarray
+    position: np.ndarray
+    velocity: np.ndarray
+    pp: float
+    pv: float
+    vv: float
     params: KalmanParams
 
     @property
     def dim(self) -> int:
-        return len(self.x) // 2
+        return len(self.position)
 
     @property
-    def position(self) -> np.ndarray:
-        return self.x[: self.dim]
+    def x(self) -> np.ndarray:
+        """Stacked state, position then velocity."""
+        return np.concatenate([self.position, self.velocity])
 
     @property
-    def velocity(self) -> np.ndarray:
-        return self.x[self.dim :]
+    def P(self) -> np.ndarray:
+        """Dense 2d x 2d covariance."""
+        block = np.array([[self.pp, self.pv], [self.pv, self.vv]])
+        return np.kron(block, np.eye(self.dim))
 
 
 def kf_init(centroid: np.ndarray, params: KalmanParams) -> KalmanState:
     """Start a filter at a measured position with zero velocity."""
     pos = np.asarray(centroid, dtype=np.float64).ravel()
-    d = len(pos)
-    x = np.concatenate([pos, np.zeros(d)])
-    P = np.diag([params.p0_pos] * d + [params.p0_vel] * d).astype(np.float64)
-    return KalmanState(x=x, P=P, params=params)
+    return KalmanState(
+        position=pos,
+        velocity=np.zeros(len(pos)),
+        pp=float(params.p0_pos),
+        pv=0.0,
+        vv=float(params.p0_vel),
+        params=params,
+    )
 
 
 def kf_predict(state: KalmanState, dt: float = 1.0) -> tuple[np.ndarray, KalmanState]:
     """Advance one step; returns (predicted position, predicted state).
 
-    With F = [[I, dt I], [0, I]] and the white-noise-acceleration
-    process covariance, F P F' + Q expands blockwise to the expressions
-    below; this sidesteps building F at all.
+    With F = [[1, dt], [0, 1]] per axis and the white-noise-acceleration
+    process covariance, F P F' + Q expands to the three expressions
+    below.
     """
     if dt < 1.0:
         raise ValueError("dt must be at least one frame-group period")
-    d = state.dim
     q = state.params.q
-    x = state.x.copy()
-    x[:d] += dt * state.x[d:]
-
-    Ppp = state.P[:d, :d]
-    Ppv = state.P[:d, d:]
-    Pvp = state.P[d:, :d]
-    Pvv = state.P[d:, d:]
-    eye = np.eye(d)
-    P = np.empty_like(state.P)
-    P[:d, :d] = Ppp + dt * (Ppv + Pvp) + dt**2 * Pvv + q * dt**4 / 4.0 * eye
-    P[:d, d:] = Ppv + dt * Pvv + q * dt**3 / 2.0 * eye
-    P[d:, :d] = P[:d, d:].T
-    P[d:, d:] = Pvv + q * dt**2 * eye
-    new = KalmanState(x=x, P=P, params=state.params)
-    return x[:d], new
+    pp, pv, vv = state.pp, state.pv, state.vv
+    position = state.position + dt * state.velocity
+    new = KalmanState(
+        position=position,
+        velocity=state.velocity,
+        pp=pp + dt * (pv + pv) + dt**2 * vv + q * dt**4 / 4.0,
+        pv=pv + dt * vv + q * dt**3 / 2.0,
+        vv=vv + q * dt**2,
+        params=state.params,
+    )
+    return position, new
 
 
 def kf_update(state: KalmanState, z: np.ndarray) -> KalmanState:
     """Fold a position measurement into a predicted state.
 
-    The innovation covariance S = Ppp + r I must stay well conditioned;
-    a blown-up S means the filter diverged and the track should die
-    rather than absorb garbage.
+    The innovation variance s = pp + r must be nonzero and finite; a
+    singular or blown-up s means the filter diverged and the track
+    should die rather than absorb garbage.
     """
     z = np.asarray(z, dtype=np.float64).ravel()
     d = state.dim
     if len(z) != d:
         raise ValueError(f"measurement dim {len(z)} != filter dim {d}")
-    S = state.P[:d, :d] + state.params.r * np.eye(d)
-    cond = np.linalg.cond(S)
-    if not np.isfinite(cond) or cond > _COND_LIMIT:
-        raise SingularInnovationError(f"innovation covariance condition {cond:.3g}")
-    # K = P H' S^-1 with H = [I 0]; solve against S' instead of inverting
-    K = np.linalg.solve(S.T, state.P[:, :d].T).T
-    x = state.x + K @ (z - state.x[:d])
-    P = state.P - K @ state.P[:d, :]
-    P = 0.5 * (P + P.T)
-    return KalmanState(x=x, P=P, params=state.params)
+    pp, pv, vv = state.pp, state.pv, state.vv
+    s = pp + state.params.r
+    if s == 0 or not math.isfinite(s):
+        raise SingularInnovationError(f"innovation variance {s:.3g}")
+    inv = 1.0 / s
+    kp = pp * inv
+    kv = pv * inv
+    innovation = z - state.position
+    return KalmanState(
+        position=state.position + kp * innovation,
+        velocity=state.velocity + kv * innovation,
+        pp=pp - kp * pp,
+        pv=0.5 * ((pv - kp * pv) + (pv - kv * pp)),
+        vv=vv - kv * pv,
+        params=state.params,
+    )
 
 
 def centroid_gate(p: np.ndarray, q: np.ndarray, radius: float) -> bool:
@@ -136,27 +151,22 @@ def centroid_gate(p: np.ndarray, q: np.ndarray, radius: float) -> bool:
     return bool(np.linalg.norm(p - q) <= radius)
 
 
-def bbox_kf_init(bbox: BoundingBox, params: KalmanParams) -> list[KalmanState]:
-    """One scalar filter per box face, ordered min xyz then max xyz."""
-    return [
-        kf_init(np.array([float(v)]), params) for v in (*bbox.min, *bbox.max)
-    ]
+def _faces(bbox: BoundingBox) -> np.ndarray:
+    return np.array([*bbox.min, *bbox.max], dtype=np.float64)
+
+
+def bbox_kf_init(bbox: BoundingBox, params: KalmanParams) -> KalmanState:
+    """One 6D filter over the box faces, ordered min xyz then max xyz."""
+    return kf_init(_faces(bbox), params)
 
 
 def bbox_kf_predict(
-    filters: list[KalmanState], dt: float = 1.0
-) -> tuple[np.ndarray, list[KalmanState]]:
-    """Advance all six face filters; returns (predicted faces, states)."""
-    preds = np.empty(len(filters))
-    advanced = []
-    for i, f in enumerate(filters):
-        pos, nf = kf_predict(f, dt)
-        preds[i] = pos[0]
-        advanced.append(nf)
-    return preds, advanced
+    state: KalmanState, dt: float = 1.0
+) -> tuple[np.ndarray, KalmanState]:
+    """Advance the face filter; returns (predicted faces, state)."""
+    return kf_predict(state, dt)
 
 
-def bbox_kf_update(filters: list[KalmanState], bbox: BoundingBox) -> list[KalmanState]:
+def bbox_kf_update(state: KalmanState, bbox: BoundingBox) -> KalmanState:
     """Measure all six faces from an observed box."""
-    faces = (*bbox.min, *bbox.max)
-    return [kf_update(f, np.array([float(v)])) for f, v in zip(filters, faces)]
+    return kf_update(state, _faces(bbox))

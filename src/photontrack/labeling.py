@@ -200,13 +200,9 @@ def observation_score(
 def importance_sort(
     observations: list[TargetObservation],
     cfg: ImportanceConfig,
-    prior_speeds: list[float] | None = None,
 ) -> list[TargetObservation]:
     """Sort descending by importance; equal scores keep label order."""
-    speeds = prior_speeds or [0.0] * len(observations)
-    pairs = list(zip(observations, speeds))
-    pairs.sort(key=lambda p: -observation_score(p[0], cfg, p[1]))
-    return [o for o, _ in pairs]
+    return sorted(observations, key=lambda o: -observation_score(o, cfg))
 
 
 def truncate_targets(

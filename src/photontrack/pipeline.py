@@ -1,8 +1,11 @@
-"""End-to-end wiring: raw bytes in, per-step track records out."""
+"""End-to-end wiring: raw bytes in, per-step track records out.
+
+Pulse groups are handled strictly in order by one loop on the calling
+thread: reduce the group to ranked observations, advance the tracker,
+emit a StepRecord.
+"""
 from __future__ import annotations
 
-import queue
-import threading
 from dataclasses import dataclass, field, replace
 
 from .denoise import DenoiseConfig, denoise
@@ -53,12 +56,8 @@ class RunResult:
 
 
 def _reduce_group(group, cfg: RunConfig, t_prev):
-    """Run the tracker-independent stages over one group.
-
-    Histogram, threshold threading, labeling and importance ranking only
-    look at the group itself plus the previous threshold, never at
-    tracker state, which is what lets the front end run ahead of it.
-    """
+    """Histogram, denoise, label, extract and rank one group; returns
+    (grid, observations, threshold used)."""
     grid = build_histogram(group, cfg.sensor)
     mask, t_used = denoise(grid, cfg.denoise, t_prev)
     labels, _ = label_components(mask, cfg.connectivity)
@@ -68,112 +67,32 @@ def _reduce_group(group, cfg: RunConfig, t_prev):
     return grid, observations, t_used
 
 
-def _serial_stream(groups, cfg: RunConfig):
-    t_prev = None
-    for group in groups:
-        grid, observations, t_prev = _reduce_group(group, cfg, t_prev)
-        yield grid, observations
-
-
-def _pipelined_stream(groups, cfg: RunConfig, depth: int):
-    """Yield (grid, observations) per group, reduced on a worker thread.
-
-    A bounded queue keeps at most ``depth`` reduced groups in flight, and
-    the single worker preserves group order, so consumers see exactly the
-    serial sequence.  Worker exceptions are re-raised here; closing the
-    generator (or dying mid-iteration) stops and joins the worker.
-    """
-    handoff: queue.Queue = queue.Queue(maxsize=depth)
-    stop = threading.Event()
-    done = object()
-
-    def offer(item) -> bool:
-        while not stop.is_set():
-            try:
-                handoff.put(item, timeout=0.05)
-                return True
-            except queue.Full:
-                pass
-        return False
-
-    def produce() -> None:
-        try:
-            t_prev = None
-            for group in groups:
-                grid, observations, t_prev = _reduce_group(group, cfg, t_prev)
-                if not offer((grid, observations)):
-                    return
-            offer(done)
-        except Exception as exc:  # re-raised on the consuming thread
-            offer(exc)
-
-    worker = threading.Thread(
-        target=produce, name="photontrack-frontend", daemon=True
-    )
-    worker.start()
-    try:
-        while True:
-            try:
-                item = handoff.get(timeout=0.05)
-            except queue.Empty:
-                if not worker.is_alive() and handoff.empty():
-                    raise RuntimeError(
-                        "front-end worker exited without a result"
-                    ) from None
-                continue
-            if item is done:
-                return
-            if isinstance(item, Exception):
-                raise item
-            yield item
-    finally:
-        stop.set()
-        worker.join()
-
-
 def run_groups(
     groups: list[FrameGroup],
     cfg: RunConfig,
     keep_grids: bool = False,
     on_step=None,
-    queue_depth: int = 4,
 ) -> RunResult:
-    """Process frame groups in order.
-
-    The per-group reduction has no dependence on tracker state, so it
-    runs on a worker thread up to ``queue_depth`` groups ahead of the
-    tracker; results cross back through a bounded in-order queue and the
-    tracker consumes them strictly sequentially, making the output
-    identical to a serial run.  Pass ``queue_depth=0`` to keep everything
-    on the calling thread.
+    """Process frame groups strictly in order on the calling thread.
 
     ``on_step`` is called with each StepRecord while its histogram is
     still attached, so callers can derive imagery without asking for
     every grid to be kept in memory.
     """
-    if queue_depth < 0:
-        raise ValueError("queue_depth must be >= 0")
     tracker = Tracker(cfg.tracker)
     steps: list[StepRecord] = []
-    if queue_depth:
-        stream = _pipelined_stream(groups, cfg, queue_depth)
-    else:
-        stream = _serial_stream(groups, cfg)
-    try:
-        for grid, observations in stream:
-            tracker.step(observations)
-            entry = tracker.ring.latest
-            links = [
-                (p, s) for s, p in enumerate(entry.bwlink) if p is not None
-            ]
-            record = StepRecord(
-                step=entry.step, grid=grid, tracks=entry.tracks, links=links
-            )
-            if on_step is not None:
-                on_step(record)
-            steps.append(record if keep_grids else replace(record, grid=None))
-    finally:
-        stream.close()
+    t_prev = None
+    for group in groups:
+        grid, observations, t_prev = _reduce_group(group, cfg, t_prev)
+        tracker.step(observations)
+        entry = tracker.ring.latest
+        links = [(p, s) for s, p in enumerate(entry.bwlink) if p is not None]
+        record = StepRecord(
+            step=entry.step, grid=grid, tracks=entry.tracks, links=links
+        )
+        if on_step is not None:
+            on_step(record)
+        steps.append(record if keep_grids else replace(record, grid=None))
     return RunResult(steps=steps, tracker=tracker)
 
 
@@ -182,15 +101,8 @@ def run_tracking(
     cfg: RunConfig,
     keep_grids: bool = False,
     on_step=None,
-    queue_depth: int = 4,
 ) -> RunResult:
     """Convenience wrapper over parse, group and track."""
     frames = parse_frames(data, cfg.sensor)
     groups = group_frames(frames, cfg.sensor)
-    return run_groups(
-        groups,
-        cfg,
-        keep_grids=keep_grids,
-        on_step=on_step,
-        queue_depth=queue_depth,
-    )
+    return run_groups(groups, cfg, keep_grids=keep_grids, on_step=on_step)

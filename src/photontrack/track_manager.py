@@ -68,7 +68,6 @@ class TrackState(Enum):
 class TrackerConfig:
     t_max: int = 10
     max_coast: int = 3
-    history_len: int = HISTORY_LEN
     assoc: AssociationConfig = field(default_factory=AssociationConfig)
     importance: ImportanceConfig = field(default_factory=ImportanceConfig)
     kalman: KalmanParams = field(default_factory=KalmanParams)
@@ -78,8 +77,6 @@ class TrackerConfig:
             raise ValueError("t_max must be positive")
         if not 1 <= self.max_coast <= 7:
             raise ValueError("max_coast must lie in [1, 7]")
-        if self.history_len != HISTORY_LEN:
-            raise ValueError(f"history_len is fixed at {HISTORY_LEN}")
 
 
 @dataclass
@@ -93,7 +90,7 @@ class Track:
     centroid: np.ndarray
     bbox: BoundingBox
     features: FeatureVector | None = None
-    bbox_kf: list[KalmanState] | None = None
+    bbox_kf: KalmanState | None = None
     pred_centroid: np.ndarray | None = None
     pred_bbox: BoundingBox | None = None
 
@@ -217,7 +214,7 @@ class Tracker:
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
         self.tracks: list[Track] = []
-        self.ring = HistoryRing(cfg.history_len)
+        self.ring = HistoryRing()
         self._next_id = 1
         self._step = 0
 
@@ -319,7 +316,10 @@ class Tracker:
         old_derived.sort(key=self._score, reverse=True)
         new_tracks.sort(key=self._score, reverse=True)
         merged = merge_sorted(old_derived, new_tracks, self._score)
-        assert len(merged) <= 2 * self.cfg.t_max
+        if len(merged) > 2 * self.cfg.t_max:
+            raise ConfigViolationError(
+                f"{len(merged)} fused tracks exceed twice the capacity {self.cfg.t_max}"
+            )
         if len(merged) > self.cfg.t_max:
             logger.info(
                 "capacity %d: dropping %d fused tracks",

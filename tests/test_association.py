@@ -161,5 +161,3 @@ def test_config_validation():
         AssociationConfig(expansion_e=-1)
     with pytest.raises(ValueError):
         AssociationConfig(gate_radius=0.0)
-    with pytest.raises(ValueError):
-        AssociationConfig(attribute_weights={"bbox_match": -1.0})

@@ -197,6 +197,20 @@ def test_track_unknown_config_key_exits_1(workspace, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("mode", ["bbox", "kalman_centroid"])
+def test_track_singular_filter_exits_1(workspace, tmp_path, capsys, mode):
+    _, _, config, raw = workspace
+    rc = main(
+        [
+            "track", "--raw", str(raw), "--config", str(config),
+            "--out-dir", str(tmp_path / "o"),
+            "--set", "kf_r=0", "--set", "kf_q=0", "--set", f"assoc_mode={mode}",
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: config: ")
+
+
 def test_parse_config_full():
     cfg = parse_config(
         "\n".join(

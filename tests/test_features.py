@@ -1,4 +1,6 @@
 """Feature vector layout and geometry descriptors."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -98,11 +100,8 @@ def _track(centroid, velocity, voxels, age=3):
         total_photons=40,
         peak_photons=9,
     )
-    kf = kf_init(centroid, KalmanParams())
-    kf = type(kf)(
-        x=np.concatenate([np.asarray(centroid, float), np.asarray(velocity, float)]),
-        P=kf.P,
-        params=kf.params,
+    kf = replace(
+        kf_init(centroid, KalmanParams()), velocity=np.asarray(velocity, float)
     )
     return Track(
         track_id=1,

@@ -1,11 +1,12 @@
 """Constant-velocity filter behavior at its limit cases."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from photontrack.errors import SingularInnovationError
 from photontrack.kalman import (
     KalmanParams,
-    KalmanState,
     bbox_kf_init,
     bbox_kf_predict,
     bbox_kf_update,
@@ -27,7 +28,7 @@ def test_init_state():
 
 def test_predict_moves_by_velocity():
     s = kf_init(np.zeros(3), KalmanParams())
-    s = KalmanState(x=np.array([0.0, 0, 0, 1.0, 2.0, 3.0]), P=s.P, params=s.params)
+    s = replace(s, velocity=np.array([1.0, 2.0, 3.0]))
     pred, s2 = kf_predict(s, dt=2.0)
     np.testing.assert_allclose(pred, [2, 4, 6])
     np.testing.assert_allclose(s2.velocity, [1, 2, 3])
@@ -78,11 +79,11 @@ def test_update_rejects_wrong_dimension():
 
 
 def test_singular_innovation_detected():
-    params = KalmanParams(r=0.0)
-    P = np.diag([1.0, 1e-30, 1.0, 1.0, 1.0, 1.0])
-    s = KalmanState(x=np.zeros(6), P=P, params=params)
+    s = replace(kf_init(np.zeros(3), KalmanParams(r=0.0)), pp=0.0)
     with pytest.raises(SingularInnovationError):
         kf_update(s, np.zeros(3))
+    with pytest.raises(SingularInnovationError):
+        kf_update(replace(s, pp=float("inf")), np.zeros(3))
 
 
 def test_gate_boundary_is_inclusive():
@@ -106,7 +107,7 @@ def test_params_validation():
 def test_bbox_filter_bank_tracks_a_drifting_box():
     params = KalmanParams()
     filters = bbox_kf_init(BoundingBox((0, 0, 0), (2, 2, 2)), params)
-    assert len(filters) == 6
+    assert filters.dim == 6
     for step in range(1, 25):
         preds, filters = bbox_kf_predict(filters)
         assert preds.shape == (6,)
@@ -117,3 +118,26 @@ def test_bbox_filter_bank_tracks_a_drifting_box():
     assert preds[0] == pytest.approx(25.0, abs=0.05)
     assert preds[3] == pytest.approx(27.0, abs=0.05)
     assert preds[1] == pytest.approx(0.0, abs=0.05)
+
+
+def test_bbox_filter_equals_six_scalar_filters():
+    rng = np.random.default_rng(3)
+    params = KalmanParams(q=0.05, r=0.3)
+    box = BoundingBox((4, 5, 100), (6, 8, 103))
+    bank = bbox_kf_init(box, params)
+    scalars = [kf_init(np.array([float(v)]), params) for v in (*box.min, *box.max)]
+    for _ in range(24):
+        preds, bank = bbox_kf_predict(bank)
+        advanced = [kf_predict(f) for f in scalars]
+        assert list(preds) == [float(p[0]) for p, _ in advanced]
+        lo = rng.integers(0, 28, size=3)
+        box = BoundingBox(tuple(int(v) for v in lo), tuple(int(v) for v in lo + 3))
+        bank = bbox_kf_update(bank, box)
+        scalars = [
+            kf_update(f, np.array([float(v)]))
+            for (_, f), v in zip(advanced, (*box.min, *box.max))
+        ]
+        assert list(bank.position) == [float(f.position[0]) for f in scalars]
+        assert list(bank.velocity) == [float(f.velocity[0]) for f in scalars]
+        for f in scalars:
+            assert (f.pp, f.pv, f.vv) == (bank.pp, bank.pv, bank.vv)

@@ -1,11 +1,10 @@
-"""Staged execution of the group pipeline.
+"""Serial execution of the group pipeline.
 
-The front-end reduction runs on a worker thread ahead of the tracker;
-nothing about the results may depend on that, and failures on either
-side of the queue have to surface cleanly on the calling thread.
+Groups are reduced and tracked one at a time on the calling thread;
+failures in a stage or in the caller's ``on_step`` must surface
+unchanged.
 """
 import io
-import threading
 
 import numpy as np
 import pytest
@@ -19,6 +18,7 @@ from photontrack.raw_ingest import (
     parse_frames,
 )
 from photontrack.simulator import SceneSpec, TargetSpec, simulate, write_raw
+from photontrack.voxelizer import build_histogram
 
 SENSOR = SensorConfig()
 
@@ -40,28 +40,22 @@ def churn_scene_bytes():
     return buf.getvalue()
 
 
-@pytest.mark.parametrize("depth", [1, 4])
-def test_pipelined_run_matches_serial(depth):
-    data = churn_scene_bytes()
-    cfg = RunConfig()
-    serial = run_tracking(data, cfg, queue_depth=0)
-    piped = run_tracking(data, cfg, queue_depth=depth)
-    assert piped.tracker.step_count == serial.tracker.step_count
-    assert piped.steps == serial.steps
-
-
 def test_grids_survive_the_queue():
+    """keep_grids=True keeps each step's own histogram."""
     data = churn_scene_bytes()
-    cfg = RunConfig()
-    serial = run_tracking(data, cfg, keep_grids=True, queue_depth=0)
-    piped = run_tracking(data, cfg, keep_grids=True, queue_depth=3)
-    assert len(piped.steps) == len(serial.steps)
-    for a, b in zip(piped.steps, serial.steps):
-        assert a.grid is not None
-        np.testing.assert_array_equal(a.grid.counts, b.grid.counts)
+    groups = group_frames(parse_frames(data, SENSOR), SENSOR)
+    result = run_tracking(data, RunConfig(), keep_grids=True)
+    assert len(result.steps) == len(groups) == 8
+    for rec, group in zip(result.steps, groups):
+        assert rec.grid is not None
+        np.testing.assert_array_equal(
+            rec.grid.counts, build_histogram(group, SENSOR).counts
+        )
+    assert all(rec.grid is None for rec in run_tracking(data, RunConfig()).steps)
 
 
 def test_worker_error_reaches_the_caller():
+    """An error raised while reducing a group reaches the caller."""
     bad = FrameGroup(
         frames=np.full((200, 8, 8), SENSOR.ceiling, dtype=np.uint16),
         group_index=0,
@@ -71,18 +65,15 @@ def test_worker_error_reaches_the_caller():
 
 
 def test_consumer_failure_stops_the_worker():
+    """An ``on_step`` failure propagates and stops the run at that step."""
     data = churn_scene_bytes()
     groups = group_frames(parse_frames(data, SENSOR), SENSOR)
+    seen = []
 
     def explode(record):
+        seen.append(record.step)
         raise RuntimeError("downstream writer fell over")
 
     with pytest.raises(RuntimeError, match="fell over"):
-        run_groups(groups, RunConfig(), on_step=explode, queue_depth=2)
-    names = [t.name for t in threading.enumerate()]
-    assert "photontrack-frontend" not in names
-
-
-def test_negative_queue_depth_rejected():
-    with pytest.raises(ValueError):
-        run_groups([], RunConfig(), queue_depth=-1)
+        run_groups(groups, RunConfig(), on_step=explode)
+    assert seen == [0]

@@ -108,6 +108,16 @@ def test_too_many_observations_rejected():
         tracker.step(obs)
 
 
+def test_fused_list_over_twice_capacity_rejected():
+    tracker = Tracker(TrackerConfig(t_max=2))
+    tracker.step([make_obs([5, 5, 50], label=1), make_obs([25, 25, 500], label=2)])
+    # two live tracks against a capacity of one: two coasting plus one
+    # newborn exceed 2 * t_max, which must raise even under python -O
+    tracker.cfg = TrackerConfig(t_max=1)
+    with pytest.raises(ConfigViolationError):
+        tracker.step([make_obs([15, 15, 300])])
+
+
 def test_capacity_prefers_high_importance():
     tracker = Tracker(TrackerConfig(t_max=2, importance=ImportanceConfig()))
     small = [make_obs([5, 5, 50], size=3), make_obs([25, 25, 500], size=3)]
@@ -235,7 +245,7 @@ def test_snapshot_features_present_and_fresh():
 
 @pytest.mark.parametrize(
     "kwargs",
-    [{"t_max": 0}, {"max_coast": 0}, {"max_coast": 8}, {"history_len": 9}],
+    [{"t_max": 0}, {"max_coast": 0}, {"max_coast": 8}],
 )
 def test_tracker_config_validation(kwargs):
     with pytest.raises(ValueError):
