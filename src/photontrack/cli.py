@@ -7,7 +7,8 @@ Three subcommands cover the usual workflow:
     tracks table, the link table, a JSON summary and (optionally)
     per-step projection images;
   * ``inspect`` prints histogram statistics for one frame group and
-    writes its three projections.
+    writes its three projections, reading the stream with the sensor
+    geometry of an optional config file and ``--set`` overrides.
 
 Exit codes separate user mistakes from environment trouble: 1 means the
 input could not be interpreted (bad scene, config or raw layout, or
@@ -278,12 +279,19 @@ def cmd_track(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    sensor = SensorConfig()
     try:
+        config_text = (
+            Path(args.config).read_text(encoding="utf-8") if args.config else ""
+        )
         data = Path(args.raw).read_bytes()
     except OSError as exc:
         _err(str(exc))
         return 2
+    try:
+        sensor = parse_config(config_text, args.set).sensor
+    except ValueError as exc:
+        _err(f"config: {exc}")
+        return 1
     try:
         frames = parse_frames(data, sensor)
     except (TruncatedFileError, EmptyInputError) as exc:
@@ -321,6 +329,15 @@ def cmd_inspect(args) -> int:
     return 0
 
 
+def _add_set_option(p: argparse.ArgumentParser) -> None:
+    p.add_argument(
+        "--set",
+        action="append",
+        metavar="KEY=VALUE",
+        help="override a config value (repeatable)",
+    )
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="photontrack",
@@ -346,18 +363,17 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="also write per-step projection images",
     )
-    p.add_argument(
-        "--set",
-        action="append",
-        metavar="KEY=VALUE",
-        help="override a config value (repeatable)",
-    )
+    _add_set_option(p)
     p.set_defaults(func=cmd_track)
 
     p = sub.add_parser("inspect", help="summarize one frame group")
     p.add_argument("--raw", required=True, help="raw frame stream")
     p.add_argument("--group", required=True, type=int, help="group index")
     p.add_argument("--out-dir", default=".", help="where projections go")
+    p.add_argument(
+        "--config", help="pipeline config file giving the sensor geometry"
+    )
+    _add_set_option(p)
     p.set_defaults(func=cmd_inspect)
     return parser
 

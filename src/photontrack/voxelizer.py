@@ -29,8 +29,11 @@ def build_histogram(group: FrameGroup, cfg: SensorConfig) -> VoxelGrid:
     """Tally range-bin occurrences of one pulse train into a voxel grid.
 
     Pixel values outside the usable window [offset, ceiling - offset - 1]
-    (ceiling pixels in particular) contribute nothing.  The tally runs as
-    a single flat bincount, which is far cheaper than per-frame indexing.
+    (ceiling pixels in particular) contribute nothing.  Each pixel has a
+    flat voxel base ``(x * ny + y) * nz - offset``, so a frame value ``v``
+    at that pixel is a photon in voxel ``base + v``: the in-window values
+    are found in one scan of the raw frames, each is added to its pixel's
+    base, and a single bincount over those flat indices is the histogram.
     """
     frames = group.frames
     if frames.ndim != 3 or frames.shape[1:] != (cfg.height, cfg.width):
@@ -39,13 +42,10 @@ def build_histogram(group: FrameGroup, cfg: SensorConfig) -> VoxelGrid:
             f"{cfg.height}x{cfg.width} sensor"
         )
     nx, ny, nz = cfg.width, cfg.height, cfg.nz
-    vals = frames.astype(np.int64, copy=False)
-    valid = (vals >= cfg.zmin) & (vals <= cfg.zmax)
     ys, xs = np.indices((cfg.height, cfg.width))
-    xv = np.broadcast_to(xs, vals.shape)[valid]
-    yv = np.broadcast_to(ys, vals.shape)[valid]
-    zv = vals[valid] - cfg.offset
-    flat = (xv * ny + yv) * nz + zv
+    base = ((xs * ny + ys) * nz - cfg.offset).reshape(-1)
+    hits = np.flatnonzero((frames >= cfg.zmin) & (frames <= cfg.zmax))
+    flat = base[hits % base.size] + frames.reshape(-1)[hits]
     counts = np.bincount(flat, minlength=nx * ny * nz).astype(np.int32)
     return VoxelGrid(counts.reshape(nx, ny, nz), group.group_index)
 

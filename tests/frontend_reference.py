@@ -1,0 +1,151 @@
+"""Loop versions of the vectorized front end, kept as test references.
+
+Each function is the straightforward dense or per-voxel form of the
+``photontrack`` entry point of the same name and computes the same
+values in the same floating-point order, so tests compare the two with
+exact equality.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from photontrack.denoise import gaussian_kernel
+from photontrack.labeling import (
+    BoundingBox,
+    TargetObservation,
+    neighbor_offsets,
+)
+from photontrack.voxelizer import VoxelGrid
+
+
+def build_histogram(group, cfg) -> VoxelGrid:
+    """Gather each in-window pixel's (x, y, z) through broadcast index
+    grids, then one flat bincount."""
+    frames = group.frames
+    nx, ny, nz = cfg.width, cfg.height, cfg.nz
+    vals = frames.astype(np.int64, copy=False)
+    valid = (vals >= cfg.zmin) & (vals <= cfg.zmax)
+    ys, xs = np.indices((cfg.height, cfg.width))
+    xv = np.broadcast_to(xs, vals.shape)[valid]
+    yv = np.broadcast_to(ys, vals.shape)[valid]
+    zv = vals[valid] - cfg.offset
+    flat = (xv * ny + yv) * nz + zv
+    counts = np.bincount(flat, minlength=nx * ny * nz).astype(np.int32)
+    return VoxelGrid(counts.reshape(nx, ny, nz), group.group_index)
+
+
+def majority_rule(mask: np.ndarray, majority_min: int = 2) -> np.ndarray:
+    """Dense vote: the 27 shifted copies of the mask summed over the
+    interior."""
+    nx, ny, nz = mask.shape
+    out = np.zeros(mask.shape, dtype=bool)
+    if nx < 3 or ny < 3 or nz < 3:
+        return out
+    m = mask.astype(np.int32)
+    acc = np.zeros((nx - 2, ny - 2, nz - 2), dtype=np.int32)
+    for dx in range(3):
+        for dy in range(3):
+            for dz in range(3):
+                acc += m[dx : dx + nx - 2, dy : dy + ny - 2, dz : dz + nz - 2]
+    out[1:-1, 1:-1, 1:-1] = acc > majority_min
+    return out
+
+
+def _correlate1d(arr: np.ndarray, kernel: np.ndarray, axis: int) -> np.ndarray:
+    """One zero-padded correlation pass along ``axis`` over the whole
+    array, taps accumulated in order onto zeros."""
+    r = len(kernel) // 2
+    if r == 0:
+        return arr * kernel[0]
+    moved = np.moveaxis(arr, axis, -1)
+    pad = [(0, 0)] * arr.ndim
+    pad[-1] = (r, r)
+    padded = np.pad(moved, pad)
+    out = np.zeros_like(moved)
+    n = moved.shape[-1]
+    for i, w in enumerate(kernel):
+        out += w * padded[..., i : i + n]
+    return np.moveaxis(out, -1, axis)
+
+
+def parzen_smooth(grid, sigmas, kernel_radius_factor: float = 3.0) -> np.ndarray:
+    """Three whole-array 1D passes, x then y then z."""
+    counts = grid.counts if hasattr(grid, "counts") else np.asarray(grid)
+    out = counts.astype(np.float64)
+    for axis, sigma in enumerate(sigmas):
+        out = _correlate1d(out, gaussian_kernel(sigma, kernel_radius_factor), axis)
+    return out
+
+
+def _find(parent: list[int], i: int) -> int:
+    while parent[i] != i:
+        parent[i] = parent[parent[i]]
+        i = parent[i]
+    return i
+
+
+def label_components(mask: np.ndarray, connectivity: int = 26):
+    """Per-voxel union-find with path halving; component k is the k-th
+    root met in a C-order scan."""
+    coords = np.argwhere(mask)
+    labels = np.zeros(mask.shape, dtype=np.int32)
+    if len(coords) == 0:
+        return labels, 0
+    index_of = {tuple(c): i for i, c in enumerate(coords)}
+    parent = list(range(len(coords)))
+    back = [o for o in neighbor_offsets(connectivity) if o < (0, 0, 0)]
+    for i, (x, y, z) in enumerate(coords):
+        for dx, dy, dz in back:
+            j = index_of.get((x + dx, y + dy, z + dz))
+            if j is not None:
+                ri, rj = _find(parent, i), _find(parent, j)
+                if ri != rj:
+                    parent[rj] = ri
+    label_of_root: dict[int, int] = {}
+    flat = []
+    for i in range(len(coords)):
+        r = _find(parent, i)
+        if r not in label_of_root:
+            label_of_root[r] = len(label_of_root) + 1
+        flat.append(label_of_root[r])
+    labels[tuple(coords.T)] = flat
+    return labels, len(label_of_root)
+
+
+def extract_observations(labels: np.ndarray, grid) -> list[TargetObservation]:
+    """Component summaries from an ``argwhere`` scan of the labels."""
+    counts = grid.counts if hasattr(grid, "counts") else np.asarray(grid)
+    coords = np.argwhere(labels > 0)
+    if len(coords) == 0:
+        return []
+    vals = labels[tuple(coords.T)]
+    order = np.argsort(vals, kind="stable")
+    coords = coords[order]
+    vals = vals[order]
+    bounds = np.searchsorted(vals, np.arange(1, vals[-1] + 2))
+    observations = []
+    for lab, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
+        vox = coords[a:b]
+        if len(vox) == 0:
+            continue
+        w = counts[tuple(vox.T)].astype(np.float64)
+        total = float(w.sum())
+        if total > 0:
+            centroid = (vox * w[:, None]).sum(axis=0) / total
+        else:
+            centroid = vox.mean(axis=0)
+        observations.append(
+            TargetObservation(
+                label=lab,
+                voxels=vox,
+                volume=len(vox),
+                bbox=BoundingBox(
+                    tuple(int(v) for v in vox.min(axis=0)),
+                    tuple(int(v) for v in vox.max(axis=0)),
+                ),
+                centroid=centroid,
+                total_photons=int(round(total)),
+                peak_photons=int(w.max()),
+            )
+        )
+    return observations

@@ -145,6 +145,36 @@ def test_inspect_stats_match_voxelizer(workspace, capsys):
     assert payload == expected.tobytes()
 
 
+def test_inspect_reads_with_the_configured_sensor(workspace, capsys):
+    """The same bytes read as 16x16 frames give 4x the frames per
+    group count; inspect must use that geometry, not the default."""
+    tmp_path, _, _, raw = workspace
+    argv = ["inspect", "--raw", str(raw), "--group", "2", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--set", "width=16", "--set", "height=16"]) == 0
+    out = capsys.readouterr().out
+    sensor = SensorConfig(width=16, height=16)
+    frames = parse_frames(raw.read_bytes(), sensor)
+    grid = build_histogram(
+        FrameGroup(frames=frames[400:600], group_index=2), sensor
+    )
+    assert "histogram 16x16x600" in out
+    assert f"photons in window: {int(grid.counts.sum())}" in out
+    assert f"occupied voxels: {int((grid.counts > 0).sum())}" in out
+
+    config = tmp_path / "sensor.cfg"
+    config.write_text("width 16\n")
+    assert main(argv + ["--config", str(config), "--set", "height=16"]) == 0
+    assert capsys.readouterr().out == out
+
+
+def test_inspect_config_errors(workspace, capsys):
+    tmp_path, _, _, raw = workspace
+    argv = ["inspect", "--raw", str(raw), "--group", "0", "--out-dir", str(tmp_path)]
+    assert main(argv + ["--set", "widht=16"]) == 1
+    assert "error: config:" in capsys.readouterr().err
+    assert main(argv + ["--config", str(tmp_path / "nope.cfg")]) == 2
+
+
 def test_inspect_group_out_of_range(workspace):
     tmp_path, _, _, raw = workspace
     assert main(["inspect", "--raw", str(raw), "--group", "6"]) == 1
