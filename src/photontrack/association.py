@@ -3,16 +3,19 @@
 Old tracks (rows) are scored against new observations (columns) under
 one of three modes:
 
-  * bounding-box expansion: boxes match when each sits inside the
-    other's expanded box, a cheap symmetric test tolerant of e voxels of
-    drift per face;
+  * bounding-box expansion: two boxes match when every one of their six
+    faces lies within e voxels of the matching face.  This is symmetric
+    containment under expansion (each box sits inside the other's box
+    grown by e), so a huge new cluster cannot swallow a small old track
+    just by covering it;
   * Kalman centroid: distance gating against the predicted centroid,
-    scored so that nearer pairs win;
-  * Kalman bbox: box-expansion matching against the box predicted by
-    a filter over the six box faces.
+    scored 1 / (1 + distance) so that nearer pairs win;
+  * Kalman bbox: the same face test against the box predicted by a
+    filter over the six box faces.
 
-Conflicts are resolved greedily on the score matrix, guaranteeing a
-one-to-one pairing.
+Every mode is one whole-array distance gate between the rows' faces or
+centroids and the columns'.  Conflicts are resolved greedily on the
+score matrix, guaranteeing a one-to-one pairing.
 """
 from __future__ import annotations
 
@@ -21,8 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .kalman import centroid_gate
-from .labeling import BoundingBox, TargetObservation
+from .labeling import TargetObservation
 
 
 class AssocMode(Enum):
@@ -44,39 +46,6 @@ class AssociationConfig:
             raise ValueError("gate_radius must be positive")
 
 
-def expand_bbox(b: BoundingBox, e: int) -> BoundingBox:
-    """Grow a box by ``e`` voxels on every face (no clamping: matching
-    near the sensor edge must behave like matching in the interior)."""
-    if e < 0:
-        raise ValueError("expansion must be nonnegative")
-    return BoundingBox(
-        tuple(v - e for v in b.min),
-        tuple(v + e for v in b.max),
-    )
-
-
-def bbox_match(old_box: BoundingBox, new_box: BoundingBox, e: int) -> bool:
-    """Symmetric containment under expansion.
-
-    Both directions are required, so a huge new cluster cannot swallow a
-    small old track (or vice versa) just by covering it.
-    """
-    return expand_bbox(new_box, e).contains(old_box) and expand_bbox(
-        old_box, e
-    ).contains(new_box)
-
-
-@dataclass(frozen=True)
-class OldTargetView:
-    """Minimal row-side interface for scoring: the last confirmed box
-    plus whatever predictions the mode needs.  Tracks satisfy the same
-    attribute set, so the tracker passes them straight in."""
-
-    bbox: BoundingBox
-    pred_centroid: np.ndarray | None = None
-    pred_bbox: BoundingBox | None = None
-
-
 @dataclass(frozen=True)
 class AssociationMatrix:
     """Scores with old targets as rows and new observations as columns;
@@ -85,37 +54,49 @@ class AssociationMatrix:
     scores: np.ndarray
 
 
+def _faces(boxes) -> np.ndarray:
+    """(k, 6) array of box faces, min xyz then max xyz."""
+    return np.array([(*b.min, *b.max) for b in boxes]).reshape(-1, 6)
+
+
 def build_association_matrix(
     old_targets: list,
     new_observations: list[TargetObservation],
     cfg: AssociationConfig,
 ) -> AssociationMatrix:
-    scores = np.zeros((len(old_targets), len(new_observations)), dtype=np.float64)
-    for i, old in enumerate(old_targets):
-        for j, obs in enumerate(new_observations):
-            scores[i, j] = _pair_score(old, obs, cfg)
-    return AssociationMatrix(scores=scores)
+    """Score every (old, new) pair at once.
 
-
-def _pair_score(old, obs: TargetObservation, cfg: AssociationConfig) -> float:
-    if cfg.mode is AssocMode.BBOX_EXPANSION:
-        if bbox_match(old.bbox, obs.bbox, cfg.expansion_e):
-            return 1.0
-        return 0.0
+    Rows need ``bbox`` (``bbox`` mode), ``pred_centroid``
+    (``kalman_centroid``) or ``pred_bbox`` (``kalman_bbox``); columns
+    need ``bbox`` and ``centroid``.
+    """
     if cfg.mode is AssocMode.KALMAN_CENTROID:
-        if old.pred_centroid is None:
+        preds = [old.pred_centroid for old in old_targets]
+        if any(p is None for p in preds):
             raise ValueError("centroid mode needs predicted centroids")
-        if centroid_gate(old.pred_centroid, obs.centroid, cfg.gate_radius):
-            dist = float(np.linalg.norm(old.pred_centroid - obs.centroid))
-            return 1.0 / (1.0 + dist)
-        return 0.0
-    if cfg.mode is AssocMode.KALMAN_BBOX:
-        if old.pred_bbox is None:
+        rows = np.array(preds, dtype=np.float64).reshape(-1, 3)
+        cols = np.array(
+            [obs.centroid for obs in new_observations], dtype=np.float64
+        ).reshape(-1, 3)
+        diff = rows[:, None, :] - cols[None, :, :]
+        # a stacked (1x3)(3x1) product, like np.linalg.norm of one
+        # vector, sums through the BLAS dot (norm(axis=-1) and einsum
+        # round differently by an ulp)
+        dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+        scores = np.where(dist <= cfg.gate_radius, 1.0 / (1.0 + dist), 0.0)
+        return AssociationMatrix(scores=scores)
+    if cfg.mode is AssocMode.BBOX_EXPANSION:
+        boxes = [old.bbox for old in old_targets]
+    elif cfg.mode is AssocMode.KALMAN_BBOX:
+        boxes = [old.pred_bbox for old in old_targets]
+        if any(b is None for b in boxes):
             raise ValueError("bbox-filter mode needs predicted boxes")
-        if bbox_match(old.pred_bbox, obs.bbox, cfg.expansion_e):
-            return 1.0
-        return 0.0
-    raise ValueError(f"unknown association mode {cfg.mode!r}")
+    else:
+        raise ValueError(f"unknown association mode {cfg.mode!r}")
+    rows = _faces(boxes)
+    cols = _faces(obs.bbox for obs in new_observations)
+    gap = np.abs(rows[:, None, :] - cols[None, :, :]).max(axis=2)
+    return AssociationMatrix(scores=(gap <= cfg.expansion_e).astype(np.float64))
 
 
 @dataclass(frozen=True)

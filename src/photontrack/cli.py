@@ -126,13 +126,33 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     return build_run_config(values)
 
 
+def _take(values: dict, *keys: str, **renamed: str) -> dict:
+    """Pop the listed config keys that are present, as keyword arguments;
+    ``renamed`` maps a config key to its dataclass field.  Absent keys
+    are left to the dataclass defaults."""
+    fields = {k: k for k in keys} | renamed
+    return {f: values.pop(k) for k, f in fields.items() if k in values}
+
+
+def _enum(values: dict, key: str, cls, field: str | None = None) -> dict:
+    """``{field: cls(value)}`` when ``key`` is present, else ``{}``;
+    ``field`` defaults to ``key``."""
+    if key not in values:
+        return {}
+    name = values.pop(key)
+    try:
+        return {field or key: cls(name)}
+    except ValueError:
+        raise ValueError(f"unknown {key} {name!r}") from None
+
+
 def build_run_config(values: dict) -> RunConfig:
     values = dict(values)
 
-    sensor = SensorConfig(
-        **{k: values.pop(k) for k in _SENSOR_KEYS if k in values}
-    )
+    sensor = SensorConfig(**_take(values, *_SENSOR_KEYS))
 
+    # the threshold keys feed whichever ThresholdMode is chosen, and the
+    # sigmas one tuple, so they keep their fallbacks here
     mode_name = values.pop("threshold_mode", "fixed")
     alpha = values.pop("alpha", 0.5)
     beta = values.pop("beta", 0.5)
@@ -146,62 +166,40 @@ def build_run_config(values: dict) -> RunConfig:
     else:
         raise ValueError(f"unknown threshold_mode {mode_name!r}")
 
-    scheme_name = values.pop("scheme", "threshold")
-    try:
-        scheme = Scheme(scheme_name)
-    except ValueError:
-        raise ValueError(f"unknown scheme {scheme_name!r}") from None
     den = DenoiseConfig(
-        scheme=scheme,
         threshold_mode=threshold_mode,
-        majority_min=values.pop("majority_min", 2),
         sigmas=(
             values.pop("sigma_x", 1.0),
             values.pop("sigma_y", 1.0),
             values.pop("sigma_z", 1.0),
         ),
-        kernel_radius_factor=values.pop("kernel_radius_factor", 3.0),
+        **_enum(values, "scheme", Scheme),
+        **_take(values, "majority_min", "kernel_radius_factor"),
     )
 
-    mode_name = values.pop("assoc_mode", "bbox")
-    try:
-        assoc_mode = AssocMode(mode_name)
-    except ValueError:
-        raise ValueError(f"unknown assoc_mode {mode_name!r}") from None
     assoc = AssociationConfig(
-        mode=assoc_mode,
-        expansion_e=values.pop("expansion", 2),
-        gate_radius=values.pop("gate_radius", 5.0),
+        **_enum(values, "assoc_mode", AssocMode, "mode"),
+        **_take(values, "gate_radius", expansion="expansion_e"),
     )
 
-    weights = {
-        name: values.pop(key)
-        for key, name in _IMPORTANCE_MAP.items()
-        if key in values
-    }
+    weights = _take(values, **_IMPORTANCE_MAP)
     importance = (
         ImportanceConfig(weights=weights) if weights else ImportanceConfig()
     )
 
     kalman = KalmanParams(
-        q=values.pop("kf_q", 0.01),
-        r=values.pop("kf_r", 0.1),
-        p0_pos=values.pop("kf_p0_pos", 1.0),
-        p0_vel=values.pop("kf_p0_vel", 10.0),
+        **_take(values, kf_q="q", kf_r="r", kf_p0_pos="p0_pos", kf_p0_vel="p0_vel")
     )
     tracker = TrackerConfig(
-        t_max=values.pop("t_max", 10),
-        max_coast=values.pop("max_coast", 3),
         assoc=assoc,
         importance=importance,
         kalman=kalman,
+        **_take(values, "t_max", "max_coast"),
     )
-    connectivity = values.pop("connectivity", 26)
+    connectivity = _take(values, "connectivity")
     if values:
         raise ValueError(f"unknown config keys {sorted(values)}")
-    return RunConfig(
-        sensor=sensor, denoise=den, tracker=tracker, connectivity=connectivity
-    )
+    return RunConfig(sensor=sensor, denoise=den, tracker=tracker, **connectivity)
 
 
 def _err(msg: str) -> None:

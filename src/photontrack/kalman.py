@@ -139,18 +139,6 @@ def kf_update(state: KalmanState, z: np.ndarray) -> KalmanState:
     )
 
 
-def centroid_gate(p: np.ndarray, q: np.ndarray, radius: float) -> bool:
-    """True when the points sit within ``radius`` of each other
-    (boundary inclusive)."""
-    if radius <= 0:
-        raise ValueError("gate radius must be positive")
-    p = np.asarray(p, dtype=np.float64)
-    q = np.asarray(q, dtype=np.float64)
-    if p.shape != q.shape:
-        raise ValueError("gate operands must share a dimension")
-    return bool(np.linalg.norm(p - q) <= radius)
-
-
 def _faces(bbox: BoundingBox) -> np.ndarray:
     return np.array([*bbox.min, *bbox.max], dtype=np.float64)
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass, field, replace
 
 from .denoise import DenoiseConfig, denoise
 from .labeling import (
+    _CONNECTIVITIES,
     extract_observations,
     importance_sort,
     label_components,
@@ -18,8 +19,6 @@ from .labeling import (
 from .raw_ingest import FrameGroup, SensorConfig, group_frames, parse_frames
 from .track_manager import Tracker, TrackerConfig, TrackSnapshot
 from .voxelizer import VoxelGrid, build_histogram
-
-_CONNECTIVITIES = (6, 18, 26)
 
 
 @dataclass(frozen=True)

@@ -3,8 +3,8 @@
 A track is born from an unassociated observation, is refreshed whenever
 an observation associates with it, coasts on predictions while missed,
 and dies after too many consecutive misses.  Each step the surviving old
-tracks and the newly born ones, both held sorted by importance, are
-fused with a single merge pass and truncated to the configured capacity.
+tracks and the newly born ones are fused by one stable importance sort
+(old tracks first on ties) and truncated to the configured capacity.
 
 The last ten per-step track lists live in a ring buffer.  Steps where a
 track was matched also record slot-to-slot links between consecutive
@@ -191,23 +191,6 @@ def reconstruct_backward(
         chain.append((entry.step, slot))
 
 
-def merge_sorted(a: list[Track], b: list[Track], score) -> list[Track]:
-    """Merge two importance-descending lists into one; on equal scores
-    the first list's element goes first."""
-    out = []
-    i = j = 0
-    while i < len(a) and j < len(b):
-        if score(a[i]) >= score(b[j]):
-            out.append(a[i])
-            i += 1
-        else:
-            out.append(b[j])
-            j += 1
-    out.extend(a[i:])
-    out.extend(b[j:])
-    return out
-
-
 class Tracker:
     """Runs the per-step associate / update / fuse / record cycle."""
 
@@ -311,11 +294,9 @@ class Tracker:
             if j not in matches.bw
         ]
 
-        # updates move scores, so restore descending order before the
-        # merge; stable sorts keep the within-tie ordering meaningful
-        old_derived.sort(key=self._score, reverse=True)
-        new_tracks.sort(key=self._score, reverse=True)
-        merged = merge_sorted(old_derived, new_tracks, self._score)
+        # one stable sort: on equal scores old tracks stay ahead of
+        # newborns, and each list keeps its own order
+        merged = sorted(old_derived + new_tracks, key=self._score, reverse=True)
         if len(merged) > 2 * self.cfg.t_max:
             raise ConfigViolationError(
                 f"{len(merged)} fused tracks exceed twice the capacity {self.cfg.t_max}"

@@ -1,0 +1,68 @@
+"""Per-pair association scorer, kept as a test reference.
+
+``build_association_matrix`` here is the straightforward double loop
+that expands both boxes into new ``BoundingBox`` objects and checks
+containment twice, or takes ``np.linalg.norm`` of one centroid
+difference at a time.  Tests compare ``photontrack``'s whole-array gate
+against it.
+"""
+from __future__ import annotations
+
+import numpy as np
+
+from photontrack.association import AssociationMatrix, AssocMode
+from photontrack.labeling import BoundingBox
+
+
+def expand_bbox(b: BoundingBox, e: int) -> BoundingBox:
+    """Grow a box by ``e`` voxels on every face, without clamping."""
+    if e < 0:
+        raise ValueError("expansion must be nonnegative")
+    return BoundingBox(
+        tuple(v - e for v in b.min),
+        tuple(v + e for v in b.max),
+    )
+
+
+def bbox_match(old_box: BoundingBox, new_box: BoundingBox, e: int) -> bool:
+    """Symmetric containment under expansion."""
+    return expand_bbox(new_box, e).contains(old_box) and expand_bbox(
+        old_box, e
+    ).contains(new_box)
+
+
+def centroid_gate(p, q, radius: float) -> bool:
+    """True when the points sit within ``radius`` of each other
+    (boundary inclusive)."""
+    if radius <= 0:
+        raise ValueError("gate radius must be positive")
+    p = np.asarray(p, dtype=np.float64)
+    q = np.asarray(q, dtype=np.float64)
+    if p.shape != q.shape:
+        raise ValueError("gate operands must share a dimension")
+    return bool(np.linalg.norm(p - q) <= radius)
+
+
+def pair_score(old, obs, cfg) -> float:
+    if cfg.mode is AssocMode.BBOX_EXPANSION:
+        return 1.0 if bbox_match(old.bbox, obs.bbox, cfg.expansion_e) else 0.0
+    if cfg.mode is AssocMode.KALMAN_CENTROID:
+        if old.pred_centroid is None:
+            raise ValueError("centroid mode needs predicted centroids")
+        if centroid_gate(old.pred_centroid, obs.centroid, cfg.gate_radius):
+            dist = float(np.linalg.norm(old.pred_centroid - obs.centroid))
+            return 1.0 / (1.0 + dist)
+        return 0.0
+    if cfg.mode is AssocMode.KALMAN_BBOX:
+        if old.pred_bbox is None:
+            raise ValueError("bbox-filter mode needs predicted boxes")
+        return 1.0 if bbox_match(old.pred_bbox, obs.bbox, cfg.expansion_e) else 0.0
+    raise ValueError(f"unknown association mode {cfg.mode!r}")
+
+
+def build_association_matrix(old_targets, new_observations, cfg) -> AssociationMatrix:
+    scores = np.zeros((len(old_targets), len(new_observations)), dtype=np.float64)
+    for i, old in enumerate(old_targets):
+        for j, obs in enumerate(new_observations):
+            scores[i, j] = pair_score(old, obs, cfg)
+    return AssociationMatrix(scores=scores)

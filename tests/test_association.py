@@ -1,17 +1,17 @@
-"""Box matching, score matrices and greedy conflict resolution."""
+"""Face-distance gating, score matrices and greedy conflict resolution."""
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import association_reference as ref
 from photontrack.association import (
     AssocMode,
     AssociationConfig,
     AssociationMatrix,
-    OldTargetView,
-    bbox_match,
     build_association_matrix,
-    expand_bbox,
     resolve_matches,
 )
 from photontrack.labeling import BoundingBox
@@ -24,87 +24,160 @@ box_strategy = st.builds(
     st.tuples(*[st.integers(-10, 10)] * 3),
     st.tuples(*[st.integers(0, 6)] * 3),
 )
+# halves put many pairs exactly on a gate boundary such as (3, 4, 0)
+coord = st.integers(-16, 16).map(lambda v: v / 2.0) | st.floats(-20, 20)
+point_strategy = st.tuples(coord, coord, coord)
+
+
+def _row(bbox, pred_centroid=None, pred_bbox=None):
+    return SimpleNamespace(bbox=bbox, pred_centroid=pred_centroid, pred_bbox=pred_bbox)
+
+
+def _obs(bbox, centroid=(0.0, 0.0, 0.0)):
+    return SimpleNamespace(bbox=bbox, centroid=np.asarray(centroid, float))
+
+
+def _matches(a, b, e):
+    cfg = AssociationConfig(expansion_e=e)
+    return build_association_matrix([_row(a)], [_obs(b)], cfg).scores[0, 0] == 1.0
 
 
 @settings(max_examples=100, deadline=None)
-@given(b=box_strategy, e1=st.integers(0, 4), e2=st.integers(0, 4))
-def test_expansion_is_additive(b, e1, e2):
-    assert expand_bbox(expand_bbox(b, e1), e2) == expand_bbox(b, e1 + e2)
-
-
-@settings(max_examples=100, deadline=None)
-@given(a=box_strategy, b=box_strategy, e=st.integers(0, 4))
+@given(
+    a=st.lists(box_strategy, max_size=5),
+    b=st.lists(box_strategy, max_size=5),
+    e=st.integers(0, 4),
+)
 def test_match_is_symmetric(a, b, e):
-    assert bbox_match(a, b, e) == bbox_match(b, a, e)
+    cfg = AssociationConfig(expansion_e=e)
+    ab = build_association_matrix([_row(x) for x in a], [_obs(y) for y in b], cfg)
+    ba = build_association_matrix([_row(y) for y in b], [_obs(x) for x in a], cfg)
+    np.testing.assert_array_equal(ab.scores, ba.scores.T)
 
 
 def test_match_requires_both_containments():
     small = BoundingBox((0, 0, 0), (1, 1, 1))
     big = BoundingBox((-5, -5, -5), (6, 6, 6))
     # the small box sits inside the expanded big one, but not vice versa
-    assert expand_bbox(big, 2).contains(small)
-    assert not bbox_match(small, big, 2)
+    assert big.contains(small)
+    assert not _matches(small, big, 2)
+    assert not _matches(big, small, 2)
 
 
 def test_match_tolerates_small_drift():
     a = BoundingBox((0, 0, 0), (3, 3, 3))
     b = BoundingBox((2, 1, 0), (5, 4, 3))
-    assert bbox_match(a, b, 2)
-    assert not bbox_match(a, b, 1)
-
-
-def test_expand_rejects_negative():
-    with pytest.raises(ValueError):
-        expand_bbox(BoundingBox((0, 0, 0), (1, 1, 1)), -1)
-
-
-def _obs(bbox, centroid):
-    return type("Obs", (), {"bbox": bbox, "centroid": np.asarray(centroid, float)})()
+    assert _matches(a, b, 2)
+    assert not _matches(a, b, 1)
 
 
 def test_bbox_mode_matrix():
     cfg = AssociationConfig(expansion_e=1)
-    old = [OldTargetView(bbox=BoundingBox((0, 0, 0), (2, 2, 2)))]
+    old = [_row(BoundingBox((0, 0, 0), (2, 2, 2)))]
     close = _obs(BoundingBox((1, 0, 0), (3, 2, 2)), [2, 1, 1])
     far = _obs(BoundingBox((9, 9, 9), (11, 11, 11)), [10, 10, 10])
     m = build_association_matrix(old, [close, far], cfg)
     np.testing.assert_array_equal(m.scores, [[1.0, 0.0]])
 
 
+def test_empty_sides_give_empty_matrices():
+    box = BoundingBox((0, 0, 0), (1, 1, 1))
+    for mode in AssocMode:
+        cfg = AssociationConfig(mode=mode)
+        row = _row(box, pred_centroid=np.zeros(3), pred_bbox=box)
+        assert build_association_matrix([], [_obs(box)], cfg).scores.shape == (0, 1)
+        assert build_association_matrix([row], [], cfg).scores.shape == (1, 0)
+
+
 def test_centroid_mode_scores_decay_with_distance():
     cfg = AssociationConfig(mode=AssocMode.KALMAN_CENTROID, gate_radius=5.0)
-    old = [
-        OldTargetView(
-            bbox=BoundingBox((0, 0, 0), (1, 1, 1)), pred_centroid=np.zeros(3)
-        )
-    ]
-    near = _obs(BoundingBox((0, 0, 0), (1, 1, 1)), [1.0, 0, 0])
-    mid = _obs(BoundingBox((0, 0, 0), (1, 1, 1)), [3.0, 0, 0])
-    out = _obs(BoundingBox((0, 0, 0), (1, 1, 1)), [5.1, 0, 0])
+    box = BoundingBox((0, 0, 0), (1, 1, 1))
+    old = [_row(box, pred_centroid=np.zeros(3))]
+    near = _obs(box, [1.0, 0, 0])
+    mid = _obs(box, [3.0, 0, 0])
+    out = _obs(box, [5.1, 0, 0])
     m = build_association_matrix(old, [near, mid, out], cfg)
     assert m.scores[0, 0] == pytest.approx(1 / 2)
     assert m.scores[0, 1] == pytest.approx(1 / 4)
     assert m.scores[0, 2] == 0.0
 
 
+def test_gate_boundary_is_inclusive():
+    box = BoundingBox((0, 0, 0), (1, 1, 1))
+    old = [_row(box, pred_centroid=np.zeros(3))]
+    obs = [_obs(box, [3.0, 4.0, 0.0])]
+    at = AssociationConfig(mode=AssocMode.KALMAN_CENTROID, gate_radius=5.0)
+    inside = AssociationConfig(mode=AssocMode.KALMAN_CENTROID, gate_radius=5.0 - 1e-9)
+    assert build_association_matrix(old, obs, at).scores[0, 0] == 1 / 6
+    assert build_association_matrix(old, obs, inside).scores[0, 0] == 0.0
+
+
 def test_centroid_mode_requires_predictions():
     cfg = AssociationConfig(mode=AssocMode.KALMAN_CENTROID)
-    old = [OldTargetView(bbox=BoundingBox((0, 0, 0), (1, 1, 1)))]
+    box = BoundingBox((0, 0, 0), (1, 1, 1))
     with pytest.raises(ValueError):
-        build_association_matrix(old, [_obs(BoundingBox((0, 0, 0), (1, 1, 1)), [0, 0, 0])], cfg)
+        build_association_matrix([_row(box)], [_obs(box)], cfg)
+
+
+def test_bbox_filter_mode_requires_predictions():
+    cfg = AssociationConfig(mode=AssocMode.KALMAN_BBOX)
+    box = BoundingBox((0, 0, 0), (1, 1, 1))
+    with pytest.raises(ValueError):
+        build_association_matrix([_row(box)], [_obs(box)], cfg)
 
 
 def test_bbox_filter_mode_uses_predicted_box():
     cfg = AssociationConfig(mode=AssocMode.KALMAN_BBOX, expansion_e=1)
     old = [
-        OldTargetView(
-            bbox=BoundingBox((90, 90, 90), (92, 92, 92)),  # stale
+        _row(
+            BoundingBox((90, 90, 90), (92, 92, 92)),  # stale
             pred_bbox=BoundingBox((0, 0, 0), (2, 2, 2)),
         )
     ]
     obs = _obs(BoundingBox((1, 1, 1), (3, 3, 3)), [2, 2, 2])
     m = build_association_matrix(old, [obs], cfg)
     assert m.scores[0, 0] == 1.0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    rows=st.lists(st.tuples(box_strategy, box_strategy), max_size=6),
+    cols=st.lists(box_strategy, max_size=6),
+    e=st.integers(0, 4),
+    mode=st.sampled_from([AssocMode.BBOX_EXPANSION, AssocMode.KALMAN_BBOX]),
+)
+def test_box_modes_equal_reference(rows, cols, e, mode):
+    cfg = AssociationConfig(mode=mode, expansion_e=e)
+    old = [_row(b, pred_bbox=p) for b, p in rows]
+    new = [_obs(b) for b in cols]
+    got = build_association_matrix(old, new, cfg).scores
+    want = ref.build_association_matrix(old, new, cfg).scores
+    assert got.dtype == want.dtype and got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    preds=st.lists(point_strategy, max_size=6),
+    cents=st.lists(point_strategy, max_size=6),
+    radius=st.sampled_from([0.5, 1.0, 2.5, 5.0, 7.5]) | st.floats(0.01, 40),
+)
+def test_centroid_mode_matches_reference(preds, cents, radius):
+    cfg = AssociationConfig(mode=AssocMode.KALMAN_CENTROID, gate_radius=radius)
+    box = BoundingBox((0, 0, 0), (0, 0, 0))
+    old = [_row(box, pred_centroid=np.array(p)) for p in preds]
+    new = [_obs(box, c) for c in cents]
+    got = build_association_matrix(old, new, cfg).scores
+    want = ref.build_association_matrix(old, new, cfg).scores
+    assert got.dtype == want.dtype and got.shape == want.shape
+    dist = np.array(
+        [[np.linalg.norm(np.array(p) - c) for c in cents] for p in preds]
+    ).reshape(got.shape)
+    # the distance may differ by an ulp, so the gate is compared only
+    # where that cannot move a pair across the boundary
+    clear = np.abs(dist - radius) > np.spacing(radius)
+    np.testing.assert_array_equal((got > 0)[clear], (want > 0)[clear])
+    np.testing.assert_array_max_ulp(got[clear], want[clear], maxulp=1)
 
 
 def greedy_oracle(scores):

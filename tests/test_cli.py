@@ -1,5 +1,7 @@
 """Command-line workflow and exit codes."""
 import json
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from photontrack.cli import main, parse_config
 from photontrack.denoise import Fixed, MovingAverage, Scheme
 from photontrack.association import AssocMode
 from photontrack.outputs import TRACKS_HEADER
+from photontrack.pipeline import RunConfig
 from photontrack.raw_ingest import FrameGroup, SensorConfig, parse_frames
 from photontrack.voxelizer import build_histogram, max_projection
 
@@ -285,3 +288,16 @@ def test_parse_config_defaults_and_overrides():
         parse_config("t_max banana\n")
     with pytest.raises(ValueError):
         parse_config("scheme sorcery\n")
+
+
+def test_empty_config_is_the_dataclass_defaults():
+    assert parse_config("") == RunConfig()
+
+
+def test_default_cfg_differs_from_the_defaults_only_in_scheme():
+    text = (Path(__file__).parents[1] / "configs" / "default.cfg").read_text()
+    cfg = parse_config(text)
+    assert cfg.denoise.scheme is Scheme.THRESHOLD_MAJORITY
+    assert RunConfig().denoise.scheme is Scheme.THRESHOLD
+    unschemed = replace(cfg, denoise=replace(cfg.denoise, scheme=Scheme.THRESHOLD))
+    assert unschemed == RunConfig()

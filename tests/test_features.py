@@ -142,3 +142,19 @@ def test_speed_estimate_converges_for_constant_motion():
         _, s = kf_predict(s)
         s = kf_update(s, np.array([float(step), 0.0, 0.0]))
     assert np.linalg.norm(s.velocity) == pytest.approx(1.0, abs=0.05)
+
+
+@pytest.mark.parametrize(
+    "sides, axis",
+    [((3, 1, 3), [1, 0, 0]), ((1, 3, 3), [0, 1, 0]), ((5, 2, 5), [1, 0, 0]),
+     ((2, 5, 5), [0, 1, 0])],
+)
+def test_orientation_of_a_plate_is_pinned(sides, axis):
+    """Two equal largest spreads: power iteration starts from the
+    covariance column of largest norm (the first on ties) and stays
+    there; np.linalg.eigh (numpy 2.4) returns (0, 0, 1) for each of these."""
+    sx, sy, sz = sides
+    vox = np.array(
+        [[x, y, z] for x in range(sx) for y in range(sy) for z in range(sz)]
+    )
+    np.testing.assert_array_equal(principal_orientation(vox), axis)

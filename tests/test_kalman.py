@@ -10,7 +10,6 @@ from photontrack.kalman import (
     bbox_kf_init,
     bbox_kf_predict,
     bbox_kf_update,
-    centroid_gate,
     kf_init,
     kf_predict,
     kf_update,
@@ -84,17 +83,6 @@ def test_singular_innovation_detected():
         kf_update(s, np.zeros(3))
     with pytest.raises(SingularInnovationError):
         kf_update(replace(s, pp=float("inf")), np.zeros(3))
-
-
-def test_gate_boundary_is_inclusive():
-    p = np.zeros(3)
-    q = np.array([3.0, 4.0, 0.0])
-    assert centroid_gate(p, q, 5.0)
-    assert not centroid_gate(p, q, 5.0 - 1e-9)
-    with pytest.raises(ValueError):
-        centroid_gate(p, q, 0.0)
-    with pytest.raises(ValueError):
-        centroid_gate(p, np.zeros(2), 1.0)
 
 
 def test_params_validation():

@@ -10,7 +10,6 @@ from photontrack.track_manager import (
     Tracker,
     TrackerConfig,
     TrackState,
-    merge_sorted,
     reconstruct_backward,
     reconstruct_forward,
 )
@@ -129,16 +128,16 @@ def test_capacity_prefers_high_importance():
     assert all(t.state is TrackState.NEW for t in kept)
 
 
-def test_merge_sorted_interleaves():
-    assert merge_sorted([9, 3], [7, 1], score=lambda v: v) == [9, 7, 3, 1]
-    assert merge_sorted([], [4, 2], score=lambda v: v) == [4, 2]
-    assert merge_sorted([4, 2], [], score=lambda v: v) == [4, 2]
-
-
-def test_merge_sorted_prefers_first_list_on_ties():
-    a, b = object(), object()
-    out = merge_sorted([a], [b], score=lambda v: 1.0)
-    assert out[0] is a and out[1] is b
+def test_capacity_tie_keeps_the_old_track():
+    tracker = Tracker(TrackerConfig(t_max=2))
+    tracker.step([make_obs([20, 20, 300], size=5), make_obs([5, 5, 50])])
+    # the small track misses and coasts while a newborn of the same
+    # volume appears far away: both score 27 at the cut
+    kept = tracker.step([make_obs([20, 20, 301], size=5), make_obs([25, 5, 500])])
+    assert [(t.track_id, t.state) for t in kept] == [
+        (1, TrackState.MATCHED),
+        (2, TrackState.COASTING),
+    ]
 
 
 def test_ring_capacity_and_eviction():
