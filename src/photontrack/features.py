@@ -8,6 +8,7 @@ tracks CSV and must not be reshuffled.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -69,6 +70,12 @@ class FeatureVector:
         ).astype(np.float64)
 
 
+def _norm(a: np.ndarray) -> float:
+    """``np.linalg.norm`` of a 1-D float array, without its dispatch:
+    numpy computes it as this same square root of ``a.dot(a)``."""
+    return math.sqrt(a.dot(a))
+
+
 def principal_orientation(voxels: np.ndarray) -> np.ndarray:
     """Dominant axis of a voxel cloud as a unit vector.
 
@@ -99,11 +106,11 @@ def principal_orientation(voxels: np.ndarray) -> np.ndarray:
     v = v / np.linalg.norm(v)
     for _ in range(100):
         w = C @ v
-        n = np.linalg.norm(w)
+        n = _norm(w)
         if n == 0:
             break
         w = w / n
-        if np.linalg.norm(w - v) < 1e-10 or np.linalg.norm(w + v) < 1e-10:
+        if _norm(w - v) < 1e-10 or _norm(w + v) < 1e-10:
             v = w
             break
         v = w

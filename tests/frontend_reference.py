@@ -3,13 +3,23 @@
 Each function is the straightforward dense or per-voxel form of the
 ``photontrack`` entry point of the same name and computes the same
 values in the same floating-point order, so tests compare the two with
-exact equality.
+exact equality.  ``denoise`` smooths and thresholds the whole grid,
+where the library smooths only where its threshold can be crossed.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from photontrack.denoise import gaussian_kernel
+from photontrack.denoise import (
+    Fixed,
+    MovingAverage,
+    PeakFraction,
+    Scheme,
+    gaussian_kernel,
+    threshold_fixed,
+    threshold_moving_average,
+    threshold_peak_fraction,
+)
 from photontrack.labeling import (
     BoundingBox,
     TargetObservation,
@@ -75,6 +85,26 @@ def parzen_smooth(grid, sigmas, kernel_radius_factor: float = 3.0) -> np.ndarray
     for axis, sigma in enumerate(sigmas):
         out = _correlate1d(out, gaussian_kernel(sigma, kernel_radius_factor), axis)
     return out
+
+
+def denoise(grid, cfg, t_prev=None):
+    """Smooth the whole grid when the scheme asks for it, then threshold
+    every voxel."""
+    source = grid.counts if hasattr(grid, "counts") else np.asarray(grid)
+    if cfg.scheme is Scheme.PARZEN_THRESHOLD:
+        source = parzen_smooth(source, cfg.sigmas, cfg.kernel_radius_factor)
+    match cfg.threshold_mode:
+        case Fixed(t=t):
+            mask, t_used = threshold_fixed(source, t), t
+        case PeakFraction(alpha=alpha):
+            mask, t_used = threshold_peak_fraction(source, alpha)
+        case MovingAverage(alpha=alpha, beta=beta):
+            if t_prev is None:
+                t_prev = alpha * (float(source.max()) if source.size else 0.0)
+            mask, t_used = threshold_moving_average(source, alpha, beta, t_prev)
+    if cfg.scheme is Scheme.THRESHOLD_MAJORITY:
+        mask = majority_rule(mask, cfg.majority_min)
+    return mask, t_used
 
 
 def _find(parent: list[int], i: int) -> int:

@@ -230,6 +230,28 @@ def test_track_unknown_config_key_exits_1(workspace, tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        f"{key}={value}"
+        for key in ("sigma_x", "sigma_y", "sigma_z", "kernel_radius_factor", "threshold")
+        for value in ("inf", "nan")
+    ],
+)
+def test_track_non_finite_denoise_setting_exits_1(workspace, tmp_path, capsys, setting):
+    _, _, config, raw = workspace
+    out = tmp_path / "o"
+    rc = main(
+        [
+            "track", "--raw", str(raw), "--config", str(config), "--out-dir", str(out),
+            "--set", "scheme=parzen_threshold", "--set", setting,
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["bbox", "kalman_centroid"])
 def test_track_singular_filter_exits_1(workspace, tmp_path, capsys, mode):
     _, _, config, raw = workspace

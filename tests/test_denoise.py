@@ -183,7 +183,9 @@ def test_scheme_dispatch_parzen():
 @pytest.mark.parametrize(
     "mode",
     [lambda: Fixed(-1.0), lambda: PeakFraction(0.0), lambda: PeakFraction(1.5),
-     lambda: MovingAverage(0.5, -0.1), lambda: MovingAverage(0.0, 0.5)],
+     lambda: MovingAverage(0.5, -0.1), lambda: MovingAverage(0.0, 0.5),
+     lambda: Fixed(math.nan), lambda: Fixed(math.inf), lambda: PeakFraction(math.nan),
+     lambda: MovingAverage(0.5, math.nan), lambda: MovingAverage(math.inf, 0.5)],
 )
 def test_threshold_mode_validation(mode):
     with pytest.raises(ValueError):
@@ -195,3 +197,8 @@ def test_denoise_config_validation():
         DenoiseConfig(majority_min=28)
     with pytest.raises(ValueError):
         DenoiseConfig(sigmas=(1.0, 0.0, 1.0))
+    for bad in (math.inf, math.nan):
+        with pytest.raises(ValueError):
+            DenoiseConfig(sigmas=(1.0, 1.0, bad))
+        with pytest.raises(ValueError):
+            DenoiseConfig(kernel_radius_factor=bad)

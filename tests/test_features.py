@@ -158,3 +158,39 @@ def test_orientation_of_a_plate_is_pinned(sides, axis):
         [[x, y, z] for x in range(sx) for y in range(sy) for z in range(sz)]
     )
     np.testing.assert_array_equal(principal_orientation(vox), axis)
+
+
+def _box(sx, sy, sz):
+    return np.array([[x, y, z] for x in range(sx) for y in range(sy) for z in range(sz)])
+
+
+def _orientation_clouds():
+    rng = np.random.default_rng(17)
+    yield from (rng.integers(0, n, (k, 3)) for n, k in ((3, 5), (6, 30), (20, 300)))
+    yield from (rng.normal(size=(k, 3)) * rng.uniform(0.1, 5, 3) for k in (4, 50, 500))
+    # tied largest spreads: plates, plates turned about an axis, rings
+    for sides in ((3, 1, 3), (1, 3, 3), (5, 2, 5), (2, 5, 5), (4, 4, 1), (7, 7, 2)):
+        yield _box(*sides)
+    for angle in (0.3, 0.7, 1.1):
+        c, s = np.cos(angle), np.sin(angle)
+        yield _box(5, 5, 1) @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]])
+        yield _box(6, 1, 6) @ np.array([[1, 0, 0], [0, c, s], [0, -s, c]])
+    # near ties: ellipses a hair from round, turned off the axes, keep the
+    # iteration going to its cap
+    for k, stretch, angle in ((8, 1.001, 0.4), (12, 1.01, 1.0), (60, 1.0001, 2.2)):
+        phi = 2 * np.pi * np.arange(k) / k
+        ring = np.stack([stretch * np.cos(phi), np.sin(phi), 0.1 * np.cos(phi)], axis=1)
+        c, s = np.cos(angle), np.sin(angle)
+        yield ring @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]])
+
+
+def test_orientation_equals_linalg_norm_reference():
+    """Direct dot-product norms give the power iteration the same bits
+    as np.linalg.norm did, on random clouds and on tied spreads where
+    the iteration runs to its cap."""
+    import features_reference as ref
+
+    for vox in _orientation_clouds():
+        got = principal_orientation(vox)
+        want = ref.principal_orientation(vox)
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()

@@ -21,7 +21,11 @@ from photontrack import pipeline
 from photontrack.denoise import (
     DenoiseConfig,
     Fixed,
+    MovingAverage,
+    PeakFraction,
     Scheme,
+    denoise,
+    gaussian_kernel,
     majority_rule,
     parzen_smooth,
 )
@@ -134,6 +138,212 @@ def test_parzen_full_grid():
     assert_same(parzen_smooth(counts, sigmas), ref.parzen_smooth(counts, sigmas))
 
 
+# -- bounded Parzen denoising -------------------------------------------------
+
+MODES = [
+    pytest.param(Fixed(2.0), None, id="fixed"),
+    pytest.param(PeakFraction(0.4), None, id="peak_fraction"),
+    pytest.param(MovingAverage(0.4, 0.3), None, id="moving_average_first"),
+    pytest.param(MovingAverage(0.4, 0.3), 1.5, id="moving_average"),
+]
+
+
+def assert_denoise_matches_dense(counts, sigmas, factor, mode, t_prev):
+    """The bounded mask and threshold equal thresholding the dense
+    whole-grid smoothing, byte for byte."""
+    cfg = DenoiseConfig(
+        scheme=Scheme.PARZEN_THRESHOLD,
+        threshold_mode=mode,
+        sigmas=sigmas,
+        kernel_radius_factor=factor,
+    )
+    mask, t_used = denoise(counts, cfg, t_prev)
+    want, want_t = ref.denoise(counts, cfg, t_prev)
+    assert_same(mask, want)
+    assert np.float64(t_used).tobytes() == np.float64(want_t).tobytes()
+
+
+def sparse_counts(rng, shape, high=30):
+    occupied = rng.random(shape) < rng.uniform(0.0, 0.2)
+    return (occupied * rng.integers(1, high, shape)).astype(np.int32)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.tuples(st.integers(1, 10), st.integers(1, 10), st.integers(1, 40)),
+    sigmas=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    factor=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    mode=st.one_of(
+        st.builds(Fixed, st.floats(0.0, 8.0)),
+        st.builds(PeakFraction, st.floats(0.01, 1.0)),
+        st.builds(MovingAverage, st.floats(0.01, 1.0), st.floats(0.0, 1.0)),
+    ),
+    t_prev=st.one_of(st.none(), st.floats(0.0, 8.0)),
+)
+def test_parzen_denoise_matches_dense(seed, shape, sigmas, factor, mode, t_prev):
+    counts = sparse_counts(np.random.default_rng(seed), shape)
+    assert_denoise_matches_dense(counts, sigmas, factor, mode, t_prev)
+
+
+@pytest.mark.parametrize("mode, t_prev", MODES)
+@pytest.mark.parametrize(
+    "counts, sigmas, factor",
+    [
+        pytest.param(np.zeros((6, 7, 40), np.int32), (1.0, 1.0, 1.0), 3.0, id="empty"),
+        pytest.param(
+            sparse_counts(np.random.default_rng(1), (9, 8, 60)),
+            (0.7, 1.3, 2.2),  # rz = 7 exceeds the z block
+            3.0,
+            id="rz_beyond_block",
+        ),
+        pytest.param(
+            sparse_counts(np.random.default_rng(2), (2, 3, 1)),
+            (2.0, 1.5, 3.0),
+            3.0,
+            id="kernels_longer_than_axes",
+        ),
+        pytest.param(
+            sparse_counts(np.random.default_rng(3), (6, 7, 9)), (1.0, 1.0, 1.0), 0.0,
+            id="identity_kernels",
+        ),
+        pytest.param(
+            np.random.default_rng(4).random((5, 6, 30)) * 4, (1.0, 1.0, 1.0), 3.0,
+            id="float",
+        ),
+        pytest.param(
+            np.random.default_rng(5).integers(-6, 9, (5, 6, 30)), (1.0, 0.8, 1.2), 3.0,
+            id="negative",
+        ),
+        pytest.param(
+            np.pad([[[40, 0, -40]]], ((3, 3), (3, 3), (10, 10))), (1.0, 1.0, 1.0), 3.0,
+            id="negative_cancels_box",
+        ),
+        pytest.param(
+            sparse_counts(np.random.default_rng(6), (7, 7, 50)).astype(np.uint16) * 2000,
+            (1.0, 1.0, 1.0),
+            3.0,
+            id="uint16",
+        ),
+        pytest.param(
+            np.full((6, 7, 30), 65535, np.uint16), (1.0, 1.0, 1.0), 3.0,
+            id="saturated_uint16",
+        ),
+        pytest.param(
+            (np.random.default_rng(7).random((5, 5, 20)) < 0.1), (1.0, 1.0, 1.0), 3.0,
+            id="bool",
+        ),
+    ],
+)
+def test_parzen_denoise_edge_cases(counts, sigmas, factor, mode, t_prev):
+    for m in (mode, Fixed(0.0)):
+        assert_denoise_matches_dense(counts, sigmas, factor, m, t_prev)
+
+
+@pytest.mark.parametrize("mode", [Fixed(0.99 * 2**24), PeakFraction(0.99)])
+def test_parzen_denoise_box_sums_beyond_int32(mode):
+    """Only the interior passes, where the box sums reach 5.8e11."""
+    counts = np.full((36, 36, 44), 2**24, np.int32)
+    assert_denoise_matches_dense(counts, (5.0, 5.0, 5.0), 3.0, mode, None)
+
+
+def z_pair(count, dtype):
+    """Two equal counts at z = 0 and 1, which share a box-sum block."""
+    counts = np.zeros((5, 5, 12), dtype)
+    counts[2, 2, :2] = count
+    return counts
+
+
+@pytest.mark.parametrize(
+    "counts, t",
+    [
+        pytest.param(z_pair(200, np.uint8), 15.0, id="uint8"),
+        pytest.param(z_pair(40000, np.uint16), 3000.0, id="uint16"),
+        pytest.param(z_pair(True, np.bool_), 0.08, id="bool"),
+        pytest.param(z_pair(2**30, np.int32), 1e7, id="int32_pair_beyond_int32"),
+    ],
+)
+def test_parzen_denoise_block_sums_do_not_wrap(counts, t):
+    """Block sums are taken in the bound's integer type, not the
+    counts' own: a pair of counts that wraps or ORs in that type still
+    passes a threshold below its smoothed value."""
+    assert_denoise_matches_dense(counts, (1.0, 1.0, 1.0), 3.0, Fixed(t), None)
+    mask, _ = denoise(
+        counts, DenoiseConfig(scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=Fixed(t))
+    )
+    assert mask[2, 2, :2].all()
+
+
+@pytest.mark.parametrize(
+    "counts, sigmas",
+    [
+        pytest.param(
+            sparse_counts(np.random.default_rng(9), (12, 10, 64), high=9),
+            (1.0, 1.0, 1.0),
+            id="sparse",
+        ),
+        # lone voxels: the smoothed peak is the box-sum bound itself, up
+        # to rounding; with the first three sigmas a step below it lies
+        # above the unwidened bound, so only the margin keeps the voxel
+        *(
+            pytest.param(np.pad([[[c]]], 8), sigmas, id=f"lone_{c}")
+            for c, sigmas in (
+                (5, (1.54, 0.6, 1.77)),
+                (15, (1.38, 0.76, 0.37)),
+                (66, (1.31, 0.87, 0.97)),
+                (1, (1.0, 1.0, 1.0)),
+                (65535, (1.0, 1.0, 1.0)),
+            )
+        ),
+    ],
+)
+def test_parzen_denoise_threshold_at_a_smoothed_value(counts, sigmas):
+    """``>`` decides at equality: a threshold set to a voxel's smoothed
+    value drops that voxel and one a step below keeps it, in the bounded
+    path as in the dense one."""
+    smoothed = parzen_smooth(counts, sigmas)
+    values = np.unique(smoothed[smoothed > 0])
+    for value in values[:: max(1, len(values) // 40)].tolist() + [float(values[-1])]:
+        for t in (value, float(np.nextafter(value, 0.0))):
+            cfg = DenoiseConfig(
+                scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=Fixed(t), sigmas=sigmas
+            )
+            mask, _ = denoise(counts, cfg)
+            assert_same(mask, smoothed > t)
+            assert mask[smoothed == value].all() != (t == value)
+    # alpha 1 puts the threshold on the peak itself
+    assert_denoise_matches_dense(counts, sigmas, 3.0, PeakFraction(1.0), None)
+
+
+def blob_grid(seed):
+    """A 32x32x600 grid at 1.5% noise occupancy with two bright targets."""
+    rng = np.random.default_rng(seed)
+    counts = (rng.random((32, 32, 600)) < 0.015) * rng.integers(1, 3, (32, 32, 600))
+    counts[8:11, 8:11, 150:153] += 20
+    counts[20:24, 19:22, 330:332] += 12
+    return counts.astype(np.int32)
+
+
+@pytest.mark.parametrize("mode, t_prev", MODES)
+def test_parzen_denoise_full_grid(mode, t_prev):
+    assert_denoise_matches_dense(blob_grid(11), (1.0, 1.0, 1.0), 3.0, mode, t_prev)
+
+
+def test_bound_leaves_empty_space_out():
+    """On a sparse grid only the targets' neighbourhoods are smoothed;
+    with no bound to apply (float counts) the windows are whole planes."""
+    denoise_module = importlib.import_module("photontrack.denoise")
+    counts = blob_grid(12)
+    kernels = tuple(gaussian_kernel(1.0) for _ in range(3))
+
+    def covered(grid):
+        windows = denoise_module._hot_windows(grid, kernels, Fixed(2.0), None)
+        return sum((y1 - y0) * (z1 - z0) for _, y0, y1, z0, z1 in windows)
+
+    assert 0 < covered(counts) < counts.size // 20
+    assert covered(counts.astype(np.float64)) == counts.size
+
+
 # -- labeling and extraction --------------------------------------------------
 
 
@@ -241,11 +451,15 @@ def test_pipeline_records_match_reference_front_end(scheme, monkeypatch):
     fast = pipeline.run_groups(groups, cfg, keep_grids=True).steps
     for name in ("build_histogram", "label_components", "extract_observations"):
         monkeypatch.setattr(pipeline, name, getattr(ref, name))
-    # denoise() calls its two stages through its module's globals
-    denoise_module = importlib.import_module("photontrack.denoise")
-    for name in ("majority_rule", "parzen_smooth"):
-        monkeypatch.setattr(denoise_module, name, getattr(ref, name))
+    dense_calls = []
+
+    def dense_denoise(*args):
+        dense_calls.append(args)
+        return ref.denoise(*args)
+
+    monkeypatch.setattr(pipeline, "denoise", dense_denoise)
     slow = pipeline.run_groups(groups, cfg, keep_grids=True).steps
+    assert len(dense_calls) == len(groups)
     assert sum(len(rec.tracks) for rec in fast) > 0
     for a, b in zip(fast, slow, strict=True):
         assert_same(a.grid.counts, b.grid.counts)
