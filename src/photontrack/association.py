@@ -19,6 +19,7 @@ score matrix, guaranteeing a one-to-one pairing.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -42,8 +43,8 @@ class AssociationConfig:
     def __post_init__(self) -> None:
         if self.expansion_e < 0:
             raise ValueError("expansion_e must be nonnegative")
-        if self.gate_radius <= 0:
-            raise ValueError("gate_radius must be positive")
+        if not 0 < self.gate_radius < math.inf:
+            raise ValueError("gate_radius must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,11 @@ Three subcommands cover the usual workflow:
     writes its three projections, reading the stream with the sensor
     geometry of an optional config file and ``--set`` overrides.
 
+A pipeline config is flat ``key value`` lines.  One table, ``_KEYS``,
+declares every key once: its value type and the RunConfig field it
+sets.  The defaults live in the config dataclasses alone, so an empty
+config is ``RunConfig()``.
+
 Exit codes separate user mistakes from environment trouble: 1 means the
 input could not be interpreted (bad scene, config or raw layout, or
 Kalman settings under which a filter's innovation variance is zero or
@@ -21,6 +26,8 @@ from __future__ import annotations
 import argparse
 import logging
 import sys
+from collections import defaultdict
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -56,51 +63,48 @@ from .simulator import load_scene, simulate, write_raw
 from .track_manager import TrackerConfig
 from .voxelizer import build_histogram
 
-_SENSOR_KEYS = ("width", "height", "pulses_per_group", "ceiling", "offset")
-_INT_KEYS = _SENSOR_KEYS + (
-    "majority_min",
-    "connectivity",
-    "t_max",
-    "max_coast",
-    "expansion",
-)
-_FLOAT_KEYS = (
-    "threshold",
-    "alpha",
-    "beta",
-    "sigma_x",
-    "sigma_y",
-    "sigma_z",
-    "kernel_radius_factor",
-    "gate_radius",
-    "kf_q",
-    "kf_r",
-    "kf_p0_pos",
-    "kf_p0_vel",
-    "importance_volume",
-    "importance_speed",
-    "importance_photons",
-)
-_STR_KEYS = ("scheme", "threshold_mode", "assoc_mode")
+_MODES = {"fixed": Fixed, "peak_fraction": PeakFraction, "moving_average": MovingAverage}
 
-_IMPORTANCE_MAP = {
-    "importance_volume": "volume",
-    "importance_speed": "speed",
-    "importance_photons": "total_photons",
+# key -> (type, part, field): each config key's value type, and the field
+# it sets in one part of the RunConfig.  "sigmas" fields are axes of
+# DenoiseConfig.sigmas, and "mode" fields belong to the threshold mode
+# that "threshold_mode" picks; the other modes ignore them.
+_KEYS = {
+    **{f.name: (int, "sensor", f.name) for f in fields(SensorConfig)},
+    "scheme": (Scheme, "denoise", "scheme"),
+    "majority_min": (int, "denoise", "majority_min"),
+    "kernel_radius_factor": (float, "denoise", "kernel_radius_factor"),
+    "sigma_x": (float, "sigmas", 0),
+    "sigma_y": (float, "sigmas", 1),
+    "sigma_z": (float, "sigmas", 2),
+    "threshold_mode": (_MODES, "denoise", "threshold_mode"),
+    "threshold": (float, "mode", "t"),
+    "alpha": (float, "mode", "alpha"),
+    "beta": (float, "mode", "beta"),
+    "connectivity": (int, "run", "connectivity"),
+    "t_max": (int, "tracker", "t_max"),
+    "max_coast": (int, "tracker", "max_coast"),
+    "assoc_mode": (AssocMode, "assoc", "mode"),
+    "expansion": (int, "assoc", "expansion_e"),
+    "gate_radius": (float, "assoc", "gate_radius"),
+    "kf_q": (float, "kalman", "q"),
+    "kf_r": (float, "kalman", "r"),
+    "kf_p0_pos": (float, "kalman", "p0_pos"),
+    "kf_p0_vel": (float, "kalman", "p0_vel"),
+    "importance_volume": (float, "importance", "volume"),
+    "importance_speed": (float, "importance", "speed"),
+    "importance_photons": (float, "importance", "total_photons"),
 }
 
 
 def _coerce(key: str, val: str):
+    if key not in _KEYS:
+        raise ValueError(f"unknown config key {key!r}")
+    kind = _KEYS[key][0]
     try:
-        if key in _INT_KEYS:
-            return int(val)
-        if key in _FLOAT_KEYS:
-            return float(val)
-    except ValueError:
+        return kind[val] if isinstance(kind, dict) else kind(val)
+    except (KeyError, ValueError):
         raise ValueError(f"bad value {val!r} for {key!r}") from None
-    if key in _STR_KEYS:
-        return val
-    raise ValueError(f"unknown config key {key!r}")
 
 
 def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
@@ -126,80 +130,34 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
     return build_run_config(values)
 
 
-def _take(values: dict, *keys: str, **renamed: str) -> dict:
-    """Pop the listed config keys that are present, as keyword arguments;
-    ``renamed`` maps a config key to its dataclass field.  Absent keys
-    are left to the dataclass defaults."""
-    fields = {k: k for k in keys} | renamed
-    return {f: values.pop(k) for k, f in fields.items() if k in values}
-
-
-def _enum(values: dict, key: str, cls, field: str | None = None) -> dict:
-    """``{field: cls(value)}`` when ``key`` is present, else ``{}``;
-    ``field`` defaults to ``key``."""
-    if key not in values:
-        return {}
-    name = values.pop(key)
-    try:
-        return {field or key: cls(name)}
-    except ValueError:
-        raise ValueError(f"unknown {key} {name!r}") from None
-
-
 def build_run_config(values: dict) -> RunConfig:
-    values = dict(values)
+    """The RunConfig that coerced ``values`` give; every key left out
+    keeps its dataclass default."""
+    parts: dict[str, dict] = defaultdict(dict)
+    for key, value in values.items():
+        if key not in _KEYS:
+            raise ValueError(f"unknown config key {key!r}")
+        _, part, name = _KEYS[key]
+        parts[part][name] = value
 
-    sensor = SensorConfig(**_take(values, *_SENSOR_KEYS))
+    den = parts["denoise"]
+    mode = den.get("threshold_mode", Fixed)
+    own = {f.name for f in fields(mode)}
+    den["threshold_mode"] = mode(**{k: v for k, v in parts["mode"].items() if k in own})
+    axes = enumerate(DenoiseConfig.sigmas)
+    den["sigmas"] = tuple(parts["sigmas"].get(axis, sigma) for axis, sigma in axes)
 
-    # the threshold keys feed whichever ThresholdMode is chosen, and the
-    # sigmas one tuple, so they keep their fallbacks here
-    mode_name = values.pop("threshold_mode", "fixed")
-    alpha = values.pop("alpha", 0.5)
-    beta = values.pop("beta", 0.5)
-    threshold = values.pop("threshold", 2.0)
-    if mode_name == "fixed":
-        threshold_mode = Fixed(threshold)
-    elif mode_name == "peak_fraction":
-        threshold_mode = PeakFraction(alpha)
-    elif mode_name == "moving_average":
-        threshold_mode = MovingAverage(alpha, beta)
-    else:
-        raise ValueError(f"unknown threshold_mode {mode_name!r}")
-
-    den = DenoiseConfig(
-        threshold_mode=threshold_mode,
-        sigmas=(
-            values.pop("sigma_x", 1.0),
-            values.pop("sigma_y", 1.0),
-            values.pop("sigma_z", 1.0),
-        ),
-        **_enum(values, "scheme", Scheme),
-        **_take(values, "majority_min", "kernel_radius_factor"),
+    tracker = parts["tracker"]
+    tracker["assoc"] = AssociationConfig(**parts["assoc"])
+    tracker["kalman"] = KalmanParams(**parts["kalman"])
+    if parts["importance"]:  # any weight given replaces the default weights
+        tracker["importance"] = ImportanceConfig(weights=parts["importance"])
+    return RunConfig(
+        sensor=SensorConfig(**parts["sensor"]),
+        denoise=DenoiseConfig(**den),
+        tracker=TrackerConfig(**tracker),
+        **parts["run"],
     )
-
-    assoc = AssociationConfig(
-        **_enum(values, "assoc_mode", AssocMode, "mode"),
-        **_take(values, "gate_radius", expansion="expansion_e"),
-    )
-
-    weights = _take(values, **_IMPORTANCE_MAP)
-    importance = (
-        ImportanceConfig(weights=weights) if weights else ImportanceConfig()
-    )
-
-    kalman = KalmanParams(
-        **_take(values, kf_q="q", kf_r="r", kf_p0_pos="p0_pos", kf_p0_vel="p0_vel")
-    )
-    tracker = TrackerConfig(
-        assoc=assoc,
-        importance=importance,
-        kalman=kalman,
-        **_take(values, "t_max", "max_coast"),
-    )
-    connectivity = _take(values, "connectivity")
-    if values:
-        raise ValueError(f"unknown config keys {sorted(values)}")
-    return RunConfig(sensor=sensor, denoise=den, tracker=tracker, **connectivity)
 
 
 def _err(msg: str) -> None:
@@ -230,19 +188,28 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def cmd_track(args) -> int:
+def _read_inputs(args) -> tuple[RunConfig, bytes] | int:
+    """The parsed ``--config``/``--set`` settings and the ``--raw``
+    bytes, or the exit code once the reason they cannot be had is
+    printed."""
     try:
-        config_text = Path(args.config).read_text(encoding="utf-8")
+        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
         data = Path(args.raw).read_bytes()
     except OSError as exc:
         _err(str(exc))
         return 2
     try:
-        cfg = parse_config(config_text, args.set)
+        return parse_config(text, args.set), data
     except ValueError as exc:
         _err(f"config: {exc}")
         return 1
 
+
+def cmd_track(args) -> int:
+    inputs = _read_inputs(args)
+    if isinstance(inputs, int):
+        return inputs
+    cfg, data = inputs
     out_dir = Path(args.out_dir)
     on_step = None
     if args.projections:
@@ -277,19 +244,10 @@ def cmd_track(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    try:
-        config_text = (
-            Path(args.config).read_text(encoding="utf-8") if args.config else ""
-        )
-        data = Path(args.raw).read_bytes()
-    except OSError as exc:
-        _err(str(exc))
-        return 2
-    try:
-        sensor = parse_config(config_text, args.set).sensor
-    except ValueError as exc:
-        _err(f"config: {exc}")
-        return 1
+    inputs = _read_inputs(args)
+    if isinstance(inputs, int):
+        return inputs
+    sensor, data = inputs[0].sensor, inputs[1]
     try:
         frames = parse_frames(data, sensor)
     except (TruncatedFileError, EmptyInputError) as exc:

@@ -8,6 +8,10 @@ noise removal against shape preservation:
   * thresholding followed by a 3x3x3 majority vote,
   * Gaussian (Parzen-window) smoothing followed by thresholding.
 
+Every scheme thresholds with a mode (:class:`Fixed`,
+:class:`PeakFraction`, :class:`MovingAverage`) that owns its defaults
+and, in ``level(peak, t_prev)``, its rule for the threshold.
+
 All operations accept either a :class:`~photontrack.voxelizer.VoxelGrid`
 or a bare array and return boolean masks of the same shape.
 
@@ -71,37 +75,48 @@ class Scheme(Enum):
 class Fixed:
     """Constant threshold."""
 
-    t: float
+    t: float = 2.0
 
     def __post_init__(self) -> None:
         if not 0 <= self.t < math.inf:
             raise ValueError("threshold must be finite and nonnegative")
+
+    def level(self, peak: float, t_prev: float | None) -> float:
+        return self.t
 
 
 @dataclass(frozen=True)
 class PeakFraction:
     """Threshold at a fraction of the current peak voxel value."""
 
-    alpha: float
+    alpha: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
 
+    def level(self, peak: float, t_prev: float | None) -> float:
+        return self.alpha * peak
+
 
 @dataclass(frozen=True)
 class MovingAverage:
-    """Convex blend of the current peak-fraction value with the past
-    threshold; ``beta`` weighs the current term."""
+    """Exponentially smoothed peak-fraction threshold; ``beta`` weighs
+    the current term, which also stands in for a missing ``t_prev``."""
 
-    alpha: float
-    beta: float
+    alpha: float = 0.5
+    beta: float = 0.5
 
     def __post_init__(self) -> None:
         if not 0 < self.alpha <= 1:
             raise ValueError("alpha must lie in (0, 1]")
         if not 0 <= self.beta <= 1:
             raise ValueError("beta must lie in [0, 1]")
+
+    def level(self, peak: float, t_prev: float | None) -> float:
+        if t_prev is None:
+            t_prev = self.alpha * peak
+        return self.beta * (self.alpha * peak) + (1.0 - self.beta) * t_prev
 
 
 ThresholdMode = Fixed | PeakFraction | MovingAverage
@@ -110,7 +125,7 @@ ThresholdMode = Fixed | PeakFraction | MovingAverage
 @dataclass(frozen=True)
 class DenoiseConfig:
     scheme: Scheme = Scheme.THRESHOLD
-    threshold_mode: ThresholdMode = Fixed(2.0)
+    threshold_mode: ThresholdMode = Fixed()
     majority_min: int = 2
     sigmas: tuple[float, float, float] = (1.0, 1.0, 1.0)
     kernel_radius_factor: float = 3.0
@@ -126,48 +141,6 @@ class DenoiseConfig:
 
 def _as_counts(grid) -> np.ndarray:
     return grid.counts if isinstance(grid, VoxelGrid) else np.asarray(grid)
-
-
-def threshold_fixed(grid, t: float) -> np.ndarray:
-    """Binary mask of voxels strictly above ``t``."""
-    if t < 0:
-        raise ValueError("threshold must be nonnegative")
-    return _as_counts(grid) > t
-
-
-def threshold_peak_fraction(grid, alpha: float) -> tuple[np.ndarray, float]:
-    """Threshold at ``alpha`` times the peak voxel value.
-
-    Returns (mask, threshold used).  An all-zero grid yields an empty
-    mask and a zero threshold.
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    a = _as_counts(grid)
-    peak = float(a.max()) if a.size else 0.0
-    t_used = alpha * peak
-    return a > t_used, t_used
-
-
-def threshold_moving_average(
-    grid, alpha: float, beta: float, t_prev: float
-) -> tuple[np.ndarray, float]:
-    """Exponentially smoothed peak-fraction threshold.
-
-    ``t_new = beta * (alpha * peak) + (1 - beta) * t_prev``; at the first
-    step the caller seeds ``t_prev`` with the current peak-fraction value
-    (which :func:`denoise` does automatically).
-    """
-    if not 0 < alpha <= 1:
-        raise ValueError("alpha must lie in (0, 1]")
-    if not 0 <= beta <= 1:
-        raise ValueError("beta must lie in [0, 1]")
-    if t_prev < 0:
-        raise ValueError("t_prev must be nonnegative")
-    a = _as_counts(grid)
-    peak = float(a.max()) if a.size else 0.0
-    t_new = beta * (alpha * peak) + (1.0 - beta) * t_prev
-    return a > t_new, t_new
 
 
 def majority_rule(mask: np.ndarray, majority_min: int = 2) -> np.ndarray:
@@ -346,7 +319,7 @@ def _hot_windows(counts: np.ndarray, kernels, mode, t_prev):
     # centre-tap term, and every mode's threshold is nondecreasing in the
     # peak, so the threshold that term gives is the lowest one possible
     centre = float(kz[rz] * (ky[ry] * (kx[rx] * float(cmax))))
-    _, t_low = _apply_threshold(np.array([centre]), mode, t_prev)
+    t_low = mode.level(centre, t_prev)
     if not isinstance(mode, Fixed):
         t_low = min(centre, t_low)  # the peak itself must be smoothed
     taps = len(kx) + len(ky) + len(kz)
@@ -382,9 +355,9 @@ def denoise(
 ) -> tuple[np.ndarray, float]:
     """Run the configured scheme; returns (mask, threshold actually used).
 
-    ``t_prev`` feeds the moving-average mode and should be the threshold
-    returned by the previous step; ``None`` marks the first step, which
-    seeds the average with the current peak-fraction value.
+    A voxel passes when its (smoothed) value lies strictly above
+    ``cfg.threshold_mode.level(peak, t_prev)``.  ``t_prev`` should be
+    the threshold returned by the previous step, ``None`` at the first.
 
     ``parzen_threshold`` returns exactly ``parzen_smooth(grid) > t`` and
     the same ``t`` for every threshold mode, but smooths only the
@@ -392,6 +365,8 @@ def denoise(
     exceed the lowest threshold the mode could use (see the module
     docstring for why the bound holds and why the windows are exact).
     """
+    if t_prev is not None and t_prev < 0:
+        raise ValueError("t_prev must be nonnegative")
     source = _as_counts(grid)
     if cfg.scheme is Scheme.PARZEN_THRESHOLD:
         return _parzen_mask(source, cfg, t_prev)
@@ -433,14 +408,6 @@ def _parzen_mask(
 def _apply_threshold(
     a: np.ndarray, mode: ThresholdMode, t_prev: float | None
 ) -> tuple[np.ndarray, float]:
-    match mode:
-        case Fixed(t=t):
-            return threshold_fixed(a, t), t
-        case PeakFraction(alpha=alpha):
-            return threshold_peak_fraction(a, alpha)
-        case MovingAverage(alpha=alpha, beta=beta):
-            if t_prev is None:
-                peak = float(a.max()) if a.size else 0.0
-                t_prev = alpha * peak
-            return threshold_moving_average(a, alpha, beta, t_prev)
-    raise TypeError(f"unknown threshold mode {mode!r}")
+    peak = 0.0 if isinstance(mode, Fixed) or not a.size else float(a.max())
+    t = mode.level(peak, t_prev)
+    return a > t, t

@@ -40,10 +40,10 @@ class KalmanParams:
     p0_vel: float = 10.0
 
     def __post_init__(self) -> None:
-        if self.q < 0 or self.r < 0:
-            raise ValueError("noise intensities must be nonnegative")
-        if self.p0_pos <= 0 or self.p0_vel <= 0:
-            raise ValueError("initial variances must be positive")
+        if not (0 <= self.q < math.inf and 0 <= self.r < math.inf):
+            raise ValueError("noise intensities must be finite and nonnegative")
+        if not (0 < self.p0_pos < math.inf and 0 < self.p0_vel < math.inf):
+            raise ValueError("initial variances must be finite and positive")
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ over the same mask always agree.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -200,6 +201,8 @@ class ImportanceConfig:
         unknown = set(self.weights) - set(_IMPORTANCE_KEYS)
         if unknown:
             raise ValueError(f"unknown importance keys {sorted(unknown)}")
+        if not all(map(math.isfinite, self.weights.values())):
+            raise ValueError("importance weights must be finite")
         if not any(w > 0 for w in self.weights.values()):
             raise ValueError("at least one importance weight must be positive")
 

@@ -39,7 +39,8 @@ class StepRecord:
 
     ``links`` pairs (previous-step slot, this-step slot) for tracks
     whose association was confirmed across the boundary; ``grid`` is
-    retained only on request since full histograms are large.
+    the step's histogram while ``on_step`` sees the record, and None
+    in the run's results.
     """
 
     step: int
@@ -67,16 +68,13 @@ def _reduce_group(group, cfg: RunConfig, t_prev):
 
 
 def run_groups(
-    groups: list[FrameGroup],
-    cfg: RunConfig,
-    keep_grids: bool = False,
-    on_step=None,
+    groups: list[FrameGroup], cfg: RunConfig, on_step=None
 ) -> RunResult:
     """Process frame groups strictly in order on the calling thread.
 
     ``on_step`` is called with each StepRecord while its histogram is
-    still attached, so callers can derive imagery without asking for
-    every grid to be kept in memory.
+    still attached, so callers can derive imagery or keep grids; the
+    returned records drop them, since full histograms are large.
     """
     tracker = Tracker(cfg.tracker)
     steps: list[StepRecord] = []
@@ -91,17 +89,12 @@ def run_groups(
         )
         if on_step is not None:
             on_step(record)
-        steps.append(record if keep_grids else replace(record, grid=None))
+        steps.append(replace(record, grid=None))
     return RunResult(steps=steps, tracker=tracker)
 
 
-def run_tracking(
-    data: bytes,
-    cfg: RunConfig,
-    keep_grids: bool = False,
-    on_step=None,
-) -> RunResult:
+def run_tracking(data: bytes, cfg: RunConfig, on_step=None) -> RunResult:
     """Convenience wrapper over parse, group and track."""
     frames = parse_frames(data, cfg.sensor)
     groups = group_frames(frames, cfg.sensor)
-    return run_groups(groups, cfg, keep_grids=keep_grids, on_step=on_step)
+    return run_groups(groups, cfg, on_step=on_step)

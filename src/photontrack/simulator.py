@@ -10,13 +10,23 @@ frame stream the ingest stage consumes, plus per-step ground truth.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 from .errors import SceneParseError
 from .labeling import BoundingBox
 from .raw_ingest import SensorConfig
+
+
+def _check_rate(name: str, rate: float) -> None:
+    """Reject a mean numpy's Poisson sampler refuses (negative, NaN or
+    too large, infinity included), by asking it for zero draws."""
+    try:
+        np.random.default_rng(0).poisson(rate, 0)
+    except ValueError:
+        raise ValueError(f"{name} must be a Poisson rate numpy can sample") from None
 
 
 @dataclass(frozen=True)
@@ -39,10 +49,13 @@ class TargetSpec:
     def __post_init__(self) -> None:
         if any(s < 1 for s in self.shape):
             raise ValueError("shape sides must be positive")
-        if self.reflectivity < 0:
-            raise ValueError("reflectivity must be nonnegative")
+        if not all(map(math.isfinite, self.start)):
+            raise ValueError("start must be finite")
+        _check_rate("reflectivity", self.reflectivity)
         if not self.velocity_segments:
             raise ValueError("at least one velocity segment is required")
+        if not all(math.isfinite(v) for _, vel in self.velocity_segments for v in vel):
+            raise ValueError("velocities must be finite")
         steps = [s for s, _ in self.velocity_segments]
         if steps[0] != 0:
             raise ValueError("the first velocity segment must start at step 0")
@@ -67,8 +80,7 @@ class SceneSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.noise_rate < 0:
-            raise ValueError("noise_rate must be nonnegative")
+        _check_rate("noise_rate", self.noise_rate)
         if self.n_groups < 1:
             raise ValueError("n_groups must be positive")
         if self.seed < 0:
@@ -102,12 +114,13 @@ def _front_face(
     """In-view emitting pixels (xs, ys) and their range bin.
 
     Emission comes from the near face of the box: the full x-y cross
-    section at the box's smallest range bin.
+    section at the box's smallest range bin.  Corners far outside the
+    view, even at infinity, are clamped to just beyond it.
     """
-    sx, sy, sz = spec.shape
-    mx = int(np.rint(pos[0] - (sx - 1) / 2.0))
-    my = int(np.rint(pos[1] - (sy - 1) / 2.0))
-    z0 = int(np.rint(pos[2] - (sz - 1) / 2.0))
+    sx, sy, _ = spec.shape
+    corner = np.rint(pos - (np.asarray(spec.shape) - 1) / 2.0)
+    lo, hi = (-sx, -sy, -1), (cfg.width, cfg.height, cfg.ceiling)
+    mx, my, z0 = (int(c) for c in np.clip(corner, lo, hi))
     xs = np.arange(mx, mx + sx)
     ys = np.arange(my, my + sy)
     xs = xs[(xs >= 0) & (xs < cfg.width)]
@@ -202,20 +215,21 @@ def write_raw(frames: np.ndarray, sink) -> int:
     return len(data)
 
 
-_GLOBAL_INT_KEYS = ("n_groups", "seed", "width", "height", "pulses_per_group", "ceiling", "offset")
-
-
 def parse_scene(text: str) -> tuple[SceneSpec, SensorConfig]:
     """Parse the plain-text scene format.
 
-    Global lines are ``key value`` pairs (noise_rate, n_groups, seed and
-    the optional sensor overrides width, height, pulses_per_group,
-    ceiling, offset).  Each target is a ``target`` .. ``end`` block with
+    Global lines are ``key value`` pairs: noise_rate, n_groups, seed
+    and, as sensor overrides, the SensorConfig fields (width, height,
+    pulses_per_group, ceiling, offset).  Each target is a ``target`` ..
+    ``end`` block with
     ``shape SX SY SZ``, ``start X Y Z``, ``reflectivity R`` and optional
     ``velocity VX VY VZ`` / repeatable ``velocity_from STEP VX VY VZ``
     lines.  ``#`` starts a comment.
     """
-    globals_: dict[str, float] = {}
+    scene_keys = {"noise_rate": float, "n_groups": int, "seed": int}
+    sensor_keys = {f.name for f in fields(SensorConfig)}
+    scene_kwargs: dict = {}
+    sensor_kwargs: dict = {}
     targets: list[TargetSpec] = []
     block: dict | None = None
 
@@ -242,10 +256,10 @@ def parse_scene(text: str) -> tuple[SceneSpec, SensorConfig]:
                 block = {"segments": {}, "line": lineno}
             elif key == "end":
                 fail(lineno, "'end' outside a target block")
-            elif key == "noise_rate":
-                globals_["noise_rate"] = numbers(lineno, parts, 1)[0]
-            elif key in _GLOBAL_INT_KEYS:
-                globals_[key] = numbers(lineno, parts, 1, int)[0]
+            elif key in scene_keys:
+                scene_kwargs[key] = numbers(lineno, parts, 1, scene_keys[key])[0]
+            elif key in sensor_keys:
+                sensor_kwargs[key] = numbers(lineno, parts, 1, int)[0]
             else:
                 fail(lineno, f"unknown key {key!r}")
         else:
@@ -270,19 +284,9 @@ def parse_scene(text: str) -> tuple[SceneSpec, SensorConfig]:
     if block is not None:
         fail(block["line"], "target block never closed with 'end'")
 
-    sensor_kwargs = {
-        k: int(globals_.pop(k))
-        for k in ("width", "height", "pulses_per_group", "ceiling", "offset")
-        if k in globals_
-    }
     try:
         sensor = SensorConfig(**sensor_kwargs)
-        scene = SceneSpec(
-            targets=tuple(targets),
-            noise_rate=float(globals_.get("noise_rate", 0.0)),
-            n_groups=int(globals_.get("n_groups", 1)),
-            seed=int(globals_.get("seed", 0)),
-        )
+        scene = SceneSpec(targets=tuple(targets), **scene_kwargs)
     except ValueError as exc:
         raise SceneParseError(str(exc)) from exc
     return scene, sensor

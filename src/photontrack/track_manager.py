@@ -201,10 +201,6 @@ class Tracker:
         self._next_id = 1
         self._step = 0
 
-    @property
-    def step_count(self) -> int:
-        return self._step
-
     def _score(self, t: Track) -> float:
         speed = float(np.linalg.norm(t.kf.velocity))
         return observation_score(t.obs, self.cfg.importance, speed)

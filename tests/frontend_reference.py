@@ -16,9 +16,6 @@ from photontrack.denoise import (
     PeakFraction,
     Scheme,
     gaussian_kernel,
-    threshold_fixed,
-    threshold_moving_average,
-    threshold_peak_fraction,
 )
 from photontrack.labeling import (
     BoundingBox,
@@ -89,19 +86,23 @@ def parzen_smooth(grid, sigmas, kernel_radius_factor: float = 3.0) -> np.ndarray
 
 def denoise(grid, cfg, t_prev=None):
     """Smooth the whole grid when the scheme asks for it, then threshold
-    every voxel."""
+    every voxel at the mode's level, each written out here."""
+    if t_prev is not None and t_prev < 0:
+        raise ValueError("t_prev must be nonnegative")
     source = grid.counts if hasattr(grid, "counts") else np.asarray(grid)
     if cfg.scheme is Scheme.PARZEN_THRESHOLD:
         source = parzen_smooth(source, cfg.sigmas, cfg.kernel_radius_factor)
+    peak = float(source.max()) if source.size else 0.0
     match cfg.threshold_mode:
         case Fixed(t=t):
-            mask, t_used = threshold_fixed(source, t), t
+            t_used = t
         case PeakFraction(alpha=alpha):
-            mask, t_used = threshold_peak_fraction(source, alpha)
+            t_used = alpha * peak
         case MovingAverage(alpha=alpha, beta=beta):
             if t_prev is None:
-                t_prev = alpha * (float(source.max()) if source.size else 0.0)
-            mask, t_used = threshold_moving_average(source, alpha, beta, t_prev)
+                t_prev = alpha * peak
+            t_used = beta * (alpha * peak) + (1.0 - beta) * t_prev
+    mask = source > t_used
     if cfg.scheme is Scheme.THRESHOLD_MAJORITY:
         mask = majority_rule(mask, cfg.majority_min)
     return mask, t_used

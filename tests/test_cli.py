@@ -1,13 +1,16 @@
 """Command-line workflow and exit codes."""
 import json
+import re
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from photontrack.cli import main, parse_config
-from photontrack.denoise import Fixed, MovingAverage, Scheme
+from photontrack.cli import _KEYS, main, parse_config
+from photontrack.denoise import DenoiseConfig, Fixed, MovingAverage, PeakFraction, Scheme
 from photontrack.association import AssocMode
 from photontrack.outputs import TRACKS_HEADER
 from photontrack.pipeline import RunConfig
@@ -252,6 +255,59 @@ def test_track_non_finite_denoise_setting_exits_1(workspace, tmp_path, capsys, s
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "setting",
+    [
+        f"{key}={value}"
+        for key in (
+            "gate_radius", "kf_q", "kf_r", "kf_p0_pos", "kf_p0_vel",
+            "importance_volume", "importance_speed", "importance_photons",
+        )
+        for value in ("inf", "nan")
+    ],
+)
+def test_track_non_finite_tracker_setting_exits_1(workspace, tmp_path, capsys, setting):
+    _, _, config, raw = workspace
+    out = tmp_path / "o"
+    rc = main(
+        [
+            "track", "--raw", str(raw), "--config", str(config), "--out-dir", str(out),
+            "--set", "assoc_mode=kalman_centroid", "--set", setting,
+        ]
+    )
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("error: config: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "reflectivity nan", "reflectivity inf", "reflectivity 1e30",
+        "start nan 5 50", "velocity 0 inf 0", "velocity_from 2 0 0 nan",
+    ],
+)
+def test_simulate_non_finite_target_exits_1(tmp_path, capsys, text):
+    scene = tmp_path / "bad.txt"
+    scene.write_text(
+        f"target\nshape 1 1 1\nstart 5 5 50\nreflectivity 1\n{text}\nend\n"
+    )
+    out = tmp_path / "o.raw"
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: scene: line 1: ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("rate", ["nan", "inf", "1e30", "-1"])
+def test_simulate_bad_noise_rate_exits_1(tmp_path, capsys, rate):
+    scene = tmp_path / "bad.txt"
+    scene.write_text(f"noise_rate {rate}\n")
+    out = tmp_path / "o.raw"
+    assert main(["simulate", "--scene", str(scene), "--out", str(out)]) == 1
+    assert capsys.readouterr().err.startswith("error: scene: noise_rate ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["bbox", "kalman_centroid"])
 def test_track_singular_filter_exits_1(workspace, tmp_path, capsys, mode):
     _, _, config, raw = workspace
@@ -316,10 +372,79 @@ def test_empty_config_is_the_dataclass_defaults():
     assert parse_config("") == RunConfig()
 
 
+DEFAULT_CFG = Path(__file__).parents[1] / "configs" / "default.cfg"
+
+
 def test_default_cfg_differs_from_the_defaults_only_in_scheme():
-    text = (Path(__file__).parents[1] / "configs" / "default.cfg").read_text()
+    text = DEFAULT_CFG.read_text()
     cfg = parse_config(text)
     assert cfg.denoise.scheme is Scheme.THRESHOLD_MAJORITY
     assert RunConfig().denoise.scheme is Scheme.THRESHOLD
     unschemed = replace(cfg, denoise=replace(cfg.denoise, scheme=Scheme.THRESHOLD))
     assert unschemed == RunConfig()
+
+
+def test_default_cfg_commented_settings_parse_and_show_the_defaults():
+    """Each commented ``# key value`` line parses once uncommented, and
+    the threshold and smoothing values shown are the dataclass defaults."""
+    lines = DEFAULT_CFG.read_text().splitlines()
+    shown = {}
+    for i, line in enumerate(lines):
+        m = re.fullmatch(r"# (\w+) ([-+.\deE]+)\s*(#.*)?", line)
+        if m is None:
+            continue
+        key, value = m.group(1, 2)
+        shown[key] = float(value)
+        uncommented = lines[:i] + [f"{key} {value}"] + lines[i + 1 :]
+        parse_config("\n".join(uncommented))
+    assert {"alpha", "beta", "sigma_x", "sigma_y", "sigma_z"} <= set(shown)
+    assert shown["alpha"] == PeakFraction().alpha == MovingAverage().alpha
+    assert shown["beta"] == MovingAverage().beta
+    assert tuple(shown[f"sigma_{a}"] for a in "xyz") == DenoiseConfig().sigmas
+    assert shown["kernel_radius_factor"] == DenoiseConfig().kernel_radius_factor
+
+
+def test_mode_keys_of_other_modes_are_ignored():
+    text = DEFAULT_CFG.read_text()
+    cfg = parse_config(text, ["threshold_mode=peak_fraction", "beta=0.9"])
+    assert cfg.denoise.threshold_mode == PeakFraction()
+    cfg = parse_config("alpha 0.3\nbeta 0.2\n")
+    assert cfg.denoise.threshold_mode == Fixed()
+    cfg = parse_config("threshold_mode moving_average\nthreshold 9\nbeta 0.2\n")
+    assert cfg.denoise.threshold_mode == MovingAverage(beta=0.2)
+
+
+def test_any_importance_key_replaces_the_default_weights():
+    cfg = parse_config("importance_speed 0.5\n")
+    assert cfg.tracker.importance.weights == {"speed": 0.5}
+    assert parse_config("").tracker.importance.weights == {"volume": 1.0}
+
+
+TOKENS = st.sampled_from(
+    [
+        "0", "1", "-1", "2", "2.5", "0.5", "6", "27", "620", "nan", "inf", "-inf",
+        "1e30", "1e400", "99999999999999999999", "abc", "", "fixed", "peak_fraction",
+        "moving_average", "threshold", "threshold_majority", "parzen_threshold",
+        "bbox", "kalman_centroid", "kalman_bbox",
+    ]
+)
+KEYS = st.sampled_from(sorted(_KEYS) + ["bogus", "", "threshold mode"])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    lines=st.lists(
+        st.one_of(st.builds("{} {}".format, KEYS, TOKENS), st.text(max_size=20)),
+        max_size=8,
+    ),
+    overrides=st.lists(
+        st.one_of(st.builds("{}={}".format, KEYS, TOKENS), st.text(max_size=20)),
+        max_size=4,
+    ),
+)
+def test_parse_config_raises_only_value_error(lines, overrides):
+    try:
+        cfg = parse_config("\n".join(lines), overrides)
+    except ValueError:
+        return
+    assert isinstance(cfg, RunConfig)

@@ -16,39 +16,59 @@ from photontrack.denoise import (
     gaussian_kernel,
     majority_rule,
     parzen_smooth,
-    threshold_fixed,
-    threshold_moving_average,
-    threshold_peak_fraction,
 )
+
+
+def threshold(a, mode, t_prev=None):
+    """(mask, threshold used) of plain thresholding under ``mode``."""
+    return denoise(a, DenoiseConfig(threshold_mode=mode), t_prev)
 
 
 def test_fixed_threshold_is_strict():
     a = np.array([[[0, 2, 3]]])
-    assert threshold_fixed(a, 2.0).tolist() == [[[False, False, True]]]
+    mask, t = threshold(a, Fixed(2.0))
+    assert mask.tolist() == [[[False, False, True]]]
+    assert t == 2.0
 
 
 def test_peak_fraction_threshold():
     a = np.zeros((3, 3, 3))
     a[1, 1, 1] = 10.0
     a[0, 0, 0] = 6.0
-    mask, t = threshold_peak_fraction(a, 0.5)
+    mask, t = threshold(a, PeakFraction(0.5))
     assert t == 5.0
     assert mask.sum() == 2
 
 
 def test_peak_fraction_of_empty_grid():
-    mask, t = threshold_peak_fraction(np.zeros((2, 2, 2)), 0.3)
-    assert t == 0.0
-    assert not mask.any()
+    for a in (np.zeros((2, 2, 2)), np.zeros((0, 2, 2))):
+        mask, t = threshold(a, PeakFraction(0.3))
+        assert t == 0.0
+        assert not mask.any()
 
 
 def test_moving_average_blend():
     a = np.zeros((2, 2, 2))
     a[0, 0, 0] = 10.0
     # 0.5 * (0.5 * 10) + 0.5 * 3 = 4.0
-    mask, t = threshold_moving_average(a, alpha=0.5, beta=0.5, t_prev=3.0)
+    mask, t = threshold(a, MovingAverage(alpha=0.5, beta=0.5), t_prev=3.0)
     assert t == pytest.approx(4.0)
     assert mask.sum() == 1
+
+
+def test_mode_levels():
+    assert Fixed(1.5).level(10.0, None) == Fixed(1.5).level(0.0, 7.0) == 1.5
+    assert PeakFraction(0.25).level(10.0, 7.0) == 2.5
+    assert MovingAverage(0.5, 0.25).level(8.0, 2.0) == 0.25 * 4.0 + 0.75 * 2.0
+    assert MovingAverage(0.5, 0.25).level(8.0, None) == 4.0
+
+
+def test_negative_previous_threshold_is_rejected():
+    a = np.ones((2, 2, 2))
+    for mode in (MovingAverage(0.5, 0.5), Fixed(1.0)):
+        for scheme in Scheme:
+            with pytest.raises(ValueError, match="t_prev"):
+                denoise(a, DenoiseConfig(scheme=scheme, threshold_mode=mode), -1.0)
 
 
 def test_moving_average_first_step_seeds_from_peak():
@@ -76,8 +96,8 @@ def test_moving_average_threading_through_denoise():
 def test_raising_threshold_shrinks_mask(seed, t1, dt):
     rng = np.random.default_rng(seed)
     a = rng.integers(0, 8, (5, 5, 5))
-    lo = threshold_fixed(a, t1)
-    hi = threshold_fixed(a, t1 + dt)
+    lo, _ = threshold(a, Fixed(t1))
+    hi, _ = threshold(a, Fixed(t1 + dt))
     assert not (hi & ~lo).any()
 
 

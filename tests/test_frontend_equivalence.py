@@ -448,7 +448,8 @@ def test_pipeline_records_match_reference_front_end(scheme, monkeypatch):
         denoise=DenoiseConfig(scheme=scheme, threshold_mode=Fixed(1.0)),
     )
     groups = noisy_groups(cfg.sensor)
-    fast = pipeline.run_groups(groups, cfg, keep_grids=True).steps
+    fast, slow = [], []
+    pipeline.run_groups(groups, cfg, on_step=fast.append)
     for name in ("build_histogram", "label_components", "extract_observations"):
         monkeypatch.setattr(pipeline, name, getattr(ref, name))
     dense_calls = []
@@ -458,7 +459,7 @@ def test_pipeline_records_match_reference_front_end(scheme, monkeypatch):
         return ref.denoise(*args)
 
     monkeypatch.setattr(pipeline, "denoise", dense_denoise)
-    slow = pipeline.run_groups(groups, cfg, keep_grids=True).steps
+    pipeline.run_groups(groups, cfg, on_step=slow.append)
     assert len(dense_calls) == len(groups)
     assert sum(len(rec.tracks) for rec in fast) > 0
     for a, b in zip(fast, slow, strict=True):

@@ -5,6 +5,7 @@ failures in a stage or in the caller's ``on_step`` must surface
 unchanged.
 """
 import io
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -41,17 +42,18 @@ def churn_scene_bytes():
 
 
 def test_grids_survive_the_queue():
-    """keep_grids=True keeps each step's own histogram."""
+    """``on_step`` sees each step's own histogram; the returned records
+    drop it."""
     data = churn_scene_bytes()
     groups = group_frames(parse_frames(data, SENSOR), SENSOR)
-    result = run_tracking(data, RunConfig(), keep_grids=True)
-    assert len(result.steps) == len(groups) == 8
-    for rec, group in zip(result.steps, groups):
-        assert rec.grid is not None
+    seen = []
+    result = run_tracking(data, RunConfig(), on_step=seen.append)
+    assert len(result.steps) == len(seen) == len(groups) == 8
+    for rec, kept, group in zip(result.steps, seen, groups):
+        assert rec == replace(kept, grid=None)
         np.testing.assert_array_equal(
-            rec.grid.counts, build_histogram(group, SENSOR).counts
+            kept.grid.counts, build_histogram(group, SENSOR).counts
         )
-    assert all(rec.grid is None for rec in run_tracking(data, RunConfig()).steps)
 
 
 def test_worker_error_reaches_the_caller():

@@ -1,8 +1,11 @@
 """Synthetic scene rendering and the scene file format."""
 import io
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from photontrack.errors import SceneParseError
 from photontrack.raw_ingest import FrameGroup, SensorConfig
@@ -183,6 +186,44 @@ def test_spec_validation():
         SceneSpec(noise_rate=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf, 1e30])
+def test_spec_rejects_non_finite_values_and_unsampleable_rates(bad):
+    ok = dict(shape=(1, 1, 1), start=(0.0, 0.0, 0.0), reflectivity=1.0)
+    with pytest.raises(ValueError, match="reflectivity"):
+        TargetSpec(**ok | {"reflectivity": bad})
+    with pytest.raises(ValueError, match="noise_rate"):
+        SceneSpec(noise_rate=bad)
+    if math.isfinite(bad):
+        return  # large positions and velocities are fine
+    with pytest.raises(ValueError, match="start"):
+        TargetSpec(**ok | {"start": (0.0, bad, 0.0)})
+    with pytest.raises(ValueError, match="velocities"):
+        TargetSpec(**ok | {"velocity_segments": ((0, (0.0, 0.0, 0.0)), (4, (bad, 0.0, 0.0)))})
+
+
+def test_rates_numpy_can_sample_are_accepted():
+    SceneSpec(noise_rate=9e18)
+    TargetSpec(shape=(1, 1, 1), start=(0.0, 0.0, 0.0), reflectivity=0.0)
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered in add:RuntimeWarning")
+def test_target_running_off_to_infinity_goes_dead():
+    """A position that overflows to infinity renders nothing and is not
+    alive, like any position outside the view."""
+    for velocity in ((1.7e308, 0.0, 0.0), (0.0, -1.7e308, 0.0), (0.0, 0.0, 1.7e308)):
+        spec = TargetSpec(
+            shape=(2, 2, 2),
+            start=(5.0, 5.0, 100.0),
+            reflectivity=10.0,
+            velocity_segments=((0, velocity),),
+        )
+        frames, truth = simulate(SceneSpec(targets=(spec,), n_groups=3, seed=3), SENSOR)
+        assert math.isinf(max(map(abs, truth.records[2][0].centroid)))
+        assert truth.records[0][0].alive
+        assert not truth.records[1][0].alive and not truth.records[2][0].alive
+        assert (frames[200:] == SENSOR.ceiling).all()
+
+
 SCENE_TEXT = """
 # two drifting boxes
 noise_rate 25
@@ -249,3 +290,54 @@ def test_parse_scene_errors(text, fragment):
 def test_parse_scene_error_carries_line_number():
     with pytest.raises(SceneParseError, match="line 3"):
         parse_scene("n_groups 5\nseed 1\nwhat 4\n")
+
+
+NUMBERS = st.sampled_from(
+    ["0", "1", "-1", "2", "2.5", "0.5", "7", "nan", "inf", "-inf", "1e30", "1e300",
+     "1.7e308", "-1.7e308", "99999999999999999999", "abc"]
+)
+SMALL = st.sampled_from(["0", "1", "3", "7", "-1", "2.5", "x"])
+GLOBAL_LINES = st.one_of(
+    st.builds("n_groups {}".format, SMALL),  # a valid count is at most 7
+    st.builds(
+        "{} {}".format,
+        st.sampled_from(["noise_rate", "seed", "width", "height", "pulses_per_group",
+                         "ceiling", "offset", "bogus"]),
+        NUMBERS,
+    ),
+)
+TARGET_LINES = st.one_of(
+    st.builds("shape {} {} {}".format, SMALL, SMALL, SMALL),
+    st.builds("start {} {} {}".format, NUMBERS, NUMBERS, NUMBERS),
+    st.builds("reflectivity {}".format, NUMBERS),
+    st.builds("velocity {} {} {}".format, NUMBERS, NUMBERS, NUMBERS),
+    st.builds("velocity_from {} {} {} {}".format, SMALL, NUMBERS, NUMBERS, NUMBERS),
+    st.sampled_from(["velocity 1 2", "shape 1", "end 1", "target", "warp 9"]),
+)
+TINY = SensorConfig(width=4, height=3, pulses_per_group=3, ceiling=12, offset=1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    parts=st.lists(
+        st.one_of(
+            GLOBAL_LINES,
+            st.lists(TARGET_LINES, max_size=6).map(
+                lambda lines: "\n".join(["target", *lines, "end"])
+            ),
+            st.text(max_size=20),
+        ),
+        max_size=6,
+    )
+)
+def test_parse_then_simulate_raises_only_scene_parse_error(parts):
+    """Counts and box sides stay small, and the scene is rendered on a
+    tiny sensor whatever geometry it asks for, so any scene that parses
+    simulates quickly."""
+    try:
+        scene, _ = parse_scene("\n".join(parts))
+    except SceneParseError:
+        return
+    frames, truth = simulate(scene, TINY)
+    assert frames.shape == (scene.n_groups * 3, 3, 4)
+    assert len(truth.records) == scene.n_groups
