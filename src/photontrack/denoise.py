@@ -12,8 +12,8 @@ Every scheme thresholds with a mode (:class:`Fixed`,
 :class:`PeakFraction`, :class:`MovingAverage`) that owns its defaults
 and, in ``level(peak, t_prev)``, its rule for the threshold.
 
-All operations accept either a :class:`~photontrack.voxelizer.VoxelGrid`
-or a bare array and return boolean masks of the same shape.
+Every stage takes the count array itself and returns a boolean mask of
+the same shape.
 
 Parzen thresholding smooths only where the threshold can be crossed.
 The histogram is ~98.5% empty, and only the mask leaves the stage, so
@@ -48,21 +48,20 @@ just the windows where that bound exceeds the threshold:
     voxel above the true threshold lie inside the windows, and the
     peak, ``t_used`` and the mask come out exact.
 
-Non-integer or negative counts void the bound, and their windows are
-whole planes.  A bound that covers everything (a zero threshold, dense
-clutter) yields the same whole planes, at the cost of the dense loop
-plus the bound.
+Box sums are taken in int32.  Non-integer or negative counts void the
+bound, and so do counts whose box sums could reach 2**31 (the pipeline's
+counts are at most ``pulses_per_group``, 200 by default); their windows
+are whole planes.  A bound that covers everything (a zero threshold,
+dense clutter) yields the same whole planes, at the cost of the dense
+loop plus the bound.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import accumulate
 
 import numpy as np
-
-from .voxelizer import VoxelGrid
 
 
 class Scheme(Enum):
@@ -139,10 +138,6 @@ class DenoiseConfig:
             raise ValueError("kernel_radius_factor must be finite and nonnegative")
 
 
-def _as_counts(grid) -> np.ndarray:
-    return grid.counts if isinstance(grid, VoxelGrid) else np.asarray(grid)
-
-
 def majority_rule(mask: np.ndarray, majority_min: int = 2) -> np.ndarray:
     """3x3x3 voting: an internal voxel survives iff more than
     ``majority_min`` voxels of its neighborhood (center included) are set.
@@ -199,9 +194,9 @@ def _sum_taps(acc: np.ndarray, tmp: np.ndarray, weights, sources) -> None:
 def _smoothed_windows(counts: np.ndarray, kernels, windows):
     """Smooth ``counts`` inside each window ``(x, y0, y1, z0, z1)``.
 
-    Yields ``(x, y0, y1, z0, z1, values)``, where ``values`` holds the
-    smoothed ``counts[x, y0:y1, z0:z1]`` and is overwritten by the next
-    window.  A window's x pass covers its rows and columns widened by
+    Returns the smoothed ``counts[x, y0:y1, z0:z1]`` of every window,
+    flattened and laid end to end in window order, so whole planes come
+    in C order.  A window's x pass covers its rows and columns widened by
     the y and z radii, its y pass those columns, and its z pass runs
     over the window's rows laid end to end, ``rz`` zero columns apart,
     so each y and z tap is one contiguous slice.  The widened rows and
@@ -211,12 +206,8 @@ def _smoothed_windows(counts: np.ndarray, kernels, windows):
     beyond the grid add zeros and are skipped.
 
     Counts are converted to float64 as the x taps read them, which is
-    exact and spares a copy of the grid when the windows are small.
-    When they cover most of the grid, each voxel is read by every x
-    tap, and one up-front copy is cheaper.
+    exact.
     """
-    if 2 * sum((y1 - y0) * (z1 - z0) for _, y0, y1, z0, z1 in windows) > counts.size:
-        counts = counts.astype(np.float64)
     kx, ky, kz = kernels
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
     nx, ny, nz = counts.shape
@@ -224,6 +215,8 @@ def _smoothed_windows(counts: np.ndarray, kernels, windows):
     by_z = np.empty(ny * (nz + 2 * rz))  # z-pass input, rz columns either side
     by_y = np.empty(by_z.size)  # y pass, then z pass
     tmp = np.empty(by_z.size)
+    out = np.empty(sum((y1 - y0) * (z1 - z0) for _, y0, y1, z0, z1 in windows))
+    end = 0
     for x, y0, y1, z0, z1 in windows:
         h, width = y1 - y0, z1 - z0 + 2 * rz
         ya, yb = max(0, y0 - ry), min(ny, y1 + ry)  # widened, inside the grid
@@ -248,7 +241,10 @@ def _smoothed_windows(counts: np.ndarray, kernels, windows):
         span = rows.size - 2 * rz  # z-pass outputs from row 0, column 0 on
         z_taps = (rows[k : k + span] for k in range(len(kz)))
         _sum_taps(by_y[:span], tmp[:span], kz, z_taps)
-        yield x, y0, y1, z0, z1, by_y[: rows.size].reshape(h, width)[:, : z1 - z0]
+        smoothed = by_y[: rows.size].reshape(h, width)[:, : z1 - z0]
+        start, end = end, end + smoothed.size
+        out[start:end].reshape(smoothed.shape)[...] = smoothed
+    return out
 
 
 def _whole_planes(shape) -> list[tuple[int, int, int, int, int]]:
@@ -257,7 +253,7 @@ def _whole_planes(shape) -> list[tuple[int, int, int, int, int]]:
 
 
 def parzen_smooth(
-    grid,
+    counts: np.ndarray,
     sigmas: tuple[float, float, float],
     kernel_radius_factor: float = 3.0,
 ) -> np.ndarray:
@@ -273,13 +269,9 @@ def parzen_smooth(
     output value is the tap-ordered sum of each pass over the
     zero-padded input.
     """
-    counts = _as_counts(grid)
     kernels = tuple(gaussian_kernel(s, kernel_radius_factor) for s in sigmas)
-    out = np.empty(counts.shape)
     planes = _whole_planes(counts.shape)
-    for x, y0, y1, z0, z1, vals in _smoothed_windows(counts, kernels, planes):
-        out[x, y0:y1, z0:z1] = vals
-    return out
+    return _smoothed_windows(counts, kernels, planes).reshape(counts.shape)
 
 
 _ZBLOCK = 4  # z voxels per block of the box-sum bound
@@ -300,9 +292,9 @@ def _hot_windows(counts: np.ndarray, kernels, mode, t_prev):
     """The per-x-plane windows outside which no voxel can pass ``mode``;
     for the peak modes they also hold the peak.
 
-    Returns whole planes when the bound does not apply: for non-integer
-    or negative counts, and for counts so large that box sums could
-    overflow int64.
+    Box sums are taken in int32.  Returns whole planes when the bound
+    does not apply: for non-integer or negative counts, and for counts
+    so large that a box sum could reach 2**31.
     """
     kx, ky, kz = kernels
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
@@ -312,7 +304,7 @@ def _hot_windows(counts: np.ndarray, kernels, mode, t_prev):
     cmin, cmax = int(counts.min()), int(counts.max())
     rb = -(-rz // _ZBLOCK)  # neighbouring blocks within rz of a block
     volume = (2 * rx + 1) * (2 * ry + 1) * (2 * rb + 1) * _ZBLOCK
-    if cmin < 0 or cmax * volume >= 2**63:
+    if cmin < 0 or cmax * volume >= 2**31:
         return planes
 
     # the peak's smoothed value is at least the brightest voxel's
@@ -325,15 +317,15 @@ def _hot_windows(counts: np.ndarray, kernels, mode, t_prev):
     taps = len(kx) + len(ky) + len(kz)
     scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * np.finfo(float).eps)
     q = t_low / scale  # a voxel above t_low, or at t_low > 0, has box sum > q
-    cut = math.floor(q) if q < 2**62 else 2**62
+    # no box sum exceeds 2**31 - 1, and a cut there fits int32
+    cut = math.floor(min(q, 2**31 - 1))
 
-    dtype = np.int32 if cmax * volume < 2**31 else np.int64
     first, *rest = (counts[:, :, k::_ZBLOCK] for k in range(_ZBLOCK))
-    blocks = np.empty(first.shape, dtype)
+    blocks = np.empty(first.shape, np.int32)
     n = rest[0].shape[2]  # the last block may be short
-    # the adds run in the bound's type: in the counts' own, uint8 or
-    # uint16 sums would wrap and bool ones would be ORs
-    add = dict(dtype=dtype, casting="unsafe")
+    # the adds run in int32: in the counts' own type, uint8 or uint16
+    # sums would wrap and bool ones would be ORs
+    add = dict(dtype=np.int32, casting="unsafe")
     np.add(first[:, :, :n], rest[0], out=blocks[:, :, :n], **add)
     blocks[:, :, n:] = first[:, :, n:]
     for part in rest[1:]:
@@ -351,7 +343,7 @@ def _hot_windows(counts: np.ndarray, kernels, mode, t_prev):
 
 
 def denoise(
-    grid, cfg: DenoiseConfig, t_prev: float | None = None
+    counts: np.ndarray, cfg: DenoiseConfig, t_prev: float | None = None
 ) -> tuple[np.ndarray, float]:
     """Run the configured scheme; returns (mask, threshold actually used).
 
@@ -359,7 +351,7 @@ def denoise(
     ``cfg.threshold_mode.level(peak, t_prev)``.  ``t_prev`` should be
     the threshold returned by the previous step, ``None`` at the first.
 
-    ``parzen_threshold`` returns exactly ``parzen_smooth(grid) > t`` and
+    ``parzen_threshold`` returns exactly ``parzen_smooth(counts) > t`` and
     the same ``t`` for every threshold mode, but smooths only the
     windows where an integer box-sum bound on the smoothed value can
     exceed the lowest threshold the mode could use (see the module
@@ -367,10 +359,9 @@ def denoise(
     """
     if t_prev is not None and t_prev < 0:
         raise ValueError("t_prev must be nonnegative")
-    source = _as_counts(grid)
     if cfg.scheme is Scheme.PARZEN_THRESHOLD:
-        return _parzen_mask(source, cfg, t_prev)
-    mask, t_used = _apply_threshold(source, cfg.threshold_mode, t_prev)
+        return _parzen_mask(counts, cfg, t_prev)
+    mask, t_used = _apply_threshold(counts, cfg.threshold_mode, t_prev)
     if cfg.scheme is Scheme.THRESHOLD_MAJORITY:
         mask = majority_rule(mask, cfg.majority_min)
     return mask, t_used
@@ -382,26 +373,15 @@ def _parzen_mask(
     mode = cfg.threshold_mode
     kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
     windows = _hot_windows(counts, kernels, mode, t_prev)
-    smoothed = _smoothed_windows(counts, kernels, windows)
+    # a peak mode needs every window's values before it can threshold
+    passed, t_used = _apply_threshold(
+        _smoothed_windows(counts, kernels, windows), mode, t_prev
+    )
     mask = np.zeros(counts.shape, dtype=bool)
-    if isinstance(mode, Fixed):
-        # the threshold is known before smoothing, so each window is
-        # thresholded as it comes; the end-to-end path below gives the
-        # same mask, but on whole planes its 4.9 MB copy cost ~1 ms a
-        # 32x32x600 grid (18.4 against 17.4 ms), over the dense loop
-        # plus the bound
-        for x, y0, y1, z0, z1, vals in smoothed:
-            mask[x, y0:y1, z0:z1] = vals > mode.t
-        return mask, mode.t
-    # a peak mode needs every window's values before it can threshold;
-    # laid end to end in window order, whole planes come in C order
-    bounds = [0, *accumulate((y1 - y0) * (z1 - z0) for _, y0, y1, z0, z1 in windows)]
-    values = np.empty(bounds[-1])
-    for (x, y0, y1, z0, z1, vals), a, b in zip(smoothed, bounds, bounds[1:]):
-        values[a:b].reshape(vals.shape)[...] = vals
-    passed, t_used = _apply_threshold(values, mode, t_prev)
-    for (x, y0, y1, z0, z1), a, b in zip(windows, bounds, bounds[1:]):
-        mask[x, y0:y1, z0:z1] = passed[a:b].reshape(y1 - y0, z1 - z0)
+    end = 0
+    for x, y0, y1, z0, z1 in windows:
+        start, end = end, end + (y1 - y0) * (z1 - z0)
+        mask[x, y0:y1, z0:z1] = passed[start:end].reshape(y1 - y0, z1 - z0)
     return mask, t_used
 
 

@@ -135,18 +135,18 @@ class TargetObservation:
     peak_photons: int
 
 
-def extract_observations(labels: np.ndarray, grid) -> list[TargetObservation]:
+def extract_observations(
+    labels: np.ndarray, counts: np.ndarray
+) -> list[TargetObservation]:
     """Summarize every component of a label grid.
 
-    ``grid`` supplies photon counts for the weighted centroid; it can be
-    a VoxelGrid or a bare count array.  Centroids are photon-weighted and
-    fall back to the unweighted voxel mean if a component holds no
+    ``counts`` holds the photon counts.  Centroids are photon-weighted
+    and fall back to the unweighted voxel mean if a component holds no
     photons at all (possible after smoothing pushed mass off-cluster).
     Labeled voxels come from one boolean scan of the label grid, in
     C order, and a stable sort by label keeps that order within each
     component.
     """
-    counts = grid.counts if hasattr(grid, "counts") else np.asarray(grid)
     flat = np.flatnonzero(labels > 0)
     if len(flat) == 0:
         return []

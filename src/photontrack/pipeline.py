@@ -59,9 +59,9 @@ def _reduce_group(group, cfg: RunConfig, t_prev):
     """Histogram, denoise, label, extract and rank one group; returns
     (grid, observations, threshold used)."""
     grid = build_histogram(group, cfg.sensor)
-    mask, t_used = denoise(grid, cfg.denoise, t_prev)
+    mask, t_used = denoise(grid.counts, cfg.denoise, t_prev)
     labels, _ = label_components(mask, cfg.connectivity)
-    observations = extract_observations(labels, grid)
+    observations = extract_observations(labels, grid.counts)
     observations = importance_sort(observations, cfg.tracker.importance)
     observations = truncate_targets(observations, cfg.tracker.t_max)
     return grid, observations, t_used

@@ -7,6 +7,12 @@ number, land on the target's front face (nearest plane wins because
 later photons at the same pixel are shadowed), and dark counts fall
 uniformly over pixels and bins.  The output is the same little-endian
 frame stream the ingest stage consumes, plus per-step ground truth.
+
+Rendering holds one array entry per photon, so every mean rate, a
+target's reflectivity and the noise rate alike, is capped at one photon
+per sensor pixel per pulse: a group's photon arrays are then no larger
+than its frames.  At the cap, noise alone already fires 63% of the
+pixels on every pulse.
 """
 from __future__ import annotations
 
@@ -85,6 +91,19 @@ class SceneSpec:
             raise ValueError("n_groups must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+
+
+def _check_rate_cap(scene: SceneSpec, cfg: SensorConfig) -> None:
+    """Reject a mean rate above one photon per sensor pixel per pulse."""
+    cap = cfg.frame_pixels
+    rates = [("noise_rate", scene.noise_rate)]
+    rates += [("reflectivity", t.reflectivity) for t in scene.targets]
+    for name, rate in rates:
+        if rate > cap:
+            raise ValueError(
+                f"{name} {rate:g} exceeds {cap} photons per pulse, "
+                "one per sensor pixel"
+            )
 
 
 @dataclass(frozen=True)
@@ -167,7 +186,10 @@ def simulate(scene: SceneSpec, cfg: SensorConfig) -> tuple[np.ndarray, GroundTru
 
     Randomness is keyed by (scene seed, group index), so any group can
     be re-rendered independently and whole runs repeat bit for bit.
+    Raises ValueError when a rate exceeds one photon per sensor pixel
+    per pulse.
     """
+    _check_rate_cap(scene, cfg)
     positions = [np.asarray(t.start, dtype=np.float64) for t in scene.targets]
     chunks = []
     records = []
@@ -224,7 +246,8 @@ def parse_scene(text: str) -> tuple[SceneSpec, SensorConfig]:
     ``end`` block with
     ``shape SX SY SZ``, ``start X Y Z``, ``reflectivity R`` and optional
     ``velocity VX VY VZ`` / repeatable ``velocity_from STEP VX VY VZ``
-    lines.  ``#`` starts a comment.
+    lines.  ``#`` starts a comment.  Rates above one photon per sensor
+    pixel per pulse are rejected, as :func:`simulate` would reject them.
     """
     scene_keys = {"noise_rate": float, "n_groups": int, "seed": int}
     sensor_keys = {f.name for f in fields(SensorConfig)}
@@ -287,6 +310,7 @@ def parse_scene(text: str) -> tuple[SceneSpec, SensorConfig]:
     try:
         sensor = SensorConfig(**sensor_kwargs)
         scene = SceneSpec(targets=tuple(targets), **scene_kwargs)
+        _check_rate_cap(scene, sensor)
     except ValueError as exc:
         raise SceneParseError(str(exc)) from exc
     return scene, sensor

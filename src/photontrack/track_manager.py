@@ -151,6 +151,23 @@ class HistoryRing:
         return iter(self._entries)
 
 
+def _follow(
+    ring: HistoryRing, start_step: int, slot: int, links: str, step: int
+) -> list[tuple[int, int]]:
+    """The chain from (start_step, slot) along each entry's ``links``
+    list (``"fwlink"`` or ``"bwlink"``), ``step`` steps at a time."""
+    entry = ring.entry(start_step)
+    chain = [(entry.step, slot)]
+    while (nxt := getattr(entry, links)[slot]) is not None:
+        try:
+            entry = ring.entry(entry.step + step)
+        except EntryEvictedError:
+            break
+        slot = nxt
+        chain.append((entry.step, slot))
+    return chain
+
+
 def reconstruct_forward(
     ring: HistoryRing, start_step: int, slot: int
 ) -> list[tuple[int, int]]:
@@ -159,36 +176,14 @@ def reconstruct_forward(
     Raises EntryEvictedError when the starting step has already left the
     ring; a chain cut short by eviction at its far end just stops there.
     """
-    entry = ring.entry(start_step)
-    chain = [(entry.step, slot)]
-    while True:
-        nxt = entry.fwlink[slot]
-        if nxt is None:
-            return chain
-        try:
-            entry = ring.entry(entry.step + 1)
-        except EntryEvictedError:
-            return chain
-        slot = nxt
-        chain.append((entry.step, slot))
+    return _follow(ring, start_step, slot, "fwlink", 1)
 
 
 def reconstruct_backward(
     ring: HistoryRing, start_step: int, slot: int
 ) -> list[tuple[int, int]]:
     """Follow backward links; returned newest first."""
-    entry = ring.entry(start_step)
-    chain = [(entry.step, slot)]
-    while True:
-        prv = entry.bwlink[slot]
-        if prv is None:
-            return chain
-        try:
-            entry = ring.entry(entry.step - 1)
-        except EntryEvictedError:
-            return chain
-        slot = prv
-        chain.append((entry.step, slot))
+    return _follow(ring, start_step, slot, "bwlink", -1)
 
 
 class Tracker:

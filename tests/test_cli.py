@@ -1,6 +1,12 @@
 """Command-line workflow and exit codes."""
+import contextlib
+import io
 import json
+import os
 import re
+import subprocess
+import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
@@ -9,6 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import photontrack
 from photontrack.cli import _KEYS, main, parse_config
 from photontrack.denoise import DenoiseConfig, Fixed, MovingAverage, PeakFraction, Scheme
 from photontrack.association import AssocMode
@@ -308,6 +315,35 @@ def test_simulate_bad_noise_rate_exits_1(tmp_path, capsys, rate):
     assert not out.exists()
 
 
+def test_simulate_huge_reflectivity_exits_1_under_a_memory_limit(tmp_path):
+    """A rate numpy can sample but far above one photon per sensor pixel
+    per pulse is a scene error.  The child's address space is capped, so
+    trying to render it fails the test instead of taking the machine's
+    memory (it would ask for 1.46 TiB)."""
+    resource = pytest.importorskip("resource")
+    scene = tmp_path / "bright.txt"
+    scene.write_text("target\nshape 1 1 1\nstart 5 5 50\nreflectivity 1e9\nend\n")
+    out = tmp_path / "o.raw"
+    limit = 512 << 20
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    src = Path(photontrack.__file__).resolve().parents[1]
+    code = "import sys; from photontrack.cli import main; sys.exit(main(sys.argv[1:]))"
+    child = subprocess.run(
+        [sys.executable, "-c", code, "simulate", "--scene", str(scene), "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
+        preexec_fn=cap_address_space,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert child.returncode == 1
+    assert child.stderr.startswith("error: scene: reflectivity 1e+09 exceeds 1024 ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("mode", ["bbox", "kalman_centroid"])
 def test_track_singular_filter_exits_1(workspace, tmp_path, capsys, mode):
     _, _, config, raw = workspace
@@ -448,3 +484,32 @@ def test_parse_config_raises_only_value_error(lines, overrides):
     except ValueError:
         return
     assert isinstance(cfg, RunConfig)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    data=st.binary(max_size=160),
+    width=st.integers(1, 4),
+    height=st.integers(1, 3),
+    pulses=st.integers(1, 3),
+    scheme=st.sampled_from(["threshold", "threshold_majority", "parzen_threshold"]),
+)
+def test_track_on_random_bytes_exits_0_or_1(data, width, height, pulses, scheme):
+    """Random bytes, empty or not a whole number of frames included, are
+    tracked or refused with exit 1; no exception escapes."""
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, config = Path(tmp) / "random.raw", Path(tmp) / "empty.cfg"
+        raw.write_bytes(data)
+        config.write_text("")
+        argv = [
+            "track", "--raw", str(raw), "--config", str(config),
+            "--out-dir", str(Path(tmp) / "o"),
+            "--set", f"width={width}", "--set", f"height={height}",
+            "--set", f"pulses_per_group={pulses}", "--set", "ceiling=40",
+            "--set", "offset=2", "--set", f"scheme={scheme}",
+        ]
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()) as err:
+                rc = main(argv)
+    assert rc in (0, 1)
+    assert "Traceback" not in err.getvalue()

@@ -334,7 +334,8 @@ def test_bound_leaves_empty_space_out():
     with no bound to apply (float counts) the windows are whole planes."""
     denoise_module = importlib.import_module("photontrack.denoise")
     counts = blob_grid(12)
-    kernels = tuple(gaussian_kernel(1.0) for _ in range(3))
+    cfg = DenoiseConfig()
+    kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
 
     def covered(grid):
         windows = denoise_module._hot_windows(grid, kernels, Fixed(2.0), None)
@@ -342,6 +343,10 @@ def test_bound_leaves_empty_space_out():
 
     assert 0 < covered(counts) < counts.size // 20
     assert covered(counts.astype(np.float64)) == counts.size
+    # no voxel counts more than pulses_per_group photons, and at that
+    # count the default box sums still fit int32, so the bound applies
+    counts[16, 16, 450] = SensorConfig().pulses_per_group
+    assert 0 < covered(counts) < counts.size // 20
 
 
 # -- labeling and extraction --------------------------------------------------

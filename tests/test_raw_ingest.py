@@ -3,12 +3,13 @@ import struct
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from photontrack.errors import EmptyInputError, TruncatedFileError
+from photontrack.errors import EmptyInputError, PhotontrackError, TruncatedFileError
 from photontrack.raw_ingest import SensorConfig, group_frames, parse_frames
 from photontrack.simulator import write_raw
+from photontrack.voxelizer import build_histogram
 
 
 def test_default_sensor_window():
@@ -99,3 +100,32 @@ def test_write_then_parse_round_trip(n_frames, seed):
     assert nbytes == n_frames * cfg.frame_nbytes
     parsed = parse_frames(buf.getvalue(), cfg)
     np.testing.assert_array_equal(parsed, frames)
+
+
+@st.composite
+def small_sensors(draw):
+    offset = draw(st.integers(0, 5))
+    return SensorConfig(
+        width=draw(st.integers(1, 4)),
+        height=draw(st.integers(1, 3)),
+        pulses_per_group=draw(st.integers(1, 4)),
+        ceiling=2 * offset + draw(st.integers(1, 30)),
+        offset=offset,
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(sensor=small_sensors(), data=st.binary(max_size=200))
+@example(sensor=SensorConfig(), data=b"")
+@example(sensor=SensorConfig(width=2, height=1), data=b"\xff" * 7)
+def test_raw_ingest_raises_only_photontrack_error(sensor, data):
+    """Any bytes either parse into whole groups whose histograms count
+    at most one photon per pulse per voxel, or raise a library error."""
+    try:
+        frames = parse_frames(data, sensor)
+    except PhotontrackError:
+        return
+    for group in group_frames(frames, sensor):
+        counts = build_histogram(group, sensor).counts
+        assert counts.shape == (sensor.width, sensor.height, sensor.nz)
+        assert 0 <= counts.min() and counts.max() <= sensor.pulses_per_group

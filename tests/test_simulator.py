@@ -317,6 +317,19 @@ TARGET_LINES = st.one_of(
 TINY = SensorConfig(width=4, height=3, pulses_per_group=3, ceiling=12, offset=1)
 
 
+def test_rates_above_one_photon_per_pixel_per_pulse_are_rejected():
+    simulate(SceneSpec(noise_rate=12.0), TINY)  # TINY has 12 pixels
+    with pytest.raises(ValueError, match="noise_rate 12.5 exceeds 12 "):
+        simulate(SceneSpec(noise_rate=12.5), TINY)
+    bright = TargetSpec(shape=(1, 1, 1), start=(0.0, 0.0, 5.0), reflectivity=13.0)
+    with pytest.raises(ValueError, match="reflectivity 13 exceeds 12 "):
+        simulate(SceneSpec(targets=(bright,)), TINY)
+    text = "width 4\nheight 3\ntarget\nshape 1 1 1\nstart 0 0 5\nreflectivity {}\nend\n"
+    parse_scene(text.format(12))
+    with pytest.raises(SceneParseError, match="reflectivity 13 exceeds 12 "):
+        parse_scene(text.format(13))
+
+
 @settings(max_examples=300, deadline=None)
 @given(
     parts=st.lists(

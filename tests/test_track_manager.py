@@ -1,9 +1,17 @@
 """Track lifecycle, capacity fusion and the history ring."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from photontrack.association import AssocMode, AssociationConfig
 from photontrack.errors import ConfigViolationError, EntryEvictedError
-from photontrack.labeling import BoundingBox, ImportanceConfig, TargetObservation
+from photontrack.labeling import (
+    BoundingBox,
+    ImportanceConfig,
+    TargetObservation,
+    importance_sort,
+)
 from photontrack.track_manager import (
     HistoryRing,
     RingEntry,
@@ -249,3 +257,48 @@ def test_snapshot_features_present_and_fresh():
 def test_tracker_config_validation(kwargs):
     with pytest.raises(ValueError):
         TrackerConfig(**kwargs)
+
+
+@st.composite
+def tracker_runs(draw):
+    """A capacity, a coast limit and a stream of at most ``t_max``
+    observations per step, packed into a small region so that matches,
+    misses, coasting, drops and capacity cuts all happen."""
+    t_max = draw(st.integers(1, 5))
+    max_coast = draw(st.integers(1, 4))
+    obs = st.builds(
+        make_obs,
+        st.tuples(*[st.floats(2.0, 14.0)] * 3),
+        st.sampled_from([1, 3]),
+        st.integers(1, 200),
+    )
+    steps = draw(st.lists(st.lists(obs, max_size=t_max), max_size=16))
+    return t_max, max_coast, steps
+
+
+@settings(max_examples=150, deadline=None)
+@given(run=tracker_runs(), mode=st.sampled_from(list(AssocMode)))
+def test_tracker_invariants_over_random_streams(run, mode):
+    t_max, max_coast, steps = run
+    cfg = TrackerConfig(
+        t_max=t_max, max_coast=max_coast, assoc=AssociationConfig(mode=mode)
+    )
+    tracker = Tracker(cfg)
+    prev = None
+    for observations in steps:
+        tracker.step(importance_sort(observations, cfg.importance))
+        entry = tracker.ring.latest
+        ids = [s.track_id for s in entry.tracks]
+        assert len(set(ids)) == len(ids) <= t_max
+        assert all(0 <= s.bad_count <= max_coast for s in entry.tracks)
+        assert len(entry.fwlink) == len(entry.bwlink) == len(ids)
+        if prev is None:
+            assert entry.bwlink == [None] * len(ids)
+        else:
+            for p, s in enumerate(prev.fwlink):
+                assert s is None or entry.bwlink[s] == p
+            for s, p in enumerate(entry.bwlink):
+                assert p is None or prev.fwlink[p] == s
+                assert p is None or prev.tracks[p].track_id == ids[s]
+        assert entry.fwlink == [None] * len(ids)
+        prev = entry
