@@ -55,11 +55,6 @@ class AssociationMatrix:
     scores: np.ndarray
 
 
-def _faces(boxes) -> np.ndarray:
-    """(k, 6) array of box faces, min xyz then max xyz."""
-    return np.array([(*b.min, *b.max) for b in boxes]).reshape(-1, 6)
-
-
 def build_association_matrix(
     old_targets: list,
     new_observations: list[TargetObservation],
@@ -94,8 +89,8 @@ def build_association_matrix(
             raise ValueError("bbox-filter mode needs predicted boxes")
     else:
         raise ValueError(f"unknown association mode {cfg.mode!r}")
-    rows = _faces(boxes)
-    cols = _faces(obs.bbox for obs in new_observations)
+    rows = np.array([b.faces for b in boxes]).reshape(-1, 6)
+    cols = np.array([obs.bbox.faces for obs in new_observations]).reshape(-1, 6)
     gap = np.abs(rows[:, None, :] - cols[None, :, :]).max(axis=2)
     return AssociationMatrix(scores=(gap <= cfg.expansion_e).astype(np.float64))
 

@@ -193,13 +193,13 @@ def _read_inputs(args) -> tuple[RunConfig, bytes] | int:
     bytes, or the exit code once the reason they cannot be had is
     printed."""
     try:
-        text = Path(args.config).read_text(encoding="utf-8") if args.config else ""
+        config = Path(args.config).read_bytes() if args.config else b""
         data = Path(args.raw).read_bytes()
     except OSError as exc:
         _err(str(exc))
         return 2
-    try:
-        return parse_config(text, args.set), data
+    try:  # a config that is not UTF-8 raises UnicodeDecodeError, a ValueError
+        return parse_config(config.decode("utf-8"), args.set), data
     except ValueError as exc:
         _err(f"config: {exc}")
         return 1

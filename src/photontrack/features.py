@@ -3,71 +3,46 @@
 Every maintained track carries a 23-element descriptor refreshed each
 step: position (3), bounding box (6), size and photon statistics (3),
 velocity and speed (4), acceleration (3), principal orientation (3) and
-age (1).  The ordering in FEATURE_NAMES is the on-disk contract for the
-tracks CSV and must not be reshuffled.
+age (1).  The field order of ``FeatureVector`` is the on-disk contract:
+it is the column order of the tracks CSV and must not be reshuffled.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-FEATURE_NAMES: tuple[str, ...] = (
-    "centroid_x",
-    "centroid_y",
-    "centroid_z",
-    "bbox_min_x",
-    "bbox_min_y",
-    "bbox_min_z",
-    "bbox_max_x",
-    "bbox_max_y",
-    "bbox_max_z",
-    "volume",
-    "total_photons",
-    "peak_photons",
-    "velocity_x",
-    "velocity_y",
-    "velocity_z",
-    "speed",
-    "accel_x",
-    "accel_y",
-    "accel_z",
-    "orient_x",
-    "orient_y",
-    "orient_z",
-    "age",
-)
 
+class FeatureVector(NamedTuple):
+    """One track's descriptor for one step; each field is a CSV column."""
 
-@dataclass(frozen=True)
-class FeatureVector:
-    centroid: tuple[float, float, float]
-    bbox_min: tuple[float, float, float]
-    bbox_max: tuple[float, float, float]
+    centroid_x: float
+    centroid_y: float
+    centroid_z: float
+    bbox_min_x: float
+    bbox_min_y: float
+    bbox_min_z: float
+    bbox_max_x: float
+    bbox_max_y: float
+    bbox_max_z: float
     volume: float
     total_photons: float
     peak_photons: float
-    velocity: tuple[float, float, float]
+    velocity_x: float
+    velocity_y: float
+    velocity_z: float
     speed: float
-    accel: tuple[float, float, float]
-    orientation: tuple[float, float, float]
+    accel_x: float
+    accel_y: float
+    accel_z: float
+    orient_x: float
+    orient_y: float
+    orient_z: float
     age: float
 
-    def to_array(self) -> np.ndarray:
-        return np.concatenate(
-            [
-                self.centroid,
-                self.bbox_min,
-                self.bbox_max,
-                [self.volume, self.total_photons, self.peak_photons],
-                self.velocity,
-                [self.speed],
-                self.accel,
-                self.orientation,
-                [self.age],
-            ]
-        ).astype(np.float64)
+
+FEATURE_NAMES = FeatureVector._fields
 
 
 def _norm(a: np.ndarray) -> float:
@@ -132,22 +107,18 @@ def compute_features(track, prev: FeatureVector | None) -> FeatureVector:
     location, not the stale last detection.
     """
     velocity = np.asarray(track.kf.velocity, dtype=np.float64)
-    speed = float(np.linalg.norm(velocity))
     if prev is None:
         accel = np.zeros(3)
     else:
-        accel = velocity - np.asarray(prev.velocity, dtype=np.float64)
-    orientation = principal_orientation(track.obs.voxels)
+        accel = velocity - (prev.velocity_x, prev.velocity_y, prev.velocity_z)
+    obs = track.obs
     return FeatureVector(
-        centroid=tuple(float(c) for c in track.centroid),
-        bbox_min=tuple(float(v) for v in track.bbox.min),
-        bbox_max=tuple(float(v) for v in track.bbox.max),
-        volume=float(track.obs.volume),
-        total_photons=float(track.obs.total_photons),
-        peak_photons=float(track.obs.peak_photons),
-        velocity=tuple(float(v) for v in velocity),
-        speed=speed,
-        accel=tuple(float(a) for a in accel),
-        orientation=tuple(float(o) for o in orientation),
-        age=float(track.age),
+        *map(float, track.centroid),
+        *map(float, track.bbox.faces),
+        float(obs.volume), float(obs.total_photons), float(obs.peak_photons),
+        *map(float, velocity),
+        float(np.linalg.norm(velocity)),
+        *map(float, accel),
+        *map(float, principal_orientation(obs.voxels)),
+        float(track.age),
     )

@@ -11,7 +11,7 @@ form, so every axis shares one position/velocity variance triple
 dense 2d x 2d matrix on request.
 
 Two usages share this module: one 3D filter per track centroid, and one
-6D filter for the faces of a bounding box (min xyz then max xyz).
+6D filter for the faces of a bounding box (``BoundingBox.faces``).
 """
 from __future__ import annotations
 
@@ -139,13 +139,9 @@ def kf_update(state: KalmanState, z: np.ndarray) -> KalmanState:
     )
 
 
-def _faces(bbox: BoundingBox) -> np.ndarray:
-    return np.array([*bbox.min, *bbox.max], dtype=np.float64)
-
-
 def bbox_kf_init(bbox: BoundingBox, params: KalmanParams) -> KalmanState:
-    """One 6D filter over the box faces, ordered min xyz then max xyz."""
-    return kf_init(_faces(bbox), params)
+    """One 6D filter over ``bbox.faces``."""
+    return kf_init(bbox.faces, params)
 
 
 def bbox_kf_predict(
@@ -157,4 +153,4 @@ def bbox_kf_predict(
 
 def bbox_kf_update(state: KalmanState, bbox: BoundingBox) -> KalmanState:
     """Measure all six faces from an observed box."""
-    return kf_update(state, _faces(bbox))
+    return kf_update(state, bbox.faces)

@@ -30,6 +30,23 @@ class BoundingBox:
         if any(lo > hi for lo, hi in zip(self.min, self.max)):
             raise ValueError(f"degenerate box {self.min}..{self.max}")
 
+    @classmethod
+    def from_faces(cls, faces) -> "BoundingBox":
+        """The box nearest six faces given min xyz then max xyz.
+
+        Each face rounds to the nearest voxel, halves to even
+        (``np.rint``); a max face that rounds below its min face is
+        raised to it.
+        """
+        lo = np.rint(faces[:3]).astype(int)
+        hi = np.maximum(np.rint(faces[3:]).astype(int), lo)
+        return cls(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
+
+    @property
+    def faces(self) -> tuple[int, int, int, int, int, int]:
+        """The six faces, min xyz then max xyz."""
+        return (*self.min, *self.max)
+
     @property
     def sides(self) -> tuple[int, int, int]:
         return tuple(hi - lo + 1 for lo, hi in zip(self.min, self.max))

@@ -40,7 +40,7 @@ def write_tracks_csv(steps: list[StepRecord], path) -> None:
         for snap in rec.tracks:
             rows.append(
                 (rec.step, snap.track_id, snap.state.value, snap.bad_count)
-                + tuple(float(x) for x in snap.features.to_array())
+                + snap.features
             )
     _write_rows(path, TRACKS_HEADER, rows)
 

@@ -334,5 +334,11 @@ def _close_block(block: dict, fail) -> TargetSpec:
 
 
 def load_scene(path) -> tuple[SceneSpec, SensorConfig]:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_scene(fh.read())
+    """Parse a scene file; bytes that are not UTF-8 are a scene error."""
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise SceneParseError(str(exc)) from exc
+    return parse_scene(text)

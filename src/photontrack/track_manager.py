@@ -232,14 +232,13 @@ class Tracker:
             t.pred_centroid, t.kf = kf_predict(t.kf)
             if t.bbox_kf is not None:
                 faces, t.bbox_kf = bbox_kf_predict(t.bbox_kf)
-                t.pred_bbox = _faces_to_bbox(faces)
+                t.pred_bbox = BoundingBox.from_faces(faces)
 
         matches = resolve_matches(
             build_association_matrix(self.tracks, observations, self.cfg.assoc)
         )
 
-        prev_slot_by_id = {t.track_id: i for i, t in enumerate(self.tracks)}
-        matched_ids = set()
+        came_from: dict[int, int] = {}  # matched track id -> previous slot
         old_derived: list[Track] = []
         for i, t in enumerate(self.tracks):
             j = matches.fw.get(i)
@@ -258,7 +257,7 @@ class Tracker:
                 t.bbox = obs.bbox
                 t.bad_count = 0
                 t.age += 1
-                matched_ids.add(t.track_id)
+                came_from[t.track_id] = i
                 old_derived.append(t)
             else:
                 if t.bad_count >= self.cfg.max_coast:
@@ -273,9 +272,8 @@ class Tracker:
                 t.age += 1
                 t.centroid = np.asarray(t.pred_centroid, dtype=np.float64)
                 shift = np.rint(t.pred_centroid - t.obs.centroid).astype(int)
-                t.bbox = BoundingBox(
-                    tuple(int(v) + s for v, s in zip(t.obs.bbox.min, shift)),
-                    tuple(int(v) + s for v, s in zip(t.obs.bbox.max, shift)),
+                t.bbox = BoundingBox.from_faces(
+                    np.add(t.obs.bbox.faces, np.concatenate([shift, shift]))
                 )
                 old_derived.append(t)
 
@@ -303,14 +301,10 @@ class Tracker:
         for t in kept:
             t.features = compute_features(t, t.features)
 
-        bwlink: list[int | None] = [None] * len(kept)
-        prev_entry = self.ring.latest
-        if prev_entry is not None:
-            for s, t in enumerate(kept):
-                if t.track_id in matched_ids and t.track_id in prev_slot_by_id:
-                    p = prev_slot_by_id[t.track_id]
-                    bwlink[s] = p
-                    prev_entry.fwlink[p] = s
+        bwlink = [came_from.get(t.track_id) for t in kept]
+        for s, p in enumerate(bwlink):
+            if p is not None:
+                self.ring.latest.fwlink[p] = s
 
         snapshots = [
             TrackSnapshot(
@@ -335,9 +329,3 @@ class Tracker:
         self.tracks = kept
         self._step += 1
         return kept
-
-
-def _faces_to_bbox(faces: np.ndarray) -> BoundingBox:
-    lo = np.rint(faces[:3]).astype(int)
-    hi = np.maximum(np.rint(faces[3:]).astype(int), lo)
-    return BoundingBox(tuple(int(v) for v in lo), tuple(int(v) for v in hi))

@@ -207,6 +207,41 @@ def test_simulate_missing_scene_exits_2(tmp_path):
     )
 
 
+NOT_UTF8 = b"\xff\xfe" + "noise_rate 30\n".encode("utf-16-le")
+
+
+def _assert_refused(rc, capsys, prefix):
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith(f"error: {prefix}: 'utf-8' codec can't decode")
+    assert "Traceback" not in err
+
+
+def test_simulate_scene_not_utf8_exits_1(tmp_path, capsys):
+    scene = tmp_path / "scene.txt"
+    scene.write_bytes(NOT_UTF8)
+    out = tmp_path / "o.raw"
+    rc = main(["simulate", "--scene", str(scene), "--out", str(out)])
+    _assert_refused(rc, capsys, "scene")
+    assert not out.exists()
+
+
+def test_track_config_not_utf8_exits_1(workspace, capsys):
+    tmp_path, _, config, raw = workspace
+    config.write_bytes(NOT_UTF8)
+    out = tmp_path / "o"
+    rc = main(["track", "--raw", str(raw), "--config", str(config), "--out-dir", str(out)])
+    _assert_refused(rc, capsys, "config")
+    assert not out.exists()
+
+
+def test_inspect_config_not_utf8_exits_1(workspace, capsys):
+    tmp_path, _, config, raw = workspace
+    config.write_bytes(NOT_UTF8)
+    rc = main(["inspect", "--raw", str(raw), "--config", str(config), "--group", "0"])
+    _assert_refused(rc, capsys, "config")
+
+
 def test_track_missing_raw_exits_2(workspace):
     tmp_path, _, config, _ = workspace
     rc = main(

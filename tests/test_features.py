@@ -1,17 +1,23 @@
 """Feature vector layout and geometry descriptors."""
+import csv
+import io
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from photontrack.cli import parse_config
 from photontrack.features import (
     FEATURE_NAMES,
-    FeatureVector,
     compute_features,
     principal_orientation,
 )
 from photontrack.kalman import KalmanParams, kf_init, kf_predict, kf_update
 from photontrack.labeling import BoundingBox, TargetObservation
+from photontrack.outputs import write_tracks_csv
+from photontrack.pipeline import run_tracking
+from photontrack.raw_ingest import SensorConfig
+from photontrack.simulator import SceneSpec, TargetSpec, simulate, write_raw
 from photontrack.track_manager import Track, TrackState
 
 
@@ -30,21 +36,42 @@ def test_feature_name_contract():
     )
 
 
-def test_to_array_follows_name_order():
-    fv = FeatureVector(
-        centroid=(0.0, 1.0, 2.0),
-        bbox_min=(3.0, 4.0, 5.0),
-        bbox_max=(6.0, 7.0, 8.0),
-        volume=9.0,
-        total_photons=10.0,
-        peak_photons=11.0,
-        velocity=(12.0, 13.0, 14.0),
-        speed=15.0,
-        accel=(16.0, 17.0, 18.0),
-        orientation=(19.0, 20.0, 21.0),
-        age=22.0,
+@pytest.mark.parametrize("mode", ["bbox", "kalman_bbox"])
+def test_tracks_csv_rows_are_the_step_snapshots(tmp_path, mode):
+    """Parsed by header, the ``tracks.csv`` rows are the steps'
+    snapshots in slot order: each carries its snapshot's step, id,
+    state, bad count, centroid, box faces and age."""
+    scene = SceneSpec(
+        targets=(
+            TargetSpec((3, 3, 3), (8.0, 8.0, 150.0), 2.0, ((0, (0.4, 0.2, 0.0)),)),
+            TargetSpec((3, 3, 3), (24.0, 20.0, 330.0), 2.0, ((0, (-0.4, 0.0, 0.0)),)),
+        ),
+        noise_rate=30.0,
+        n_groups=8,
+        seed=11,
     )
-    np.testing.assert_array_equal(fv.to_array(), np.arange(23.0))
+    frames, _ = simulate(scene, SensorConfig())
+    raw = io.BytesIO()
+    write_raw(frames, raw)
+    cfg = parse_config("", [f"assoc_mode={mode}"])
+    steps = run_tracking(raw.getvalue(), cfg).steps
+    path = tmp_path / "tracks.csv"
+    write_tracks_csv(steps, path)
+    with open(path, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    snaps = [(rec.step, snap) for rec in steps for snap in rec.tracks]
+    assert len(rows) == len(snaps) > 0
+    assert {snap.state for _, snap in snaps} >= {TrackState.NEW, TrackState.COASTING}
+    for row, (step, snap) in zip(rows, snaps):
+        assert int(row["step"]) == step
+        assert int(row["track_id"]) == snap.track_id
+        assert row["state"] == snap.state.value
+        assert int(row["bad_count"]) == snap.bad_count
+        centroid = [row[f"centroid_{a}"] for a in "xyz"]
+        assert centroid == [format(c, ".9g") for c in snap.centroid]
+        faces = [float(row[f"bbox_{end}_{a}"]) for end in ("min", "max") for a in "xyz"]
+        assert faces == list(snap.bbox.faces)
+        assert float(row["age"]) == snap.age
 
 
 def test_orientation_of_a_line():
@@ -119,20 +146,20 @@ def test_compute_features_first_step_has_zero_accel():
     vox = np.array([[i, 0, 0] for i in range(4)])
     t = _track([1.5, 0, 0], [2.0, 0, 0], vox)
     fv = compute_features(t, None)
-    assert fv.accel == (0.0, 0.0, 0.0)
+    assert (fv.accel_x, fv.accel_y, fv.accel_z) == (0.0, 0.0, 0.0)
     assert fv.speed == pytest.approx(2.0)
-    assert fv.velocity == (2.0, 0.0, 0.0)
+    assert (fv.velocity_x, fv.velocity_y, fv.velocity_z) == (2.0, 0.0, 0.0)
     assert fv.volume == 4
     assert fv.age == 3
-    assert fv.bbox_min == (0.0, 0.0, 0.0)
-    assert fv.bbox_max == (3.0, 0.0, 0.0)
+    assert (fv.bbox_min_x, fv.bbox_min_y, fv.bbox_min_z) == (0.0, 0.0, 0.0)
+    assert (fv.bbox_max_x, fv.bbox_max_y, fv.bbox_max_z) == (3.0, 0.0, 0.0)
 
 
 def test_compute_features_accel_is_velocity_difference():
     vox = np.array([[i, 0, 0] for i in range(4)])
     prev = compute_features(_track([0, 0, 0], [1.0, 0, 0], vox), None)
     fv = compute_features(_track([1, 0, 0], [2.5, 1.0, 0], vox), prev)
-    assert fv.accel == pytest.approx((1.5, 1.0, 0.0))
+    assert (fv.accel_x, fv.accel_y, fv.accel_z) == pytest.approx((1.5, 1.0, 0.0))
 
 
 def test_speed_estimate_converges_for_constant_motion():

@@ -41,9 +41,9 @@ def churn_scene_bytes():
     return buf.getvalue()
 
 
-def test_grids_survive_the_queue():
+def test_on_step_sees_each_histogram_and_results_drop_it():
     """``on_step`` sees each step's own histogram; the returned records
-    drop it."""
+    are the same records with the grid dropped."""
     data = churn_scene_bytes()
     groups = group_frames(parse_frames(data, SENSOR), SENSOR)
     seen = []
@@ -56,8 +56,9 @@ def test_grids_survive_the_queue():
         )
 
 
-def test_worker_error_reaches_the_caller():
-    """An error raised while reducing a group reaches the caller."""
+def test_group_reduction_error_reaches_the_caller():
+    """A group whose frames do not have the sensor's shape makes
+    ``run_groups`` raise the histogram stage's error unchanged."""
     bad = FrameGroup(
         frames=np.full((200, 8, 8), SENSOR.ceiling, dtype=np.uint16),
         group_index=0,
@@ -66,8 +67,8 @@ def test_worker_error_reaches_the_caller():
         run_groups([bad], RunConfig())
 
 
-def test_consumer_failure_stops_the_worker():
-    """An ``on_step`` failure propagates and stops the run at that step."""
+def test_on_step_failure_stops_the_run():
+    """An ``on_step`` failure propagates and no later step is reduced."""
     data = churn_scene_bytes()
     groups = group_frames(parse_frames(data, SENSOR), SENSOR)
     seen = []
