@@ -15,11 +15,15 @@ declares every key once: its value type and the RunConfig field it
 sets.  The defaults live in the config dataclasses alone, so an empty
 config is ``RunConfig()``.
 
-Exit codes separate user mistakes from environment trouble: 1 means the
-input could not be interpreted (bad scene, config or raw layout, or
-Kalman settings under which a filter's innovation variance is zero or
-not finite), 2 means file I/O failed, and for ``track`` 3 flags an
-internal invariant violation worth a bug report.
+The commands are straight-line code: every library error and every
+I/O failure propagates to ``main``, which turns it into a one-line
+``error: ...`` message and an exit code by the first matching row of
+one table, ``_EXITS``.  Exit codes separate user mistakes from
+environment trouble: 1 means the input could not be interpreted (bad
+scene, config or raw layout, a group out of range, or Kalman settings
+under which a filter's innovation variance is zero or not finite), 2
+means file I/O failed, and 3 flags an internal invariant violation
+worth a bug report.  Any other exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -41,8 +45,10 @@ from .denoise import (
     Scheme,
 )
 from .errors import (
+    ConfigError,
     ConfigViolationError,
     EmptyInputError,
+    PhotontrackError,
     SceneParseError,
     SingularInnovationError,
     TruncatedFileError,
@@ -160,27 +166,25 @@ def build_run_config(values: dict) -> RunConfig:
     )
 
 
-def _err(msg: str) -> None:
-    print(f"error: {msg}", file=sys.stderr)
+# (error types, exit code, stderr text after "error: "): main answers an
+# error with the first row it matches, so the catch-all PhotontrackError
+# row must follow the rows of its subclasses
+_EXITS = (
+    (SceneParseError, 1, "scene: {exc}"),
+    ((TruncatedFileError, EmptyInputError), 1, "raw stream: {exc}"),
+    ((ConfigError, SingularInnovationError), 1, "config: {exc}"),
+    (ConfigViolationError, 3, "internal invariant violated: {exc!r}"),
+    (PhotontrackError, 1, "{exc}"),
+    (OSError, 2, "{exc}"),
+)
 
 
 def cmd_simulate(args) -> int:
-    try:
-        scene, sensor = load_scene(args.scene)
-    except SceneParseError as exc:
-        _err(f"scene: {exc}")
-        return 1
-    except OSError as exc:
-        _err(str(exc))
-        return 2
+    scene, sensor = load_scene(args.scene)
     frames, truth = simulate(scene, sensor)
-    try:
-        nbytes = write_raw(frames, args.out)
-        if args.truth:
-            write_truth_csv(truth, args.truth)
-    except OSError as exc:
-        _err(str(exc))
-        return 2
+    nbytes = write_raw(frames, args.out)
+    if args.truth:
+        write_truth_csv(truth, args.truth)
     print(
         f"wrote {nbytes} bytes ({len(frames)} frames, "
         f"{scene.n_groups} groups) to {args.out}"
@@ -188,54 +192,38 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_inputs(args) -> tuple[RunConfig, bytes] | int:
+def _read_inputs(args) -> tuple[RunConfig, bytes]:
     """The parsed ``--config``/``--set`` settings and the ``--raw``
-    bytes, or the exit code once the reason they cannot be had is
-    printed."""
-    try:
-        config = Path(args.config).read_bytes() if args.config else b""
-        data = Path(args.raw).read_bytes()
-    except OSError as exc:
-        _err(str(exc))
-        return 2
+    bytes."""
+    config = Path(args.config).read_bytes() if args.config else b""
+    data = Path(args.raw).read_bytes()
     try:  # a config that is not UTF-8 raises UnicodeDecodeError, a ValueError
         return parse_config(config.decode("utf-8"), args.set), data
     except ValueError as exc:
-        _err(f"config: {exc}")
-        return 1
+        raise ConfigError(str(exc)) from exc
+
+
+def _write_projections(counts: np.ndarray, stem: Path) -> None:
+    """Write the xy, xz and yz projections of ``counts`` as
+    ``<stem>_xy.pgm`` and so on."""
+    for axis, tag in ((2, "xy"), (1, "xz"), (0, "yz")):
+        img = projection_image(counts, axis)
+        write_pgm(stem.with_name(f"{stem.name}_{tag}.pgm"), img)
 
 
 def cmd_track(args) -> int:
-    inputs = _read_inputs(args)
-    if isinstance(inputs, int):
-        return inputs
-    cfg, data = inputs
+    cfg, data = _read_inputs(args)
     out_dir = Path(args.out_dir)
     on_step = None
     if args.projections:
         def on_step(rec):
-            for axis, tag in ((2, "xy"), (1, "xz"), (0, "yz")):
-                img = projection_image(rec.grid.counts, axis)
-                write_pgm(out_dir / f"step{rec.step:04d}_{tag}.pgm", img)
+            _write_projections(rec.grid.counts, out_dir / f"step{rec.step:04d}")
 
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        result = run_tracking(data, cfg, on_step=on_step)
-        write_tracks_csv(result.steps, out_dir / "tracks.csv")
-        write_links_csv(result.steps, out_dir / "links.csv")
-        write_summary_json(result.steps, out_dir / "summary.json")
-    except (TruncatedFileError, EmptyInputError) as exc:
-        _err(f"raw stream: {exc}")
-        return 1
-    except SingularInnovationError as exc:
-        _err(f"config: {exc}")
-        return 1
-    except OSError as exc:
-        _err(str(exc))
-        return 2
-    except ConfigViolationError as exc:
-        _err(f"internal invariant violated: {exc!r}")
-        return 3
+    out_dir.mkdir(parents=True, exist_ok=True)
+    result = run_tracking(data, cfg, on_step=on_step)
+    write_tracks_csv(result.steps, out_dir / "tracks.csv")
+    write_links_csv(result.steps, out_dir / "links.csv")
+    write_summary_json(result.steps, out_dir / "summary.json")
     n_tracks = len(
         {s.track_id for rec in result.steps for s in rec.tracks}
     )
@@ -244,20 +232,13 @@ def cmd_track(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    inputs = _read_inputs(args)
-    if isinstance(inputs, int):
-        return inputs
-    sensor, data = inputs[0].sensor, inputs[1]
-    try:
-        frames = parse_frames(data, sensor)
-    except (TruncatedFileError, EmptyInputError) as exc:
-        _err(f"raw stream: {exc}")
-        return 1
-    groups = group_frames(frames, sensor)
+    cfg, data = _read_inputs(args)
+    groups = group_frames(parse_frames(data, cfg.sensor), cfg.sensor)
     if not 0 <= args.group < len(groups):
-        _err(f"group {args.group} out of range (stream has {len(groups)})")
-        return 1
-    grid = build_histogram(groups[args.group], sensor)
+        raise PhotontrackError(
+            f"group {args.group} out of range (stream has {len(groups)})"
+        )
+    grid = build_histogram(groups[args.group], cfg.sensor)
     counts = grid.counts
     total = int(counts.sum())
     occupied = int((counts > 0).sum())
@@ -272,19 +253,9 @@ def cmd_inspect(args) -> int:
     else:
         print("peak count 0")
     out_dir = Path(args.out_dir)
-    try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        for axis, tag in ((2, "xy"), (1, "xz"), (0, "yz")):
-            write_pgm(
-                out_dir / f"group{args.group:04d}_{tag}.pgm",
-                projection_image(counts, axis),
-            )
-    except OSError as exc:
-        _err(str(exc))
-        return 2
+    out_dir.mkdir(parents=True, exist_ok=True)
+    _write_projections(counts, out_dir / f"group{args.group:04d}")
     return 0
-
-
 def _add_set_option(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--set",
@@ -340,7 +311,12 @@ def main(argv: list[str] | None = None) -> int:
         level=logging.INFO if args.verbose else logging.WARNING,
         format="%(levelname)s %(name)s: %(message)s",
     )
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (PhotontrackError, OSError) as exc:
+        code, fmt = next((c, f) for kinds, c, f in _EXITS if isinstance(exc, kinds))
+        print("error: " + fmt.format(exc=exc), file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

@@ -31,3 +31,7 @@ class EntryEvictedError(PhotontrackError):
 
 class SceneParseError(PhotontrackError):
     """Scene description file is malformed."""
+
+
+class ConfigError(PhotontrackError, ValueError):
+    """Pipeline config text cannot be decoded, parsed or validated."""

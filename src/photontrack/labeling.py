@@ -47,20 +47,6 @@ class BoundingBox:
         """The six faces, min xyz then max xyz."""
         return (*self.min, *self.max)
 
-    @property
-    def sides(self) -> tuple[int, int, int]:
-        return tuple(hi - lo + 1 for lo, hi in zip(self.min, self.max))
-
-    @property
-    def volume(self) -> int:
-        sx, sy, sz = self.sides
-        return sx * sy * sz
-
-    def contains(self, other: "BoundingBox") -> bool:
-        return all(a <= b for a, b in zip(self.min, other.min)) and all(
-            b <= a for a, b in zip(self.max, other.max)
-        )
-
 
 def neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
     """Offsets of the chosen 3D neighborhood, center excluded.

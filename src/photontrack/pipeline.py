@@ -31,6 +31,16 @@ class RunConfig:
     def __post_init__(self) -> None:
         if self.connectivity not in _CONNECTIVITIES:
             raise ValueError(f"connectivity must be one of {_CONNECTIVITIES}")
+        # a Parzen kernel's half-width ceil(factor * sigma) may not exceed
+        # the histogram's longest axis; for an integer bound that is the
+        # same test on the product, which may be too large for ceil
+        longest = max(self.sensor.width, self.sensor.height, self.sensor.nz)
+        reach = self.denoise.kernel_radius_factor * max(self.denoise.sigmas)
+        if reach > longest:
+            raise ValueError(
+                f"Parzen kernel half-width kernel_radius_factor * sigma = "
+                f"{reach:.6g} exceeds the histogram's longest axis ({longest})"
+            )
 
 
 @dataclass(frozen=True)

@@ -24,11 +24,17 @@ def expand_bbox(b: BoundingBox, e: int) -> BoundingBox:
     )
 
 
+def contains(outer: BoundingBox, inner: BoundingBox) -> bool:
+    return all(a <= b for a, b in zip(outer.min, inner.min)) and all(
+        b <= a for a, b in zip(outer.max, inner.max)
+    )
+
+
 def bbox_match(old_box: BoundingBox, new_box: BoundingBox, e: int) -> bool:
     """Symmetric containment under expansion."""
-    return expand_bbox(new_box, e).contains(old_box) and expand_bbox(
-        old_box, e
-    ).contains(new_box)
+    return contains(expand_bbox(new_box, e), old_box) and contains(
+        expand_bbox(old_box, e), new_box
+    )
 
 
 def centroid_gate(p, q, radius: float) -> bool:

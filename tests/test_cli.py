@@ -16,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import photontrack
+from photontrack import cli, errors
 from photontrack.cli import _KEYS, main, parse_config
 from photontrack.denoise import DenoiseConfig, Fixed, MovingAverage, PeakFraction, Scheme
 from photontrack.association import AssocMode
@@ -350,33 +351,120 @@ def test_simulate_bad_noise_rate_exits_1(tmp_path, capsys, rate):
     assert not out.exists()
 
 
-def test_simulate_huge_reflectivity_exits_1_under_a_memory_limit(tmp_path):
-    """A rate numpy can sample but far above one photon per sensor pixel
-    per pulse is a scene error.  The child's address space is capped, so
-    trying to render it fails the test instead of taking the machine's
-    memory (it would ask for 1.46 TiB)."""
+def _main_under_memory_limit(argv: list[str], limit: int = 512 << 20):
+    """Run ``photontrack.cli.main(argv)`` in a child whose address space
+    is capped at ``limit`` bytes, so a setting that makes the program ask
+    for far more memory fails the test instead of taking the machine's."""
     resource = pytest.importorskip("resource")
-    scene = tmp_path / "bright.txt"
-    scene.write_text("target\nshape 1 1 1\nstart 5 5 50\nreflectivity 1e9\nend\n")
-    out = tmp_path / "o.raw"
-    limit = 512 << 20
 
     def cap_address_space():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
     src = Path(photontrack.__file__).resolve().parents[1]
     code = "import sys; from photontrack.cli import main; sys.exit(main(sys.argv[1:]))"
-    child = subprocess.run(
-        [sys.executable, "-c", code, "simulate", "--scene", str(scene), "--out", str(out)],
+    return subprocess.run(
+        [sys.executable, "-c", code, *argv],
         env=dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1"),
         preexec_fn=cap_address_space,
         capture_output=True,
         text=True,
         timeout=120,
     )
+
+
+def test_simulate_huge_reflectivity_exits_1_under_a_memory_limit(tmp_path):
+    """A rate numpy can sample but far above one photon per sensor pixel
+    per pulse is a scene error; rendering it would ask for 1.46 TiB."""
+    scene = tmp_path / "bright.txt"
+    scene.write_text("target\nshape 1 1 1\nstart 5 5 50\nreflectivity 1e9\nend\n")
+    out = tmp_path / "o.raw"
+    child = _main_under_memory_limit(["simulate", "--scene", str(scene), "--out", str(out)])
     assert child.returncode == 1
     assert child.stderr.startswith("error: scene: reflectivity 1e+09 exceeds 1024 ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "setting", ["sigma_z=1e6", "sigma_x=1e300", "kernel_radius_factor=1e12"]
+)
+def test_track_huge_parzen_kernel_exits_1_under_a_memory_limit(workspace, setting):
+    """A finite Parzen kernel whose half-width exceeds the histogram's
+    longest axis (600 voxels here) is a config error; smoothing with it
+    would ask for GiB to TiB, or for an array longer than numpy allows."""
+    tmp_path, _, config, raw = workspace
+    out = tmp_path / "o"
+    child = _main_under_memory_limit(
+        [
+            "track", "--raw", str(raw), "--config", str(config), "--out-dir", str(out),
+            "--set", "scheme=parzen_threshold", "--set", setting,
+        ]
+    )
+    assert child.returncode == 1
+    assert child.stderr.startswith("error: config: Parzen kernel half-width ")
+    assert "(600)" in child.stderr
+    assert not out.exists()
+
+
+def test_parzen_kernel_may_span_the_longest_axis():
+    """The bound is the longest axis, not each sigma's own axis: a
+    half-width of 600 voxels passes on the default 32x32x600 grid."""
+    cfg = parse_config("sigma_x 200\nkernel_radius_factor 3\n")
+    assert cfg.denoise.sigmas[0] == 200.0
+    with pytest.raises(ValueError, match="longest axis"):
+        parse_config("sigma_x 200.001\nkernel_radius_factor 3\n")
+
+
+# error type -> (exit code, stderr) when the command's work raises
+# kind("boom"); every row of cli._EXITS is reached
+EXITS = {
+    errors.SceneParseError: (1, "error: scene: boom\n"),
+    errors.TruncatedFileError: (1, "error: raw stream: boom\n"),
+    errors.EmptyInputError: (1, "error: raw stream: boom\n"),
+    errors.ConfigError: (1, "error: config: boom\n"),
+    errors.SingularInnovationError: (1, "error: config: boom\n"),
+    errors.ConfigViolationError: (
+        3, "error: internal invariant violated: ConfigViolationError('boom')\n"
+    ),
+    errors.ConfigMismatchError: (1, "error: boom\n"),
+    errors.EntryEvictedError: (1, "error: boom\n"),
+    errors.PhotontrackError: (1, "error: boom\n"),
+    OSError: (2, "error: boom\n"),
+}
+
+
+def test_every_library_error_has_a_documented_exit():
+    library = {
+        kind for kind in vars(errors).values()
+        if isinstance(kind, type) and issubclass(kind, errors.PhotontrackError)
+    }
+    assert library <= set(EXITS)
+
+
+@pytest.mark.parametrize("kind", list(EXITS), ids=lambda kind: kind.__name__)
+def test_each_error_reaches_its_exit_code(workspace, capsys, monkeypatch, kind):
+    tmp_path, _, config, raw = workspace
+
+    def fail(*args, **kwargs):
+        raise kind("boom")
+
+    monkeypatch.setattr(cli, "run_tracking", fail)
+    rc = main(["track", "--raw", str(raw), "--config", str(config), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert (rc, err) == EXITS[kind]
+    assert "Traceback" not in err
+
+
+def test_other_exceptions_propagate(workspace, monkeypatch):
+    """Only library errors and OSError become exit codes; anything else
+    is a bug and reaches the caller unchanged."""
+    tmp_path, _, config, raw = workspace
+
+    def fail(*args, **kwargs):
+        raise KeyError("boom")
+
+    monkeypatch.setattr(cli, "run_tracking", fail)
+    with pytest.raises(KeyError):
+        main(["track", "--raw", str(raw), "--config", str(config), "--out-dir", str(tmp_path / "o")])
 
 
 @pytest.mark.parametrize("mode", ["bbox", "kalman_centroid"])

@@ -90,8 +90,6 @@ def test_observation_geometry():
     labels, _ = label_components(mask, 26)
     obs = extract_observations(labels, grid)[0]
     assert obs.bbox == BoundingBox((1, 2, 2), (3, 2, 2))
-    assert obs.bbox.sides == (3, 1, 1)
-    assert obs.bbox.volume == 3
     assert obs.voxels.shape == (3, 3)
 
 
