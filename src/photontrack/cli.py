@@ -22,8 +22,9 @@ one table, ``_EXITS``.  Exit codes separate user mistakes from
 environment trouble: 1 means the input could not be interpreted (bad
 scene, config or raw layout, a group out of range, or Kalman settings
 under which a filter's innovation variance is zero or not finite), 2
-means file I/O failed, and 3 flags an internal invariant violation
-worth a bug report.  Any other exception is a bug and propagates.
+means the environment failed the run (file I/O failed, or memory ran
+out), and 3 flags an internal invariant violation worth a bug report.
+Any other exception is a bug and propagates.
 """
 from __future__ import annotations
 
@@ -176,6 +177,7 @@ _EXITS = (
     (ConfigViolationError, 3, "internal invariant violated: {exc!r}"),
     (PhotontrackError, 1, "{exc}"),
     (OSError, 2, "{exc}"),
+    (MemoryError, 2, "out of memory: {exc}"),
 )
 
 
@@ -313,7 +315,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (PhotontrackError, OSError) as exc:
+    except (PhotontrackError, OSError, MemoryError) as exc:
         code, fmt = next((c, f) for kinds, c, f in _EXITS if isinstance(exc, kinds))
         print("error: " + fmt.format(exc=exc), file=sys.stderr)
         return code

@@ -177,33 +177,33 @@ def gaussian_kernel(sigma: float, radius_factor: float = 3.0) -> np.ndarray:
     return k / k.sum()
 
 
-def _sum_taps(acc: np.ndarray, tmp: np.ndarray, weights, sources) -> None:
-    """``acc = (w0*s0 + w1*s1) + ...``, summed in tap order.
+def _sum_taps(weights, sources) -> np.ndarray:
+    """``(w0*s0 + w1*s1) + ...``, summed in tap order.
 
     Starting from ``w0*s0`` rather than ``0 + w0*s0`` can only turn a
     -0.0 result into +0.0.
     """
     pairs = iter(zip(weights, sources))
     w, src = next(pairs)
-    np.multiply(w, src, out=acc)
+    acc = w * src
     for w, src in pairs:
-        np.multiply(w, src, out=tmp)
-        acc += tmp
+        acc += w * src
+    return acc
 
 
-def _smoothed_windows(counts: np.ndarray, kernels, windows):
-    """Smooth ``counts`` inside each window ``(x, y0, y1, z0, z1)``.
+def _smoothed_windows(counts: np.ndarray, kernels, windows) -> list[np.ndarray]:
+    """The smoothed ``counts[x, y0:y1, z0:z1]`` of each window
+    ``(x, y0, y1, z0, z1)``, one 2-D array per window.
 
-    Returns the smoothed ``counts[x, y0:y1, z0:z1]`` of every window,
-    flattened and laid end to end in window order, so whole planes come
-    in C order.  A window's x pass covers its rows and columns widened by
-    the y and z radii, its y pass those columns, and its z pass runs
-    over the window's rows laid end to end, ``rz`` zero columns apart,
-    so each y and z tap is one contiguous slice.  The widened rows and
-    columns are zero exactly where they lie beyond the grid, so every
-    tap reads what the whole-grid passes would read, and every value is
-    the same tap-ordered sum, bit for bit.  x taps that would read
-    beyond the grid add zeros and are skipped.
+    Each window is smoothed in its own zero plane, widened by ``ry`` rows
+    and ``rz`` columns either side.  The x pass fills the part of the
+    plane that lies inside the grid, so the plane is zero exactly where
+    the whole-grid passes read zero padding; x taps that would read
+    beyond the grid add zeros and are skipped.  The y pass sums whole
+    rows of the plane.  Its rows, laid end to end, keep ``2 * rz`` zero
+    columns between the data, so each z tap is one contiguous slice.
+    Every value is the same tap-ordered sum as in the whole-grid
+    passes, bit for bit.
 
     Counts are converted to float64 as the x taps read them, which is
     exact.
@@ -211,40 +211,23 @@ def _smoothed_windows(counts: np.ndarray, kernels, windows):
     kx, ky, kz = kernels
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
     nx, ny, nz = counts.shape
-    by_x = np.empty((ny + 2 * ry) * nz)  # x pass, with ry rows above and below
-    by_z = np.empty(ny * (nz + 2 * rz))  # z-pass input, rz columns either side
-    by_y = np.empty(by_z.size)  # y pass, then z pass
-    tmp = np.empty(by_z.size)
-    out = np.empty(sum((y1 - y0) * (z1 - z0) for _, y0, y1, z0, z1 in windows))
-    end = 0
+    smoothed = []
     for x, y0, y1, z0, z1 in windows:
-        h, width = y1 - y0, z1 - z0 + 2 * rz
-        ya, yb = max(0, y0 - ry), min(ny, y1 + ry)  # widened, inside the grid
-        za, zb = max(0, z0 - rz), min(nz, z1 + rz)
-        cols = zb - za
-        top, bottom = (ya - y0 + ry) * cols, (yb - y0 + ry) * cols
-        left, right = za - z0 + rz, zb - z0 + rz
-        rows = by_z[: h * width]
-        plane = rows.reshape(h, width)
-        by_x[:top] = 0.0
-        by_x[bottom : (h + 2 * ry) * cols] = 0.0
-        plane[:, :left] = 0.0
-        plane[:, right:] = 0.0
-        inner = by_x[top:bottom].reshape(yb - ya, cols)
+        h, w = y1 - y0, z1 - z0
+        top, left = y0 - ry, z0 - rz  # the plane's first row and column
+        ya, yb = max(0, top), min(ny, y1 + ry)  # the plane's rows inside the grid
+        za, zb = max(0, left), min(nz, z1 + rz)
+        plane = np.zeros((h + 2 * ry, w + 2 * rz))
         lo, hi = max(0, rx - x), min(len(kx), nx + rx - x)
         x_taps = (counts[x + i - rx, ya:yb, za:zb] for i in range(lo, hi))
-        _sum_taps(inner, tmp[: inner.size].reshape(inner.shape), kx[lo:hi], x_taps)
-        n = h * cols
-        y_taps = (by_x[j * cols : j * cols + n] for j in range(len(ky)))
-        _sum_taps(by_y[:n], tmp[:n], ky, y_taps)
-        plane[:, left:right] = by_y[:n].reshape(h, cols)
-        span = rows.size - 2 * rz  # z-pass outputs from row 0, column 0 on
-        z_taps = (rows[k : k + span] for k in range(len(kz)))
-        _sum_taps(by_y[:span], tmp[:span], kz, z_taps)
-        smoothed = by_y[: rows.size].reshape(h, width)[:, : z1 - z0]
-        start, end = end, end + smoothed.size
-        out[start:end].reshape(smoothed.shape)[...] = smoothed
-    return out
+        plane[ya - top : yb - top, za - left : zb - left] = _sum_taps(kx[lo:hi], x_taps)
+        rows = _sum_taps(ky, (plane[j : j + h] for j in range(len(ky))))
+        # z outputs are taken at every column, and the last row's margin
+        # reads up to 2 * rz zeros past the end
+        flat = np.concatenate((rows.ravel(), np.zeros(2 * rz)))
+        z = _sum_taps(kz, (flat[k : k + rows.size] for k in range(len(kz))))
+        smoothed.append(z.reshape(rows.shape)[:, :w])
+    return smoothed
 
 
 def _whole_planes(shape) -> list[tuple[int, int, int, int, int]]:
@@ -270,8 +253,9 @@ def parzen_smooth(
     zero-padded input.
     """
     kernels = tuple(gaussian_kernel(s, kernel_radius_factor) for s in sigmas)
-    planes = _whole_planes(counts.shape)
-    return _smoothed_windows(counts, kernels, planes).reshape(counts.shape)
+    planes = _smoothed_windows(counts, kernels, _whole_planes(counts.shape))
+    # np.array, unlike np.stack, takes the empty list of a grid without voxels
+    return np.array(planes, dtype=np.float64).reshape(counts.shape)
 
 
 _ZBLOCK = 4  # z voxels per block of the box-sum bound
@@ -361,7 +345,7 @@ def denoise(
         raise ValueError("t_prev must be nonnegative")
     if cfg.scheme is Scheme.PARZEN_THRESHOLD:
         return _parzen_mask(counts, cfg, t_prev)
-    mask, t_used = _apply_threshold(counts, cfg.threshold_mode, t_prev)
+    (mask,), t_used = _apply_threshold([counts], cfg.threshold_mode, t_prev)
     if cfg.scheme is Scheme.THRESHOLD_MAJORITY:
         mask = majority_rule(mask, cfg.majority_min)
     return mask, t_used
@@ -378,16 +362,19 @@ def _parzen_mask(
         _smoothed_windows(counts, kernels, windows), mode, t_prev
     )
     mask = np.zeros(counts.shape, dtype=bool)
-    end = 0
-    for x, y0, y1, z0, z1 in windows:
-        start, end = end, end + (y1 - y0) * (z1 - z0)
-        mask[x, y0:y1, z0:z1] = passed[start:end].reshape(y1 - y0, z1 - z0)
+    for (x, y0, y1, z0, z1), window_passed in zip(windows, passed):
+        mask[x, y0:y1, z0:z1] = window_passed
     return mask, t_used
 
 
 def _apply_threshold(
-    a: np.ndarray, mode: ThresholdMode, t_prev: float | None
-) -> tuple[np.ndarray, float]:
-    peak = 0.0 if isinstance(mode, Fixed) or not a.size else float(a.max())
+    arrays: list[np.ndarray], mode: ThresholdMode, t_prev: float | None
+) -> tuple[list[np.ndarray], float]:
+    """Threshold every array at the mode's level; the peak is the
+    largest value over all of them (0.0 when there are none, and not
+    needed for :class:`Fixed`)."""
+    peak = 0.0
+    if not isinstance(mode, Fixed):
+        peak = max((float(a.max()) for a in arrays if a.size), default=0.0)
     t = mode.level(peak, t_prev)
-    return a > t, t
+    return [a > t for a in arrays], t

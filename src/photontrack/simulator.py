@@ -149,17 +149,17 @@ def _front_face(
 
 
 def _render_group(
-    positions: list[np.ndarray],
+    faces: list[tuple[np.ndarray, np.ndarray, int]],
     scene: SceneSpec,
     cfg: SensorConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    """One group's frames; ``faces`` holds each target's front face."""
     pulses = cfg.pulses_per_group
     vals = np.full((pulses, cfg.height * cfg.width), cfg.ceiling, dtype=np.int64)
-    for pos, spec in zip(positions, scene.targets):
+    for (xs, ys, z0), spec in zip(faces, scene.targets):
         if spec.reflectivity <= 0:
             continue
-        xs, ys, z0 = _front_face(pos, spec, cfg)
         if len(xs) == 0 or not 0 <= z0 < cfg.ceiling:
             continue
         counts = rng.poisson(spec.reflectivity, pulses)
@@ -195,10 +195,10 @@ def simulate(scene: SceneSpec, cfg: SensorConfig) -> tuple[np.ndarray, GroundTru
     records = []
     for n in range(scene.n_groups):
         rng = np.random.default_rng([scene.seed, n])
-        chunks.append(_render_group(positions, scene, cfg, rng))
+        faces = [_front_face(pos, t, cfg) for pos, t in zip(positions, scene.targets)]
+        chunks.append(_render_group(faces, scene, cfg, rng))
         step_records = []
-        for pos, spec in zip(positions, scene.targets):
-            xs, ys, z0 = _front_face(pos, spec, cfg)
+        for pos, (xs, ys, z0) in zip(positions, faces):
             zg = z0 - cfg.offset
             alive = len(xs) > 0 and cfg.zmin <= z0 <= cfg.zmax
             bbox = None
@@ -217,12 +217,7 @@ def simulate(scene: SceneSpec, cfg: SensorConfig) -> tuple[np.ndarray, GroundTru
         records.append(tuple(step_records))
         for i, spec in enumerate(scene.targets):
             positions[i] = positions[i] + spec.velocity_at(n)
-    frames = (
-        np.concatenate(chunks, axis=0)
-        if chunks
-        else np.empty((0, cfg.height, cfg.width), dtype=np.uint16)
-    )
-    return frames, GroundTruth(records=tuple(records))
+    return np.concatenate(chunks, axis=0), GroundTruth(records=tuple(records))
 
 
 def write_raw(frames: np.ndarray, sink) -> int:

@@ -405,6 +405,26 @@ def test_track_huge_parzen_kernel_exits_1_under_a_memory_limit(workspace, settin
     assert not out.exists()
 
 
+def test_track_geometry_too_large_for_memory_exits_2(tmp_path):
+    """A sensor geometry whose histogram cannot be allocated (2048 x 2048
+    x 600 voxels, 18.8 GiB) is environment trouble, not a traceback."""
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(CONFIG)
+    raw = tmp_path / "big.raw"
+    np.zeros((2, 2048, 2048), np.uint16).tofile(raw)
+    out = tmp_path / "o"
+    child = _main_under_memory_limit(
+        [
+            "track", "--raw", str(raw), "--config", str(config), "--out-dir", str(out),
+            "--set", "width=2048", "--set", "height=2048", "--set", "pulses_per_group=1",
+        ]
+    )
+    assert child.returncode == 2
+    assert child.stderr.startswith("error: out of memory: ")
+    assert "Traceback" not in child.stderr
+    assert not (out / "tracks.csv").exists()
+
+
 def test_parzen_kernel_may_span_the_longest_axis():
     """The bound is the longest axis, not each sigma's own axis: a
     half-width of 600 voxels passes on the default 32x32x600 grid."""
@@ -429,6 +449,7 @@ EXITS = {
     errors.EntryEvictedError: (1, "error: boom\n"),
     errors.PhotontrackError: (1, "error: boom\n"),
     OSError: (2, "error: boom\n"),
+    MemoryError: (2, "error: out of memory: boom\n"),
 }
 
 
@@ -455,8 +476,8 @@ def test_each_error_reaches_its_exit_code(workspace, capsys, monkeypatch, kind):
 
 
 def test_other_exceptions_propagate(workspace, monkeypatch):
-    """Only library errors and OSError become exit codes; anything else
-    is a bug and reaches the caller unchanged."""
+    """Only library errors, OSError and MemoryError become exit codes;
+    anything else is a bug and reaches the caller unchanged."""
     tmp_path, _, config, raw = workspace
 
     def fail(*args, **kwargs):

@@ -120,6 +120,9 @@ def test_parzen_matches_whole_array_passes(seed, shape, sigmas, factor):
         ((2, 3, 1), (2.0, 1.5, 3.0), 3.0),  # kernels longer than every axis
         ((1, 1, 1), (1.0, 1.0, 1.0), 3.0),
         ((5, 4, 40), (0.7, 1.3, 2.2), 2.5),  # non-cubic, mixed widths
+        ((0, 4, 5), (1.0, 1.0, 1.0), 3.0),  # no voxels at all
+        ((4, 0, 5), (1.0, 1.0, 1.0), 3.0),
+        ((4, 5, 0), (1.0, 1.0, 1.0), 3.0),
     ],
 )
 def test_parzen_edge_cases(shape, sigmas, factor):
@@ -329,6 +332,41 @@ def test_parzen_denoise_full_grid(mode, t_prev):
     assert_denoise_matches_dense(blob_grid(11), (1.0, 1.0, 1.0), 3.0, mode, t_prev)
 
 
+@st.composite
+def windows_in(draw, shape):
+    """Windows ``(x, y0, y1, z0, z1)`` anywhere in a grid of ``shape``:
+    on its edges, off every edge, or the whole plane."""
+    nx, ny, nz = shape
+    x = draw(st.integers(0, nx - 1))
+    y0 = draw(st.integers(0, ny - 1))
+    z0 = draw(st.integers(0, nz - 1))
+    return x, y0, draw(st.integers(y0 + 1, ny)), z0, draw(st.integers(z0 + 1, nz))
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 30)),
+    sigmas=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    factor=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    real=st.booleans(),
+    data=st.data(),
+)
+def test_windows_match_whole_array_passes(seed, shape, sigmas, factor, real, data):
+    """Every window's values equal the same window of the dense
+    smoothing, byte for byte."""
+    rng = np.random.default_rng(seed)
+    counts = rng.random(shape) * 5 if real else sparse_counts(rng, shape, high=9)
+    kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
+    windows = data.draw(st.lists(windows_in(shape), min_size=1, max_size=5))
+    got = importlib.import_module("photontrack.denoise")._smoothed_windows(
+        counts, kernels, windows
+    )
+    want = ref.parzen_smooth(counts, sigmas, factor)
+    for (x, y0, y1, z0, z1), values in zip(windows, got, strict=True):
+        assert_same(values, want[x, y0:y1, z0:z1])
+
+
 def test_bound_leaves_empty_space_out():
     """On a sparse grid only the targets' neighbourhoods are smoothed;
     with no bound to apply (float counts) the windows are whole planes."""
@@ -447,11 +485,22 @@ def noisy_groups(sensor):
     return group_frames(frames, sensor)
 
 
-@pytest.mark.parametrize("scheme", list(Scheme))
-def test_pipeline_records_match_reference_front_end(scheme, monkeypatch):
-    cfg = pipeline.RunConfig(
-        denoise=DenoiseConfig(scheme=scheme, threshold_mode=Fixed(1.0)),
-    )
+@pytest.mark.parametrize(
+    "scheme, mode",
+    [
+        *(pytest.param(scheme, Fixed(1.0), id=str(scheme)) for scheme in Scheme),
+        # a peak mode's windows are cut at the lowest threshold its peak
+        # allows; over the six groups moving_average threads t_prev
+        pytest.param(
+            Scheme.PARZEN_THRESHOLD, PeakFraction(0.5), id="parzen-peak_fraction"
+        ),
+        pytest.param(
+            Scheme.PARZEN_THRESHOLD, MovingAverage(0.5, 0.5), id="parzen-moving_average"
+        ),
+    ],
+)
+def test_pipeline_records_match_reference_front_end(scheme, mode, monkeypatch):
+    cfg = pipeline.RunConfig(denoise=DenoiseConfig(scheme=scheme, threshold_mode=mode))
     groups = noisy_groups(cfg.sensor)
     fast, slow = [], []
     pipeline.run_groups(groups, cfg, on_step=fast.append)
