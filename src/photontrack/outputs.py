@@ -113,29 +113,12 @@ def projection_image(counts: np.ndarray, axis: int) -> np.ndarray:
 
 
 def write_truth_csv(truth: GroundTruth, path) -> None:
-    header = (
-        "step",
-        "target",
-        "alive",
-        "centroid_x",
-        "centroid_y",
-        "centroid_z",
-        "bbox_min_x",
-        "bbox_min_y",
-        "bbox_min_z",
-        "bbox_max_x",
-        "bbox_max_y",
-        "bbox_max_z",
-    )
-    rows = []
-    for step, step_records in enumerate(truth.records):
-        for target, rec in enumerate(step_records):
-            box = (
-                (*rec.bbox.min, *rec.bbox.max) if rec.bbox is not None else ("",) * 6
-            )
-            rows.append(
-                (step, target, int(rec.alive))
-                + tuple(float(c) for c in rec.centroid)
-                + box
-            )
-    _write_rows(path, header, rows)
+    """One row per target per step, the centroid and box columns named
+    as in tracks.csv; the box cells are empty when nothing is visible."""
+    rows = [
+        (step, target, int(rec.alive), *rec.centroid)
+        + (rec.bbox.faces if rec.alive else ("",) * 6)
+        for step, step_records in enumerate(truth.records)
+        for target, rec in enumerate(step_records)
+    ]
+    _write_rows(path, ("step", "target", "alive") + FEATURE_NAMES[:9], rows)

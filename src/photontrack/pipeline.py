@@ -62,7 +62,6 @@ class StepRecord:
 @dataclass(frozen=True)
 class RunResult:
     steps: list[StepRecord]
-    tracker: Tracker
 
 
 def _reduce_group(group, cfg: RunConfig, t_prev):
@@ -100,7 +99,7 @@ def run_groups(
         if on_step is not None:
             on_step(record)
         steps.append(replace(record, grid=None))
-    return RunResult(steps=steps, tracker=tracker)
+    return RunResult(steps=steps)
 
 
 def run_tracking(data: bytes, cfg: RunConfig, on_step=None) -> RunResult:

@@ -112,12 +112,16 @@ class TruthRecord:
 
     The centroid is the continuous box center in histogram coordinates
     (z measured in bins past the window start); the box covers the
-    in-view emitting voxels, or None when nothing was visible.
+    in-view emitting voxels, or None when nothing was visible; the
+    target is alive exactly when it has a box.
     """
 
     centroid: tuple[float, float, float]
     bbox: BoundingBox | None
-    alive: bool
+
+    @property
+    def alive(self) -> bool:
+        return self.bbox is not None
 
 
 @dataclass(frozen=True)
@@ -148,37 +152,52 @@ def _front_face(
     return gx.ravel(), gy.ravel(), z0
 
 
+def _pulses(rng: np.random.Generator, rate: float, pulses: int) -> np.ndarray:
+    """The pulse index of each photon of one source: Poisson arrivals at
+    ``rate`` per pulse, in pulse order."""
+    return np.repeat(np.arange(pulses), rng.poisson(rate, pulses))
+
+
 def _render_group(
     faces: list[tuple[np.ndarray, np.ndarray, int]],
     scene: SceneSpec,
     cfg: SensorConfig,
     rng: np.random.Generator,
 ) -> np.ndarray:
-    """One group's frames; ``faces`` holds each target's front face."""
+    """One group's frames; ``faces`` holds each target's front face.
+
+    Targets draw in scene order, then dark counts, pixels before bins;
+    the first photon at a pixel wins.  A zero rate or an empty draw
+    takes nothing from ``rng``, so an unlit target or a pulse-free
+    group leaves the later draws where they were.
+    """
     pulses = cfg.pulses_per_group
-    vals = np.full((pulses, cfg.height * cfg.width), cfg.ceiling, dtype=np.int64)
+    vals = np.full((pulses, cfg.frame_pixels), cfg.ceiling, dtype=np.int64)
     for (xs, ys, z0), spec in zip(faces, scene.targets):
-        if spec.reflectivity <= 0:
-            continue
-        if len(xs) == 0 or not 0 <= z0 < cfg.ceiling:
-            continue
-        counts = rng.poisson(spec.reflectivity, pulses)
-        total = int(counts.sum())
-        if total == 0:
-            continue
-        frame_idx = np.repeat(np.arange(pulses), counts)
-        pick = rng.integers(0, len(xs), total)
-        flat_pix = ys[pick] * cfg.width + xs[pick]
-        np.minimum.at(vals, (frame_idx, flat_pix), z0)
-    if scene.noise_rate > 0:
-        counts = rng.poisson(scene.noise_rate, pulses)
-        total = int(counts.sum())
-        if total > 0:
-            frame_idx = np.repeat(np.arange(pulses), counts)
-            flat_pix = rng.integers(0, cfg.height * cfg.width, total)
-            bins = rng.integers(0, cfg.ceiling, total)
-            np.minimum.at(vals, (frame_idx, flat_pix), bins)
+        if len(xs) and 0 <= z0 < cfg.ceiling:
+            frame = _pulses(rng, spec.reflectivity, pulses)
+            pick = rng.integers(0, len(xs), len(frame))
+            np.minimum.at(vals, (frame, ys[pick] * cfg.width + xs[pick]), z0)
+    frame = _pulses(rng, scene.noise_rate, pulses)
+    pix = rng.integers(0, cfg.frame_pixels, len(frame))
+    np.minimum.at(vals, (frame, pix), rng.integers(0, cfg.ceiling, len(frame)))
     return vals.reshape(pulses, cfg.height, cfg.width).astype(np.uint16)
+
+
+def _truth(
+    pos: np.ndarray, face: tuple[np.ndarray, np.ndarray, int], cfg: SensorConfig
+) -> TruthRecord:
+    """The target's record; it has a box when its face is in view and
+    within the range window."""
+    xs, ys, z0 = face
+    centroid = (float(pos[0]), float(pos[1]), float(pos[2] - cfg.offset))
+    box = None
+    if len(xs) and cfg.zmin <= z0 <= cfg.zmax:
+        zg = z0 - cfg.offset
+        box = BoundingBox(
+            (int(xs.min()), int(ys.min()), zg), (int(xs.max()), int(ys.max()), zg)
+        )
+    return TruthRecord(centroid, box)
 
 
 def simulate(scene: SceneSpec, cfg: SensorConfig) -> tuple[np.ndarray, GroundTruth]:
@@ -197,24 +216,7 @@ def simulate(scene: SceneSpec, cfg: SensorConfig) -> tuple[np.ndarray, GroundTru
         rng = np.random.default_rng([scene.seed, n])
         faces = [_front_face(pos, t, cfg) for pos, t in zip(positions, scene.targets)]
         chunks.append(_render_group(faces, scene, cfg, rng))
-        step_records = []
-        for pos, (xs, ys, z0) in zip(positions, faces):
-            zg = z0 - cfg.offset
-            alive = len(xs) > 0 and cfg.zmin <= z0 <= cfg.zmax
-            bbox = None
-            if alive:
-                bbox = BoundingBox(
-                    (int(xs.min()), int(ys.min()), zg),
-                    (int(xs.max()), int(ys.max()), zg),
-                )
-            step_records.append(
-                TruthRecord(
-                    centroid=(float(pos[0]), float(pos[1]), float(pos[2] - cfg.offset)),
-                    bbox=bbox,
-                    alive=alive,
-                )
-            )
-        records.append(tuple(step_records))
+        records.append(tuple(_truth(p, f, cfg) for p, f in zip(positions, faces)))
         for i, spec in enumerate(scene.targets):
             positions[i] = positions[i] + spec.velocity_at(n)
     return np.concatenate(chunks, axis=0), GroundTruth(records=tuple(records))

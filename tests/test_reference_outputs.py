@@ -1,0 +1,134 @@
+"""The benchmark workloads' seed-1 outputs, pinned under tests/golden/.
+
+Each case builds its workload's capture with the benchmark's own scene
+builder (``perfbench/child.build_scene``) and ``simulate``, then runs
+``photontrack track`` in-process with ``configs/default.cfg`` and the
+workload's ``track_args`` (``perfbench/workloads.WORKLOADS``).  Its
+``tracks.csv`` and ``links.csv``, and crossing's ``truth.csv``, must
+equal the golden files byte for byte.
+
+Distances and principal axes go through BLAS, so another numpy build
+may move a last printed digit.  On a byte mismatch both files are
+parsed instead: every column must then be equal exactly, except the
+float columns in ``FLOAT_COLUMNS``, which must agree to a relative
+``REL_TOL``.  Below magnitude 1 the difference counts as absolute:
+unit-vector components and accelerations sit near zero (the golden
+files hold values like 4.8e-11 and -0), where a last-digit change is a
+large relative one.  A failure names the largest difference and its
+column.
+
+When a change alters the outputs on purpose, regenerate the golden
+files and state the largest difference it made:
+
+    PYTHONPATH=src python3 tests/test_reference_outputs.py
+"""
+from __future__ import annotations
+
+import csv
+import io
+import sys
+from pathlib import Path
+
+import pytest
+
+import photontrack
+from photontrack import cli
+from photontrack.outputs import write_truth_csv
+
+ROOT = Path(__file__).resolve().parent.parent
+GOLDEN = Path(__file__).resolve().parent / "golden"
+SEED = 1
+# child.py imports workloads by name, so perfbench/ goes on the path
+sys.path.insert(0, str(ROOT / "perfbench"))
+import child  # noqa: E402
+from workloads import CONFIG, WORKLOADS  # noqa: E402
+
+CASES = ("crossing", "parzen", "swarm", "clutter")
+REL_TOL = 1e-8
+FLOAT_COLUMNS = frozenset(
+    [f"centroid_{a}" for a in "xyz"]
+    + [f"{kind}_{a}" for kind in ("velocity", "accel", "orient") for a in "xyz"]
+    + ["speed"]
+)
+
+
+def _outputs(name: str, out_dir: Path) -> dict[str, bytes]:
+    """Simulate the workload's capture and track it; returns file bytes
+    by golden file name."""
+    workload = WORKLOADS[name]
+    scene, sensor = child.build_scene(photontrack, ROOT, workload.capture, SEED)
+    frames, truth = photontrack.simulate(scene, sensor)
+    raw = out_dir / "capture.raw"
+    photontrack.write_raw(frames, raw)
+    write_truth_csv(truth, out_dir / "truth.csv")
+    rc = cli.main(
+        ["track", "--raw", str(raw), "--config", str(ROOT / CONFIG),
+         "--out-dir", str(out_dir), *workload.track_args]
+    )
+    assert rc == 0
+    files = ["tracks.csv", "links.csv"]
+    files += ["truth.csv"] if name == "crossing" else []
+    return {f: (out_dir / f).read_bytes() for f in files}
+
+
+def _rows(data: bytes) -> list[list[str]]:
+    return list(csv.reader(io.StringIO(data.decode("utf-8"))))
+
+
+def _rel_diff(a: float, b: float) -> float:
+    return abs(a - b) / max(abs(a), abs(b), 1.0)
+
+
+def _compare(fname: str, got: bytes, want: bytes) -> None:
+    """Pass on equal bytes, or on equal parsed tables whose float columns
+    agree to REL_TOL; otherwise fail naming the largest difference."""
+    if got == want:
+        return
+    got_rows, want_rows = _rows(got), _rows(want)
+    header = want_rows[0]
+    assert got_rows[0] == header, f"{fname}: header {got_rows[0]} != {header}"
+    assert len(got_rows) == len(want_rows), (
+        f"{fname}: {len(got_rows) - 1} rows, golden has {len(want_rows) - 1}"
+    )
+    worst = (0.0, None, None)
+    for line, (g, w) in enumerate(zip(got_rows[1:], want_rows[1:]), start=2):
+        for col, gv, wv in zip(header, g, w):
+            if col in FLOAT_COLUMNS and gv and wv:
+                diff = _rel_diff(float(gv), float(wv))
+                if diff > worst[0]:
+                    worst = (diff, col, line)
+            else:
+                assert gv == wv, f"{fname} line {line}, {col}: {gv!r} != golden {wv!r}"
+    diff, col, line = worst
+    assert diff <= REL_TOL, (
+        f"{fname}: largest relative difference {diff:.3g} in column {col} "
+        f"(line {line}) exceeds {REL_TOL:g}"
+    )
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_outputs_match_golden_files(name, tmp_path):
+    for fname, got in _outputs(name, tmp_path).items():
+        _compare(fname, got, (GOLDEN / name / fname).read_bytes())
+
+
+def test_compare_reports_the_largest_float_difference():
+    want = b"step,centroid_x,speed\n0,1.5,2\n1,3,4\n"
+    _compare("t.csv", b"step,centroid_x,speed\n0,1.5000000001,2\n1,3,4\n", want)
+    _compare("t.csv", b"step,centroid_x,speed\n0,1.5,2\n1,3,1e-12\n",
+             b"step,centroid_x,speed\n0,1.5,2\n1,3,-0\n")
+    with pytest.raises(AssertionError, match=r"speed \(line 3\)"):
+        _compare("t.csv", b"step,centroid_x,speed\n0,1.5,2.001\n1,3,4.01\n", want)
+    with pytest.raises(AssertionError, match="line 2, step"):
+        _compare("t.csv", b"step,centroid_x,speed\n7,1.5,2\n1,3,4\n", want)
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    for name in CASES:
+        with tempfile.TemporaryDirectory() as tmp:
+            (GOLDEN / name).mkdir(parents=True, exist_ok=True)
+            for fname, data in _outputs(name, Path(tmp)).items():
+                (GOLDEN / name / fname).write_bytes(data)
+                print(f"wrote {GOLDEN / name / fname} ({len(data)} bytes)")

@@ -1,4 +1,5 @@
 """Synthetic scene rendering and the scene file format."""
+import hashlib
 import io
 import math
 
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photontrack.errors import SceneParseError
+from photontrack.outputs import write_truth_csv
 from photontrack.raw_ingest import FrameGroup, SensorConfig
 from photontrack.simulator import (
     SceneSpec,
@@ -153,6 +155,25 @@ def test_write_raw_returns_byte_count(tmp_path):
     assert path.stat().st_size == 3 * 2048
     buf = io.BytesIO()
     assert write_raw(frames, buf) == 3 * 2048
+
+
+def test_draws_are_pinned_where_a_source_draws_nothing(tmp_path):
+    # reflectivity 0.005 over 200 pulses leaves about a third of the
+    # groups without a target photon; an unseen or unlit target, and a
+    # group whose Poisson total is zero, take no pixel draw at all
+    sensor = SensorConfig(width=8, height=6, pulses_per_group=200, ceiling=120, offset=10)
+    dim = TargetSpec((2, 2, 2), (2.0, 2.0, 40.0), 0.005, ((0, (0.3, 0.2, 1.5)),))
+    unseen = TargetSpec((1, 1, 1), (-20.0, 3.0, 30.0), 0.5)
+    unlit = TargetSpec((1, 1, 1), (4.0, 3.0, 30.0), 0.0)
+    scene = SceneSpec(targets=(dim, unseen, unlit), noise_rate=0.02, n_groups=12, seed=4)
+    frames, truth = simulate(scene, sensor)
+    buf = io.BytesIO()
+    write_raw(frames, buf)
+    write_truth_csv(truth, tmp_path / "truth.csv")
+    raw_sha = "bf125eb94b80c99a9485001181df11b3a10941649fea8b28c5dc72dd01e72c0a"
+    truth_sha = "9ae24e7ffc3ec1917ffd522070ee035e906119ddcb5133a6350195b6c7d89b06"
+    assert hashlib.sha256(buf.getvalue()).hexdigest() == raw_sha
+    assert hashlib.sha256((tmp_path / "truth.csv").read_bytes()).hexdigest() == truth_sha
 
 
 def test_velocity_at_picks_latest_segment():
