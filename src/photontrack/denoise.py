@@ -12,8 +12,12 @@ Every scheme thresholds with a mode (:class:`Fixed`,
 :class:`PeakFraction`, :class:`MovingAverage`) that owns its defaults
 and, in ``level(peak, t_prev)``, its rule for the threshold.
 
-Every stage takes the count array itself and returns a boolean mask of
-the same shape.
+:func:`denoise` takes the histogram as its occupied voxels
+(:class:`~photontrack.voxelizer.VoxelGrid`) and returns a dense boolean
+mask of the grid's shape.  Every threshold level is at least zero and
+empty voxels hold zero, so thresholding compares the occupied counts
+only, and the majority vote visits only the set voxels and their
+neighbours.  Parzen smoothing reads the dense count array.
 
 Parzen thresholding smooths only where the threshold can be crossed.
 The histogram is ~98.5% empty, and only the mask leaves the stage, so
@@ -62,6 +66,8 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+
+from .voxelizer import VoxelGrid
 
 
 class Scheme(Enum):
@@ -143,24 +149,44 @@ def majority_rule(mask: np.ndarray, majority_min: int = 2) -> np.ndarray:
     ``majority_min`` voxels of its neighborhood (center included) are set.
 
     The vote reads the input mask only, and boundary voxels (with any
-    neighbor out of bounds) are always cleared.  The 3x3x3 box is the
-    product of three 1D boxes, so the neighborhood count is three passes
-    of two adds (along x, then y, then z) over a one-byte copy of the
-    mask.  Integer sums do not depend on their order and the largest,
-    27, fits in int8, so the count equals the 27-cell count exactly.
+    neighbor out of bounds) are always cleared.
     """
     if not 0 <= majority_min <= 27:
         raise ValueError("majority_min must lie in [0, 27]")
-    nx, ny, nz = mask.shape
-    out = np.zeros(mask.shape, dtype=bool)
+    return _mask_of(_vote(np.flatnonzero(mask), mask.shape, majority_min), mask.shape)
+
+
+def _vote(flat: np.ndarray, shape, majority_min: int) -> np.ndarray:
+    """The sorted flat indices of the voxels that the 3x3x3 vote keeps,
+    given the set voxels' flat indices.
+
+    Every set voxel casts a vote at each of the 27 flat offsets of its
+    box, so a voxel's votes are the set voxels whose boxes hold it.  For
+    an interior voxel the 27 flat offsets reach exactly its coordinate
+    neighbours, and its vote count is its neighbourhood count.  An offset
+    that wraps in flat-index space lands outside the grid or on a
+    boundary voxel, and the rule clears both.
+    """
+    nx, ny, nz = shape
     if nx < 3 or ny < 3 or nz < 3:
-        return out
-    m = np.asarray(mask, dtype=bool).view(np.int8)
-    s = m[:-2] + m[1:-1] + m[2:]
-    s = s[:, :-2] + s[:, 1:-1] + s[:, 2:]
-    s = s[:, :, :-2] + s[:, :, 1:-1] + s[:, :, 2:]
-    out[1:-1, 1:-1, 1:-1] = s > majority_min
-    return out
+        return np.empty(0, dtype=np.int64)
+    d = np.array([-1, 0, 1])
+    offsets = ((d[:, None, None] * ny + d[:, None]) * nz + d).reshape(-1)
+    candidates, votes = np.unique(
+        (flat[:, None] + offsets).reshape(-1), return_counts=True
+    )
+    kept = candidates[votes > majority_min]
+    kept = kept[(kept >= 0) & (kept < nx * ny * nz)]
+    x, y, z = np.unravel_index(kept, shape)
+    interior = (x > 0) & (x < nx - 1) & (y > 0) & (y < ny - 1) & (z > 0) & (z < nz - 1)
+    return kept[interior]
+
+
+def _mask_of(flat: np.ndarray, shape) -> np.ndarray:
+    """A boolean grid of ``shape`` set at the flat indices ``flat``."""
+    mask = np.zeros(shape, dtype=bool)
+    mask.reshape(-1)[flat] = True
+    return mask
 
 
 def gaussian_kernel(sigma: float, radius_factor: float = 3.0) -> np.ndarray:
@@ -327,13 +353,18 @@ def _hot_windows(counts: np.ndarray, kernels, mode, t_prev):
 
 
 def denoise(
-    counts: np.ndarray, cfg: DenoiseConfig, t_prev: float | None = None
+    grid: VoxelGrid, cfg: DenoiseConfig, t_prev: float | None = None
 ) -> tuple[np.ndarray, float]:
-    """Run the configured scheme; returns (mask, threshold actually used).
+    """Run the configured scheme on a histogram; returns (mask,
+    threshold actually used), the mask being a dense boolean grid.
 
     A voxel passes when its (smoothed) value lies strictly above
     ``cfg.threshold_mode.level(peak, t_prev)``.  ``t_prev`` should be
     the threshold returned by the previous step, ``None`` at the first.
+
+    ``threshold`` and ``threshold_majority`` compare the occupied counts
+    only: no level is below zero, so no empty voxel passes, and the peak
+    is the largest occupied count (0.0 for an empty grid).
 
     ``parzen_threshold`` returns exactly ``parzen_smooth(counts) > t`` and
     the same ``t`` for every threshold mode, but smooths only the
@@ -344,11 +375,12 @@ def denoise(
     if t_prev is not None and t_prev < 0:
         raise ValueError("t_prev must be nonnegative")
     if cfg.scheme is Scheme.PARZEN_THRESHOLD:
-        return _parzen_mask(counts, cfg, t_prev)
-    (mask,), t_used = _apply_threshold([counts], cfg.threshold_mode, t_prev)
+        return _parzen_mask(grid.counts, cfg, t_prev)
+    (passed,), t_used = _apply_threshold([grid.values], cfg.threshold_mode, t_prev)
+    flat = grid.flat[passed]
     if cfg.scheme is Scheme.THRESHOLD_MAJORITY:
-        mask = majority_rule(mask, cfg.majority_min)
-    return mask, t_used
+        flat = _vote(flat, grid.shape, cfg.majority_min)
+    return _mask_of(flat, grid.shape), t_used
 
 
 def _parzen_mask(

@@ -5,14 +5,20 @@ as one candidate target.  Adjacency is selectable (6, 18 or 26 neighbors)
 and labels are assigned deterministically: component k is the k-th
 component encountered when scanning voxels in C order, so repeated runs
 over the same mask always agree.
+
+Labels are held for the set voxels only (:class:`Labels`), and every
+component is summarized from them in a few whole-array reductions.
 """
 from __future__ import annotations
 
 import logging
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
+
+from .voxelizer import VoxelGrid
 
 logger = logging.getLogger(__name__)
 
@@ -66,11 +72,20 @@ def neighbor_offsets(connectivity: int) -> list[tuple[int, int, int]]:
     return offsets
 
 
-def label_components(mask: np.ndarray, connectivity: int = 26) -> tuple[np.ndarray, int]:
+class Labels(NamedTuple):
+    """Component numbers of the set voxels of a mask: ``component[i]``
+    (1..n) is the component of the voxel at C-order index ``flat[i]``,
+    and ``flat`` is sorted."""
+
+    flat: np.ndarray  # (m,) int64
+    component: np.ndarray  # (m,) int64
+
+
+def label_components(mask: np.ndarray, connectivity: int = 26) -> tuple[Labels, int]:
     """Label connected clusters of True voxels.
 
-    Returns (labels, n) where labels has the mask's shape, zero marks
-    background and components carry 1..n in first-encountered scan order.
+    Returns (labels, n) where labels numbers every set voxel's component
+    1..n in first-encountered scan order.
 
     Only the set voxels are visited, as a sorted list of flat indices (a
     C-order scan).  Each voxel's already-scanned neighbors are found with
@@ -83,11 +98,10 @@ def label_components(mask: np.ndarray, connectivity: int = 26) -> tuple[np.ndarr
     after Wu, Otoo & Suzuki, 2009, in whole-array steps).
     """
     back = np.array([o for o in neighbor_offsets(connectivity) if o < (0, 0, 0)])
-    labels = np.zeros(mask.shape, dtype=np.int32)
     flat = np.flatnonzero(mask)
     n = len(flat)
     if n == 0:
-        return labels, 0
+        return Labels(flat, np.zeros(0, dtype=np.int64)), 0
 
     _, ny, nz = mask.shape
     # inside[k, v]: the neighbor of voxel v at offset back[k] is in the grid
@@ -121,8 +135,7 @@ def label_components(mask: np.ndarray, connectivity: int = 26) -> tuple[np.ndarr
             root = jumped
 
     is_root = root == np.arange(n)
-    labels.reshape(-1)[flat] = np.cumsum(is_root)[root]
-    return labels, int(is_root.sum())
+    return Labels(flat, np.cumsum(is_root)[root]), int(is_root.sum())
 
 
 @dataclass(frozen=True)
@@ -138,53 +151,63 @@ class TargetObservation:
     peak_photons: int
 
 
-def extract_observations(
-    labels: np.ndarray, counts: np.ndarray
-) -> list[TargetObservation]:
-    """Summarize every component of a label grid.
+def extract_observations(labels: Labels, grid: VoxelGrid) -> list[TargetObservation]:
+    """Summarize every component of a labeling of ``grid``'s voxels.
 
-    ``counts`` holds the photon counts.  Centroids are photon-weighted
-    and fall back to the unweighted voxel mean if a component holds no
-    photons at all (possible after smoothing pushed mass off-cluster).
-    Labeled voxels come from one boolean scan of the label grid, in
-    C order, and a stable sort by label keeps that order within each
-    component.
+    Centroids are photon-weighted and fall back to the unweighted voxel
+    mean if a component holds no photons at all (possible after
+    smoothing pushed mass off-cluster).  Each labeled voxel weighs its
+    count in ``grid``, zero where the grid has none.  A stable sort by
+    component keeps C order within each component, and each component's
+    sums, minima and maxima are one ``reduceat`` per quantity.  Counts
+    and coordinates are integers, so every sum is exact (below 2**53)
+    and each centroid is one rounding of the exact quotient.
     """
-    flat = np.flatnonzero(labels > 0)
-    if len(flat) == 0:
+    if len(labels.flat) == 0:
         return []
-    coords = np.column_stack(np.unravel_index(flat, labels.shape))
-    vals = np.take(labels, flat)
-    order = np.argsort(vals, kind="stable")
-    coords = coords[order]
-    vals = vals[order]
-    bounds = np.searchsorted(vals, np.arange(1, vals[-1] + 2))
-    observations = []
-    for lab, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
-        vox = coords[a:b]
-        if len(vox) == 0:
-            continue
-        w = counts[tuple(vox.T)].astype(np.float64)
-        total = float(w.sum())
-        if total > 0:
-            centroid = (vox * w[:, None]).sum(axis=0) / total
-        else:
-            centroid = vox.mean(axis=0)
-        observations.append(
-            TargetObservation(
-                label=lab,
-                voxels=vox,
-                volume=len(vox),
-                bbox=BoundingBox(
-                    tuple(int(v) for v in vox.min(axis=0)),
-                    tuple(int(v) for v in vox.max(axis=0)),
-                ),
-                centroid=centroid,
-                total_photons=int(round(total)),
-                peak_photons=int(w.max()),
-            )
+    order = np.argsort(labels.component, kind="stable")
+    flat, component = labels.flat[order], labels.component[order]
+    voxels = np.column_stack(np.unravel_index(flat, grid.shape))
+    weights = np.zeros(len(flat), dtype=np.int64)
+    if len(grid.flat):
+        pos = np.minimum(np.searchsorted(grid.flat, flat), len(grid.flat) - 1)
+        found = grid.flat[pos] == flat
+        weights[found] = grid.values[pos[found]]
+    starts = np.flatnonzero(np.diff(component, prepend=0))
+    ends = np.append(starts[1:], len(flat))
+    total = np.add.reduceat(weights, starts)
+    peak = np.maximum.reduceat(weights, starts)
+    weighted = total > 0
+    # a weighted mean where the component holds photons, else the plain one
+    num = np.where(
+        weighted[:, None],
+        np.add.reduceat(voxels * weights[:, None], starts),
+        np.add.reduceat(voxels, starts),
+    )
+    centroids = num / np.where(weighted, total, ends - starts)[:, None]
+    lows = np.minimum.reduceat(voxels, starts).tolist()
+    highs = np.maximum.reduceat(voxels, starts).tolist()
+    return [
+        TargetObservation(
+            label=lab,
+            voxels=voxels[a:b],
+            volume=b - a,
+            bbox=BoundingBox(tuple(lo), tuple(hi)),
+            centroid=centroid,
+            total_photons=tot,
+            peak_photons=pk,
         )
-    return observations
+        for lab, a, b, centroid, lo, hi, tot, pk in zip(
+            component[starts].tolist(),
+            starts.tolist(),
+            ends.tolist(),
+            centroids,
+            lows,
+            highs,
+            total.tolist(),
+            peak.tolist(),
+        )
+    ]
 
 
 _IMPORTANCE_KEYS = ("volume", "speed", "total_photons")

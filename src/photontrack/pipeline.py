@@ -50,7 +50,9 @@ class StepRecord:
     ``links`` pairs (previous-step slot, this-step slot) for tracks
     whose association was confirmed across the boundary; ``grid`` is
     the step's histogram while ``on_step`` sees the record, and None
-    in the run's results.
+    in the run's results.  The histogram holds the occupied voxels;
+    its dense ``counts`` are built only if a reader asks for them (the
+    Parzen scheme does, once per group).
     """
 
     step: int
@@ -68,9 +70,9 @@ def _reduce_group(group, cfg: RunConfig, t_prev):
     """Histogram, denoise, label, extract and rank one group; returns
     (grid, observations, threshold used)."""
     grid = build_histogram(group, cfg.sensor)
-    mask, t_used = denoise(grid.counts, cfg.denoise, t_prev)
+    mask, t_used = denoise(grid, cfg.denoise, t_prev)
     labels, _ = label_components(mask, cfg.connectivity)
-    observations = extract_observations(labels, grid.counts)
+    observations = extract_observations(labels, grid)
     observations = importance_sort(observations, cfg.tracker.importance)
     observations = truncate_targets(observations, cfg.tracker.t_max)
     return grid, observations, t_used

@@ -1,7 +1,14 @@
-"""3D photon-count histogram built from one pulse train."""
+"""3D photon-count histogram built from one pulse train.
+
+About 1.5% of a 32x32x600 histogram is occupied, so the histogram is
+held as its occupied voxels: their sorted flat (C-order) indices and
+their counts.  The dense count array is built only when a reader asks
+for it.
+"""
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -13,16 +20,27 @@ from .raw_ingest import FrameGroup, SensorConfig
 class VoxelGrid:
     """Photon-count histogram over (x, y, z), z being a shifted range bin.
 
-    ``counts[x, y, z]`` is the number of pulses in the group whose pixel
-    (x, y) returned range bin ``offset + z``.
+    ``values[i]`` is the number of pulses in the group whose pixel
+    (x, y) returned range bin ``offset + z``, where ``flat[i]`` is the
+    C-order index of voxel (x, y, z) in a grid of ``shape``.  ``flat``
+    is sorted and lists every voxel with a nonzero count exactly once.
     """
 
-    counts: np.ndarray  # (nx, ny, nz) int32
+    shape: tuple[int, int, int]
+    flat: np.ndarray  # (n,) int64, sorted
+    values: np.ndarray  # (n,) int32
     group_index: int
 
     @property
     def dims(self) -> tuple[int, int, int]:
-        return self.counts.shape
+        return self.shape
+
+    @cached_property
+    def counts(self) -> np.ndarray:
+        """The dense ``(nx, ny, nz)`` count array, built on first use."""
+        dense = np.zeros(self.shape, dtype=self.values.dtype)
+        dense.reshape(-1)[self.flat] = self.values
+        return dense
 
 
 def build_histogram(group: FrameGroup, cfg: SensorConfig) -> VoxelGrid:
@@ -33,7 +51,8 @@ def build_histogram(group: FrameGroup, cfg: SensorConfig) -> VoxelGrid:
     flat voxel base ``(x * ny + y) * nz - offset``, so a frame value ``v``
     at that pixel is a photon in voxel ``base + v``: the in-window values
     are found in one scan of the raw frames, each is added to its pixel's
-    base, and a single bincount over those flat indices is the histogram.
+    base, and the distinct flat indices with their multiplicities are
+    the histogram.
     """
     frames = group.frames
     if frames.ndim != 3 or frames.shape[1:] != (cfg.height, cfg.width):
@@ -46,8 +65,8 @@ def build_histogram(group: FrameGroup, cfg: SensorConfig) -> VoxelGrid:
     base = ((xs * ny + ys) * nz - cfg.offset).reshape(-1)
     hits = np.flatnonzero((frames >= cfg.zmin) & (frames <= cfg.zmax))
     flat = base[hits % base.size] + frames.reshape(-1)[hits]
-    counts = np.bincount(flat, minlength=nx * ny * nz).astype(np.int32)
-    return VoxelGrid(counts.reshape(nx, ny, nz), group.group_index)
+    flat, counts = np.unique(flat, return_counts=True)
+    return VoxelGrid((nx, ny, nz), flat, counts.astype(np.int32), group.group_index)
 
 
 def max_projection(counts: np.ndarray, axis: int) -> np.ndarray:

@@ -5,6 +5,11 @@ Each function is the straightforward dense or per-voxel form of the
 values in the same floating-point order, so tests compare the two with
 exact equality.  ``denoise`` smooths and thresholds the whole grid,
 where the library smooths only where its threshold can be crossed.
+
+The references work on dense arrays.  ``grid_of`` and ``dense_labels``
+convert at the boundary: a dense count array to the library's
+occupied-voxel histogram, and the library's per-voxel labels to a
+dense label grid.
 """
 from __future__ import annotations
 
@@ -25,6 +30,21 @@ from photontrack.labeling import (
 from photontrack.voxelizer import VoxelGrid
 
 
+def grid_of(counts, group_index: int = 0) -> VoxelGrid:
+    """The histogram whose dense ``counts`` are ``counts`` (any dtype)."""
+    counts = np.asarray(counts)
+    flat = np.flatnonzero(counts)
+    return VoxelGrid(counts.shape, flat, counts.reshape(-1)[flat], group_index)
+
+
+def dense_labels(labels, shape) -> np.ndarray:
+    """The int32 label grid of ``label_components``' per-voxel labels,
+    zero on background."""
+    out = np.zeros(shape, dtype=np.int32)
+    out.reshape(-1)[labels.flat] = labels.component
+    return out
+
+
 def build_histogram(group, cfg) -> VoxelGrid:
     """Gather each in-window pixel's (x, y, z) through broadcast index
     grids, then one flat bincount."""
@@ -38,7 +58,7 @@ def build_histogram(group, cfg) -> VoxelGrid:
     zv = vals[valid] - cfg.offset
     flat = (xv * ny + yv) * nz + zv
     counts = np.bincount(flat, minlength=nx * ny * nz).astype(np.int32)
-    return VoxelGrid(counts.reshape(nx, ny, nz), group.group_index)
+    return grid_of(counts.reshape(nx, ny, nz), group.group_index)
 
 
 def majority_rule(mask: np.ndarray, majority_min: int = 2) -> np.ndarray:

@@ -17,11 +17,12 @@ from photontrack.denoise import (
     majority_rule,
     parzen_smooth,
 )
+from frontend_reference import grid_of
 
 
 def threshold(a, mode, t_prev=None):
     """(mask, threshold used) of plain thresholding under ``mode``."""
-    return denoise(a, DenoiseConfig(threshold_mode=mode), t_prev)
+    return denoise(grid_of(a), DenoiseConfig(threshold_mode=mode), t_prev)
 
 
 def test_fixed_threshold_is_strict():
@@ -68,14 +69,14 @@ def test_negative_previous_threshold_is_rejected():
     for mode in (MovingAverage(0.5, 0.5), Fixed(1.0)):
         for scheme in Scheme:
             with pytest.raises(ValueError, match="t_prev"):
-                denoise(a, DenoiseConfig(scheme=scheme, threshold_mode=mode), -1.0)
+                denoise(grid_of(a), DenoiseConfig(scheme=scheme, threshold_mode=mode), -1.0)
 
 
 def test_moving_average_first_step_seeds_from_peak():
     a = np.zeros((2, 2, 2))
     a[0, 0, 0] = 10.0
     cfg = DenoiseConfig(threshold_mode=MovingAverage(alpha=0.5, beta=0.25))
-    _, t = denoise(a, cfg, t_prev=None)
+    _, t = denoise(grid_of(a), cfg, t_prev=None)
     # with t_prev seeded at alpha*peak the blend is a fixed point
     assert t == pytest.approx(5.0)
 
@@ -84,10 +85,10 @@ def test_moving_average_threading_through_denoise():
     cfg = DenoiseConfig(threshold_mode=MovingAverage(alpha=0.5, beta=0.5))
     a = np.zeros((2, 2, 2))
     a[0, 0, 0] = 10.0
-    _, t0 = denoise(a, cfg)
+    _, t0 = denoise(grid_of(a), cfg)
     b = np.zeros((2, 2, 2))
     b[0, 0, 0] = 20.0
-    _, t1 = denoise(b, cfg, t_prev=t0)
+    _, t1 = denoise(grid_of(b), cfg, t_prev=t0)
     assert t1 == pytest.approx(0.5 * 10.0 + 0.5 * 5.0)
 
 
@@ -182,7 +183,7 @@ def test_scheme_dispatch_threshold_majority():
     cfg = DenoiseConfig(
         scheme=Scheme.THRESHOLD_MAJORITY, threshold_mode=Fixed(1.0), majority_min=2
     )
-    mask, t = denoise(a, cfg)
+    mask, t = denoise(grid_of(a), cfg)
     assert t == 1.0
     assert not mask.any()  # a lone voxel has no support
 
@@ -195,7 +196,7 @@ def test_scheme_dispatch_parzen():
         threshold_mode=Fixed(0.5),
         sigmas=(1.0, 1.0, 1.0),
     )
-    mask, _ = denoise(a, cfg)
+    mask, _ = denoise(grid_of(a), cfg)
     assert mask[4, 4, 4]
     assert mask.sum() > 1  # smoothing spread the peak
 

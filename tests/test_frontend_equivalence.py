@@ -96,6 +96,48 @@ def test_majority_matches_dense_vote(seed, shape, mmin):
     assert_same(majority_rule(mask, mmin), ref.majority_rule(mask, mmin))
 
 
+def vote_edge_masks(shape):
+    """Masks that vote at the grid's edges and across flat-index breaks:
+    every boundary voxel set; one voxel at each corner and at the middle
+    of each edge and face (and the centre); and pairs whose flat indices
+    are adjacent but whose voxels are not, z = nz-1 beside z = 0 of the
+    next row (flat offset 1) and y = ny-1 beside y = 0 of the next
+    x-plane (flat offset nz)."""
+    nx, ny, nz = shape
+    shell = np.ones(shape, dtype=bool)
+    shell[1:-1, 1:-1, 1:-1] = False
+    points = np.zeros(shape, dtype=bool)
+    points[np.ix_(*[[0, (n - 1) // 2, n - 1] for n in shape])] = True
+    wraps = np.zeros(shape, dtype=bool)
+    x, y, z = nx // 2, ny // 2, nz // 2
+    wraps[x, y, nz - 1] = wraps[x, y + 1, 0] = True
+    wraps[x, ny - 1, z] = wraps[x + 1, 0, z] = True
+    wraps[x - 1, ny - 1, nz - 1] = wraps[x, 0, 0] = True  # both breaks at once
+    return {"shell": shell, "points": points, "wraps": wraps, "both": points | wraps}
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 3, 3), (4, 5, 6), (6, 3, 7), (32, 32, 600)], ids=str
+)
+def test_majority_at_faces_edges_corners_and_flat_wraps(shape):
+    """The vote, called densely and through ``denoise``, equals the
+    dense vote where set voxels touch every face, edge and corner, and
+    where flat offsets wrap across rows and planes."""
+    for name, mask in vote_edge_masks(shape).items():
+        grid = ref.grid_of(mask.astype(np.int32))
+        for mmin in (0, 1, 2, 13, 26, 27):
+            want = ref.majority_rule(mask, mmin)
+            assert_same(majority_rule(mask, mmin), want)
+            cfg = DenoiseConfig(
+                scheme=Scheme.THRESHOLD_MAJORITY,
+                threshold_mode=Fixed(0.0),
+                majority_min=mmin,
+            )
+            assert_same(denoise(grid, cfg)[0], want)
+        if name == "shell":
+            assert ref.majority_rule(mask, 13).any()
+
+
 # -- Parzen smoothing ---------------------------------------------------------
 
 
@@ -160,7 +202,7 @@ def assert_denoise_matches_dense(counts, sigmas, factor, mode, t_prev):
         sigmas=sigmas,
         kernel_radius_factor=factor,
     )
-    mask, t_used = denoise(counts, cfg, t_prev)
+    mask, t_used = denoise(ref.grid_of(counts), cfg, t_prev)
     want, want_t = ref.denoise(counts, cfg, t_prev)
     assert_same(mask, want)
     assert np.float64(t_used).tobytes() == np.float64(want_t).tobytes()
@@ -272,7 +314,8 @@ def test_parzen_denoise_block_sums_do_not_wrap(counts, t):
     passes a threshold below its smoothed value."""
     assert_denoise_matches_dense(counts, (1.0, 1.0, 1.0), 3.0, Fixed(t), None)
     mask, _ = denoise(
-        counts, DenoiseConfig(scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=Fixed(t))
+        ref.grid_of(counts),
+        DenoiseConfig(scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=Fixed(t)),
     )
     assert mask[2, 2, :2].all()
 
@@ -311,7 +354,7 @@ def test_parzen_denoise_threshold_at_a_smoothed_value(counts, sigmas):
             cfg = DenoiseConfig(
                 scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=Fixed(t), sigmas=sigmas
             )
-            mask, _ = denoise(counts, cfg)
+            mask, _ = denoise(ref.grid_of(counts), cfg)
             assert_same(mask, smoothed > t)
             assert mask[smoothed == value].all() != (t == value)
     # alpha 1 puts the threshold on the peak itself
@@ -387,6 +430,33 @@ def test_bound_leaves_empty_space_out():
     assert 0 < covered(counts) < counts.size // 20
 
 
+# -- thresholding occupied voxels ---------------------------------------------
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 30)),
+    scheme=st.sampled_from([Scheme.THRESHOLD, Scheme.THRESHOLD_MAJORITY]),
+    mode=st.one_of(
+        st.builds(Fixed, st.floats(0.0, 8.0)),
+        st.builds(PeakFraction, st.floats(0.01, 1.0)),
+        st.builds(MovingAverage, st.floats(0.01, 1.0), st.floats(0.0, 1.0)),
+    ),
+    t_prev=st.one_of(st.none(), st.floats(0.0, 8.0)),
+    mmin=st.integers(0, 27),
+)
+def test_occupied_voxel_threshold_matches_dense(seed, shape, scheme, mode, t_prev, mmin):
+    """Thresholding the occupied counts, then voting, gives the dense
+    grid's mask and threshold in every mode."""
+    counts = sparse_counts(np.random.default_rng(seed), shape)
+    cfg = DenoiseConfig(scheme=scheme, threshold_mode=mode, majority_min=mmin)
+    mask, t_used = denoise(ref.grid_of(counts), cfg, t_prev)
+    want, want_t = ref.denoise(counts, cfg, t_prev)
+    assert_same(mask, want)
+    assert np.float64(t_used).tobytes() == np.float64(want_t).tobytes()
+
+
 # -- labeling and extraction --------------------------------------------------
 
 
@@ -394,13 +464,13 @@ def assert_same_labels(mask, connectivity):
     labels, n = label_components(mask, connectivity)
     want, want_n = ref.label_components(mask, connectivity)
     assert n == want_n
-    assert_same(labels, want)
+    assert_same(ref.dense_labels(labels, mask.shape), want)
     return labels
 
 
 def assert_same_observations(labels, counts):
-    got = extract_observations(labels, counts)
-    want = ref.extract_observations(labels, counts)
+    got = extract_observations(labels, ref.grid_of(counts))
+    want = ref.extract_observations(ref.dense_labels(labels, counts.shape), counts)
     assert len(got) == len(want)
     for a, b in zip(got, want):
         assert_same(a.voxels, b.voxels)
@@ -465,6 +535,9 @@ def test_histogram_matches_index_gathers(width, height):
     got = build_histogram(group, cfg)
     want = ref.build_histogram(group, cfg)
     assert got.group_index == want.group_index
+    assert got.shape == want.shape
+    assert_same(got.flat, want.flat)
+    assert_same(got.values, want.values)
     assert_same(got.counts, want.counts)
 
 
@@ -533,7 +606,7 @@ def test_labels_equal_scipy(seed, shape):
         want, want_n = ndi.label(mask, ndi.generate_binary_structure(3, rank))
         labels, n = label_components(mask, connectivity)
         assert n == want_n
-        np.testing.assert_array_equal(labels, want)
+        np.testing.assert_array_equal(ref.dense_labels(labels, mask.shape), want)
 
 
 @settings(max_examples=60, deadline=None)

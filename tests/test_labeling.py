@@ -12,6 +12,7 @@ from photontrack.labeling import (
     observation_score,
     truncate_targets,
 )
+from frontend_reference import dense_labels, grid_of
 
 
 def test_neighbor_offset_counts():
@@ -43,6 +44,7 @@ def test_labels_follow_scan_order():
     mask[0, 0, 0] = True
     labels, n = label_components(mask, 6)
     assert n == 2
+    labels = dense_labels(labels, mask.shape)
     assert labels[0, 0, 0] == 1
     assert labels[2, 2, 2] == 2
 
@@ -50,8 +52,8 @@ def test_labels_follow_scan_order():
 def test_empty_mask():
     labels, n = label_components(np.zeros((3, 3, 3), dtype=bool), 26)
     assert n == 0
-    assert not labels.any()
-    assert extract_observations(labels, np.zeros((3, 3, 3))) == []
+    assert not dense_labels(labels, (3, 3, 3)).any()
+    assert extract_observations(labels, grid_of(np.zeros((3, 3, 3)))) == []
 
 
 def test_photon_weighted_centroid():
@@ -66,7 +68,7 @@ def test_photon_weighted_centroid():
     mask2[0] = mask2[1] = mask2[2] = True
     labels, n = label_components(mask2, 26)
     assert n == 1
-    obs = extract_observations(labels, grid)[0]
+    obs = extract_observations(labels, grid_of(grid))[0]
     # (0*1 + 1*0 + 2*3) / 4 = 1.5
     assert obs.centroid[0] == pytest.approx(1.5)
     assert obs.total_photons == 4
@@ -78,7 +80,7 @@ def test_zero_photon_component_uses_uniform_centroid():
     mask = np.zeros((3, 1, 1), dtype=bool)
     mask[0] = mask[1] = True
     labels, _ = label_components(mask, 6)
-    obs = extract_observations(labels, np.zeros((3, 1, 1)))[0]
+    obs = extract_observations(labels, grid_of(np.zeros((3, 1, 1))))[0]
     assert obs.centroid[0] == pytest.approx(0.5)
     assert obs.total_photons == 0
 
@@ -88,7 +90,7 @@ def test_observation_geometry():
     mask[1:4, 2, 2] = True
     grid = np.where(mask, 2, 0)
     labels, _ = label_components(mask, 26)
-    obs = extract_observations(labels, grid)[0]
+    obs = extract_observations(labels, grid_of(grid))[0]
     assert obs.bbox == BoundingBox((1, 2, 2), (3, 2, 2))
     assert obs.voxels.shape == (3, 3)
 
@@ -171,7 +173,7 @@ def test_two_blob_separation():
     grid[6:9, 6:9, 6:9] = 2
     labels, n = label_components(grid > 0, 26)
     assert n == 2
-    obs = extract_observations(labels, grid)
+    obs = extract_observations(labels, grid_of(grid))
     assert [o.volume for o in obs] == [8, 27]
     assert obs[0].total_photons == 32
     assert obs[1].total_photons == 54

@@ -10,6 +10,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+import frontend_reference as ref
+from photontrack.denoise import DenoiseConfig, Scheme
 from photontrack.errors import ConfigMismatchError
 from photontrack.pipeline import RunConfig, run_groups, run_tracking
 from photontrack.raw_ingest import (
@@ -54,6 +56,34 @@ def test_on_step_sees_each_histogram_and_results_drop_it():
         np.testing.assert_array_equal(
             kept.grid.counts, build_histogram(group, SENSOR).counts
         )
+
+
+@pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
+def test_dense_grid_is_built_only_for_its_readers(scheme):
+    """The thresholding schemes never build a step's dense counts;
+    Parzen smoothing builds them, once.  Wherever they are read they
+    equal the reference histogram, and a second read returns the same
+    array."""
+    groups = group_frames(parse_frames(churn_scene_bytes(), SENSOR), SENSOR)
+    cfg = RunConfig(denoise=DenoiseConfig(scheme=scheme))
+    seen = []
+
+    def on_step(rec):
+        built = vars(rec.grid).get("counts")
+        if scheme is Scheme.PARZEN_THRESHOLD:
+            assert built is not None
+        else:
+            assert "counts" not in vars(rec.grid)
+        counts = rec.grid.counts
+        assert built is None or counts is built
+        assert rec.grid.counts is counts
+        want = ref.build_histogram(groups[rec.grid.group_index], SENSOR).counts
+        assert counts.dtype == want.dtype
+        np.testing.assert_array_equal(counts, want)
+        seen.append(rec.step)
+
+    run_groups(groups, cfg, on_step=on_step)
+    assert len(seen) == len(groups)
 
 
 def test_group_reduction_error_reaches_the_caller():
