@@ -17,7 +17,8 @@ and, in ``level(peak, t_prev)``, its rule for the threshold.
 mask of the grid's shape.  Every threshold level is at least zero and
 empty voxels hold zero, so thresholding compares the occupied counts
 only, and the majority vote visits only the set voxels and their
-neighbours.  Parzen smoothing reads the dense count array.
+neighbours.  Parzen's bound reads the occupied voxels too; only its
+smoothing passes read the dense count array.
 
 Parzen thresholding smooths only where the threshold can be crossed.
 The histogram is ~98.5% empty, and only the mask leaves the stage, so
@@ -31,7 +32,8 @@ just the windows where that bound exceeds the threshold:
     sum of counts.  The box sums are taken on blocks of 4 voxels in z,
     whose boxes reach the whole neighbouring blocks within ``rz``: a
     coarser box, so a looser but still valid bound, and a quarter of
-    the integer adds.
+    the integer adds.  The block sums are one ``bincount`` of the
+    occupied voxels' block ids.
   * **Rounding.**  Every pass adds nonnegative products, so its computed
     value exceeds the exact one by at most a factor ``(1 + u)**taps``
     (u the unit roundoff); the bound is widened by ``(taps + 8) * eps``,
@@ -298,20 +300,24 @@ def _box_sum(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
     return out
 
 
-def _hot_windows(counts: np.ndarray, kernels, mode, t_prev):
+def _hot_windows(grid: VoxelGrid, kernels, mode, t_prev):
     """The per-x-plane windows outside which no voxel can pass ``mode``;
     for the peak modes they also hold the peak.
 
-    Box sums are taken in int32.  Returns whole planes when the bound
+    The z-block sums are one ``bincount`` of the occupied voxels, and
+    box sums are taken in int32.  Returns whole planes when the bound
     does not apply: for non-integer or negative counts, and for counts
     so large that a box sum could reach 2**31.
     """
     kx, ky, kz = kernels
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
-    planes = _whole_planes(counts.shape)
-    if not planes or counts.dtype.kind not in "biu":
+    nx, ny, nz = grid.shape
+    planes = _whole_planes(grid.shape)
+    values = grid.values
+    if not planes or values.dtype.kind not in "biu":
         return planes
-    cmin, cmax = int(counts.min()), int(counts.max())
+    # every voxel outside grid.flat holds 0
+    cmin, cmax = int(values.min(initial=0)), int(values.max(initial=0))
     rb = -(-rz // _ZBLOCK)  # neighbouring blocks within rz of a block
     volume = (2 * rx + 1) * (2 * ry + 1) * (2 * rb + 1) * _ZBLOCK
     if cmin < 0 or cmax * volume >= 2**31:
@@ -330,24 +336,20 @@ def _hot_windows(counts: np.ndarray, kernels, mode, t_prev):
     # no box sum exceeds 2**31 - 1, and a cut there fits int32
     cut = math.floor(min(q, 2**31 - 1))
 
-    first, *rest = (counts[:, :, k::_ZBLOCK] for k in range(_ZBLOCK))
-    blocks = np.empty(first.shape, np.int32)
-    n = rest[0].shape[2]  # the last block may be short
-    # the adds run in int32: in the counts' own type, uint8 or uint16
-    # sums would wrap and bool ones would be ORs
-    add = dict(dtype=np.int32, casting="unsafe")
-    np.add(first[:, :, :n], rest[0], out=blocks[:, :, :n], **add)
-    blocks[:, :, n:] = first[:, :, n:]
-    for part in rest[1:]:
-        dst = blocks[:, :, : part.shape[2]]
-        np.add(dst, part, out=dst, **add)
+    # float64 sums of these integers are exact, and below 2**31 by the
+    # guard above
+    nb = -(-nz // _ZBLOCK)
+    column, z = np.divmod(grid.flat, nz)
+    blocks = np.bincount(
+        column * nb + z // _ZBLOCK, weights=values, minlength=nx * ny * nb
+    ).astype(np.int32).reshape(nx, ny, nb)
     box = _box_sum(_box_sum(_box_sum(blocks, rb, 2), ry, 1), rx, 0)
     hot = box > cut
     rows, cols = hot.any(axis=2), hot.any(axis=1)
     windows = []
     for x in np.flatnonzero(rows.any(axis=1)):
         ys, bs = np.flatnonzero(rows[x]), np.flatnonzero(cols[x])
-        z1 = min(counts.shape[2], (int(bs[-1]) + 1) * _ZBLOCK)
+        z1 = min(nz, (int(bs[-1]) + 1) * _ZBLOCK)
         windows.append((int(x), int(ys[0]), int(ys[-1]) + 1, int(bs[0]) * _ZBLOCK, z1))
     return windows
 
@@ -375,7 +377,7 @@ def denoise(
     if t_prev is not None and t_prev < 0:
         raise ValueError("t_prev must be nonnegative")
     if cfg.scheme is Scheme.PARZEN_THRESHOLD:
-        return _parzen_mask(grid.counts, cfg, t_prev)
+        return _parzen_mask(grid, cfg, t_prev)
     (passed,), t_used = _apply_threshold([grid.values], cfg.threshold_mode, t_prev)
     flat = grid.flat[passed]
     if cfg.scheme is Scheme.THRESHOLD_MAJORITY:
@@ -384,16 +386,16 @@ def denoise(
 
 
 def _parzen_mask(
-    counts: np.ndarray, cfg: DenoiseConfig, t_prev: float | None
+    grid: VoxelGrid, cfg: DenoiseConfig, t_prev: float | None
 ) -> tuple[np.ndarray, float]:
     mode = cfg.threshold_mode
     kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
-    windows = _hot_windows(counts, kernels, mode, t_prev)
+    windows = _hot_windows(grid, kernels, mode, t_prev)
     # a peak mode needs every window's values before it can threshold
     passed, t_used = _apply_threshold(
-        _smoothed_windows(counts, kernels, windows), mode, t_prev
+        _smoothed_windows(grid.counts, kernels, windows), mode, t_prev
     )
-    mask = np.zeros(counts.shape, dtype=bool)
+    mask = np.zeros(grid.shape, dtype=bool)
     for (x, y0, y1, z0, z1), window_passed in zip(windows, passed):
         mask[x, y0:y1, z0:z1] = window_passed
     return mask, t_used

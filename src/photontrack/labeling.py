@@ -40,13 +40,13 @@ class BoundingBox:
     def from_faces(cls, faces) -> "BoundingBox":
         """The box nearest six faces given min xyz then max xyz.
 
-        Each face rounds to the nearest voxel, halves to even
-        (``np.rint``); a max face that rounds below its min face is
-        raised to it.
+        Each face rounds to the nearest voxel, halves to even (Python's
+        ``round``, like ``np.rint``); a max face that rounds below its
+        min face is raised to it.
         """
-        lo = np.rint(faces[:3]).astype(int)
-        hi = np.maximum(np.rint(faces[3:]).astype(int), lo)
-        return cls(tuple(int(v) for v in lo), tuple(int(v) for v in hi))
+        lo = tuple(round(float(v)) for v in faces[:3])
+        hi = tuple(max(round(float(v)), m) for v, m in zip(faces[3:], lo))
+        return cls(lo, hi)
 
     @property
     def faces(self) -> tuple[int, int, int, int, int, int]:

@@ -13,6 +13,8 @@ dense label grid.
 """
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from photontrack.denoise import (
@@ -102,6 +104,56 @@ def parzen_smooth(grid, sigmas, kernel_radius_factor: float = 3.0) -> np.ndarray
     for axis, sigma in enumerate(sigmas):
         out = _correlate1d(out, gaussian_kernel(sigma, kernel_radius_factor), axis)
     return out
+
+
+def hot_windows(counts, kernels, mode, t_prev):
+    """The Parzen bound's windows from plain loops: per x-plane, the
+    bounding box of the 4-voxel z blocks whose box sum of counts exceeds
+    the cut, in C order of x; whole planes where the bound does not
+    apply."""
+    kx, ky, kz = kernels
+    rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
+    nx, ny, nz = counts.shape
+    planes = [(x, 0, ny, 0, nz) for x in range(nx)] if ny and nz else []
+    if not planes or counts.dtype.kind not in "biu":
+        return planes
+    exact = counts.astype(np.int64)
+    cmax = int(exact.max())
+    rb = math.ceil(rz / 4)
+    volume = (2 * rx + 1) * (2 * ry + 1) * (2 * rb + 1) * 4
+    if exact.min() < 0 or cmax * volume >= 2**31:
+        return planes
+    centre = float(kz[rz] * (ky[ry] * (kx[rx] * float(cmax))))
+    t_low = mode.level(centre, t_prev)
+    if not isinstance(mode, Fixed):
+        t_low = min(centre, t_low)
+    taps = len(kx) + len(ky) + len(kz)
+    scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * np.finfo(float).eps)
+    cut = math.floor(min(t_low / scale, 2**31 - 1))
+    nb = math.ceil(nz / 4)
+    blocks = np.zeros((nx, ny, nb), dtype=np.int64)
+    for x in range(nx):
+        for y in range(ny):
+            for b in range(nb):
+                blocks[x, y, b] = exact[x, y, 4 * b : 4 * b + 4].sum()
+    windows = []
+    for x in range(nx):
+        hot = [
+            (y, b)
+            for y in range(ny)
+            for b in range(nb)
+            if blocks[
+                max(0, x - rx) : x + rx + 1,
+                max(0, y - ry) : y + ry + 1,
+                max(0, b - rb) : b + rb + 1,
+            ].sum()
+            > cut
+        ]
+        if hot:
+            ys, bs = [y for y, _ in hot], [b for _, b in hot]
+            z1 = min(nz, 4 * (max(bs) + 1))
+            windows.append((x, min(ys), max(ys) + 1, 4 * min(bs), z1))
+    return windows
 
 
 def denoise(grid, cfg, t_prev=None):

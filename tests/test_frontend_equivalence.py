@@ -418,7 +418,8 @@ def test_bound_leaves_empty_space_out():
     cfg = DenoiseConfig()
     kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
 
-    def covered(grid):
+    def covered(counts):
+        grid = ref.grid_of(counts)
         windows = denoise_module._hot_windows(grid, kernels, Fixed(2.0), None)
         return sum((y1 - y0) * (z1 - z0) for _, y0, y1, z0, z1 in windows)
 
@@ -428,6 +429,50 @@ def test_bound_leaves_empty_space_out():
     # count the default box sums still fit int32, so the bound applies
     counts[16, 16, 450] = SensorConfig().pulses_per_group
     assert 0 < covered(counts) < counts.size // 20
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 30)),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.int32, np.bool_]),
+    high=st.sampled_from([2, 30, 2**8, 2**16, 2**26]),
+    sigmas=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    factor=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    mode=st.one_of(
+        st.builds(Fixed, st.floats(0.0, 8.0)),
+        st.builds(PeakFraction, st.floats(0.01, 1.0)),
+        st.builds(MovingAverage, st.floats(0.01, 1.0), st.floats(0.0, 1.0)),
+    ),
+    t_prev=st.one_of(st.none(), st.floats(0.0, 8.0)),
+)
+def test_hot_windows_match_loop_reference(
+    seed, shape, dtype, high, sigmas, factor, mode, t_prev
+):
+    """The bound's windows are exactly those of the plain-loop bound:
+    mask equality alone would also pass a looser bound.  Counts run up
+    to the dtype's limit and past the int32 guard; an occupancy of zero
+    gives the empty grid."""
+    counts = sparse_counts(np.random.default_rng(seed), shape, high=high)
+    top = 1 if dtype is np.bool_ else np.iinfo(dtype).max
+    counts = counts.clip(0, top).astype(dtype)
+    kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
+    got = importlib.import_module("photontrack.denoise")._hot_windows(
+        ref.grid_of(counts), kernels, mode, t_prev
+    )
+    assert got == ref.hot_windows(counts, kernels, mode, t_prev)
+
+
+@pytest.mark.parametrize("mode, t_prev", MODES)
+def test_hot_windows_leave_the_dense_grid_unbuilt(mode, t_prev):
+    """The bound reads the occupied voxels only."""
+    grid = ref.grid_of(blob_grid(12))
+    cfg = DenoiseConfig()
+    kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
+    assert importlib.import_module("photontrack.denoise")._hot_windows(
+        grid, kernels, mode, t_prev
+    )
+    assert "counts" not in vars(grid)
 
 
 # -- thresholding occupied voxels ---------------------------------------------

@@ -120,6 +120,21 @@ def test_box_from_faces_rounds_halves_to_even():
     assert box == BoundingBox((0, 0, 2), (2, 4, 4))
 
 
+@pytest.mark.parametrize(
+    "faces",
+    [
+        [-0.5, 0.5, -1.5, 1.5, 2.5, 1.5],
+        [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5],
+        [2.5, 1.5, 0.5, -0.5, 1.4, 0.49],  # max faces round below their min
+    ],
+)
+def test_box_from_faces_matches_numpy_rounding(faces):
+    faces = np.array(faces)
+    lo = np.rint(faces[:3]).astype(int)
+    hi = np.maximum(np.rint(faces[3:]).astype(int), lo)
+    assert BoundingBox.from_faces(faces).faces == (*lo.tolist(), *hi.tolist())
+
+
 def _fake_obs(volume, photons, label=1):
     vox = np.zeros((volume, 3), dtype=int)
     return type(
