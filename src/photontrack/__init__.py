@@ -16,8 +16,8 @@ from .labeling import (
     TargetObservation,
     label_components,
 )
-from .pipeline import RunConfig, RunResult, StepRecord, run_tracking
-from .raw_ingest import FrameGroup, SensorConfig, group_frames, parse_frames
+from .pipeline import RunConfig, StepRecord, run_tracking
+from .raw_ingest import SensorConfig, group_frames, parse_frames
 from .simulator import SceneSpec, TargetSpec, load_scene, simulate, write_raw
 from .track_manager import Tracker, TrackerConfig, TrackState
 from .voxelizer import VoxelGrid, build_histogram
@@ -30,14 +30,12 @@ __all__ = [
     "BoundingBox",
     "DenoiseConfig",
     "Fixed",
-    "FrameGroup",
     "ImportanceConfig",
     "KalmanParams",
     "MovingAverage",
     "PeakFraction",
     "PhotontrackError",
     "RunConfig",
-    "RunResult",
     "SceneSpec",
     "Scheme",
     "SensorConfig",

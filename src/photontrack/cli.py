@@ -222,14 +222,12 @@ def cmd_track(args) -> int:
             _write_projections(rec.grid.counts, out_dir / f"step{rec.step:04d}")
 
     out_dir.mkdir(parents=True, exist_ok=True)
-    result = run_tracking(data, cfg, on_step=on_step)
-    write_tracks_csv(result.steps, out_dir / "tracks.csv")
-    write_links_csv(result.steps, out_dir / "links.csv")
-    write_summary_json(result.steps, out_dir / "summary.json")
-    n_tracks = len(
-        {s.track_id for rec in result.steps for s in rec.tracks}
-    )
-    print(f"{len(result.steps)} steps, {n_tracks} distinct tracks -> {out_dir}")
+    steps = run_tracking(data, cfg, on_step=on_step)
+    write_tracks_csv(steps, out_dir / "tracks.csv")
+    write_links_csv(steps, out_dir / "links.csv")
+    write_summary_json(steps, out_dir / "summary.json")
+    n_tracks = len({s.track_id for rec in steps for s in rec.tracks})
+    print(f"{len(steps)} steps, {n_tracks} distinct tracks -> {out_dir}")
     return 0
 
 
@@ -245,7 +243,7 @@ def cmd_inspect(args) -> int:
     total = int(counts.sum())
     occupied = int((counts > 0).sum())
     peak = int(counts.max()) if counts.size else 0
-    print(f"group {args.group}: {len(groups[args.group].frames)} frames")
+    print(f"group {args.group}: {len(groups[args.group])} frames")
     print(f"histogram {counts.shape[0]}x{counts.shape[1]}x{counts.shape[2]}")
     print(f"photons in window: {total}")
     print(f"occupied voxels: {occupied}")

@@ -13,8 +13,6 @@ import numpy as np
 
 from .features import FEATURE_NAMES
 from .pipeline import StepRecord
-from .simulator import GroundTruth
-from .voxelizer import max_projection
 
 TRACKS_HEADER = ("step", "track_id", "state", "bad_count") + FEATURE_NAMES
 LINKS_HEADER = ("step", "old_slot", "new_slot")
@@ -109,16 +107,17 @@ def projection_image(counts: np.ndarray, axis: int) -> np.ndarray:
     Collapsing z gives an x-y view (rows y, columns x); collapsing y or
     x puts range on the rows instead.
     """
-    return max_projection(counts, axis).T
+    return counts.max(axis=axis).T
 
 
-def write_truth_csv(truth: GroundTruth, path) -> None:
-    """One row per target per step, the centroid and box columns named
-    as in tracks.csv; the box cells are empty when nothing is visible."""
+def write_truth_csv(truth: tuple, path) -> None:
+    """One row per target per step, from ``truth[step][target]``; the
+    centroid and box columns are named as in tracks.csv, and the box
+    cells are empty when nothing is visible."""
     rows = [
         (step, target, int(rec.alive), *rec.centroid)
         + (rec.bbox.faces if rec.alive else ("",) * 6)
-        for step, step_records in enumerate(truth.records)
+        for step, step_records in enumerate(truth)
         for target, rec in enumerate(step_records)
     ]
     _write_rows(path, ("step", "target", "alive") + FEATURE_NAMES[:9], rows)

@@ -1,8 +1,10 @@
 """End-to-end wiring: raw bytes in, per-step track records out.
 
-Pulse groups are handled strictly in order by one loop on the calling
+A pulse group is a plain ``(pulses, height, width)`` frame array.
+Groups are handled strictly in order by one loop on the calling
 thread: reduce the group to ranked observations, advance the tracker,
-emit a StepRecord.
+emit a StepRecord.  A run's result is the list of its StepRecords;
+``StepRecord.step`` is the index of the group it came from.
 """
 from __future__ import annotations
 
@@ -16,7 +18,7 @@ from .labeling import (
     label_components,
     truncate_targets,
 )
-from .raw_ingest import FrameGroup, SensorConfig, group_frames, parse_frames
+from .raw_ingest import SensorConfig, group_frames, parse_frames
 from .track_manager import Tracker, TrackerConfig, TrackSnapshot
 from .voxelizer import VoxelGrid, build_histogram
 
@@ -61,15 +63,10 @@ class StepRecord:
     links: list[tuple[int, int]]
 
 
-@dataclass(frozen=True)
-class RunResult:
-    steps: list[StepRecord]
-
-
-def _reduce_group(group, cfg: RunConfig, t_prev):
-    """Histogram, denoise, label, extract and rank one group; returns
-    (grid, observations, threshold used)."""
-    grid = build_histogram(group, cfg.sensor)
+def _reduce_group(frames, cfg: RunConfig, t_prev):
+    """Histogram, denoise, label, extract and rank one group's frames;
+    returns (grid, observations, threshold used)."""
+    grid = build_histogram(frames, cfg.sensor)
     mask, t_used = denoise(grid, cfg.denoise, t_prev)
     labels, _ = label_components(mask, cfg.connectivity)
     observations = extract_observations(labels, grid)
@@ -78,10 +75,9 @@ def _reduce_group(group, cfg: RunConfig, t_prev):
     return grid, observations, t_used
 
 
-def run_groups(
-    groups: list[FrameGroup], cfg: RunConfig, on_step=None
-) -> RunResult:
-    """Process frame groups strictly in order on the calling thread.
+def run_groups(groups, cfg: RunConfig, on_step=None) -> list[StepRecord]:
+    """Process frame groups, any iterable of ``(pulses, height, width)``
+    arrays, strictly in order on the calling thread.
 
     ``on_step`` is called with each StepRecord while its histogram is
     still attached, so callers can derive imagery or keep grids; the
@@ -101,10 +97,10 @@ def run_groups(
         if on_step is not None:
             on_step(record)
         steps.append(replace(record, grid=None))
-    return RunResult(steps=steps)
+    return steps
 
 
-def run_tracking(data: bytes, cfg: RunConfig, on_step=None) -> RunResult:
+def run_tracking(data: bytes, cfg: RunConfig, on_step=None) -> list[StepRecord]:
     """Convenience wrapper over parse, group and track."""
     frames = parse_frames(data, cfg.sensor)
     groups = group_frames(frames, cfg.sensor)

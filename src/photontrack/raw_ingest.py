@@ -4,6 +4,10 @@ The on-disk format is headerless: frames are stored back to back, each
 frame a row-major block of unsigned 16-bit little-endian range-bin
 values.  Pixel (x, y) of frame f lives at byte offset
 2 * (f * W * H + y * W + x).
+
+Grouping is one reshape: ``group_frames`` returns a view of the parsed
+frames with shape (groups, pulses, height, width), so group n is the
+plain array ``groups[n]``.
 """
 from __future__ import annotations
 
@@ -71,14 +75,6 @@ class SensorConfig:
         return self.ceiling - self.offset - 1
 
 
-@dataclass(frozen=True)
-class FrameGroup:
-    """One train of pulses: ``frames`` has shape (pulses, height, width)."""
-
-    frames: np.ndarray
-    group_index: int
-
-
 def parse_frames(data: bytes, cfg: SensorConfig) -> np.ndarray:
     """Decode a raw byte stream into an array of frames.
 
@@ -101,15 +97,16 @@ def parse_frames(data: bytes, cfg: SensorConfig) -> np.ndarray:
     return frames
 
 
-def group_frames(frames: np.ndarray, cfg: SensorConfig) -> list[FrameGroup]:
+def group_frames(frames: np.ndarray, cfg: SensorConfig) -> np.ndarray:
     """Split frames into pulse-train groups of ``cfg.pulses_per_group``.
 
-    A trailing partial group would bias photon counts, so it is discarded
-    with a warning.
+    Returns a view of shape (groups, pulses, height, width); group n is
+    ``groups[n]``.  A trailing partial group would bias photon counts,
+    so it is discarded with a warning.
     """
     per = cfg.pulses_per_group
     n_groups = frames.shape[0] // per
     leftover = frames.shape[0] - n_groups * per
     if leftover:
         log.warning("discarding trailing partial group of %d frames", leftover)
-    return [FrameGroup(frames[i * per : (i + 1) * per], i) for i in range(n_groups)]
+    return frames[: n_groups * per].reshape(n_groups, per, *frames.shape[1:])

@@ -6,7 +6,8 @@ the arrival bin of the first detected photon; returns are Poisson in
 number, land on the target's front face (nearest plane wins because
 later photons at the same pixel are shadowed), and dark counts fall
 uniformly over pixels and bins.  The output is the same little-endian
-frame stream the ingest stage consumes, plus per-step ground truth.
+frame stream the ingest stage consumes, plus per-step ground truth: a
+tuple with one tuple of TruthRecords (one per target) per step.
 
 Rendering holds one array entry per photon, so every mean rate, a
 target's reflectivity and the noise rate alike, is capped at one photon
@@ -124,13 +125,6 @@ class TruthRecord:
         return self.bbox is not None
 
 
-@dataclass(frozen=True)
-class GroundTruth:
-    """records[step][target] across the whole run."""
-
-    records: tuple[tuple[TruthRecord, ...], ...]
-
-
 def _front_face(
     pos: np.ndarray, spec: TargetSpec, cfg: SensorConfig
 ) -> tuple[np.ndarray, np.ndarray, int]:
@@ -200,8 +194,9 @@ def _truth(
     return TruthRecord(centroid, box)
 
 
-def simulate(scene: SceneSpec, cfg: SensorConfig) -> tuple[np.ndarray, GroundTruth]:
-    """Render every group; returns (frames, truth).
+def simulate(scene: SceneSpec, cfg: SensorConfig) -> tuple[np.ndarray, tuple]:
+    """Render every group; returns (frames, truth), where ``truth[step]``
+    holds one TruthRecord per target in scene order.
 
     Randomness is keyed by (scene seed, group index), so any group can
     be re-rendered independently and whole runs repeat bit for bit.
@@ -219,7 +214,7 @@ def simulate(scene: SceneSpec, cfg: SensorConfig) -> tuple[np.ndarray, GroundTru
         records.append(tuple(_truth(p, f, cfg) for p, f in zip(positions, faces)))
         for i, spec in enumerate(scene.targets):
             positions[i] = positions[i] + spec.velocity_at(n)
-    return np.concatenate(chunks, axis=0), GroundTruth(records=tuple(records))
+    return np.concatenate(chunks, axis=0), tuple(records)
 
 
 def write_raw(frames: np.ndarray, sink) -> int:

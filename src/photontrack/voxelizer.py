@@ -1,5 +1,6 @@
 """3D photon-count histogram built from one pulse train.
 
+The input is one group's ``(pulses, height, width)`` frame array.
 About 1.5% of a 32x32x600 histogram is occupied, so the histogram is
 held as its occupied voxels: their sorted flat (C-order) indices and
 their counts.  The dense count array is built only when a reader asks
@@ -13,7 +14,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigMismatchError
-from .raw_ingest import FrameGroup, SensorConfig
+from .raw_ingest import SensorConfig
 
 
 @dataclass(frozen=True)
@@ -29,11 +30,6 @@ class VoxelGrid:
     shape: tuple[int, int, int]
     flat: np.ndarray  # (n,) int64, sorted
     values: np.ndarray  # (n,) int32
-    group_index: int
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.shape
 
     @cached_property
     def counts(self) -> np.ndarray:
@@ -43,8 +39,9 @@ class VoxelGrid:
         return dense
 
 
-def build_histogram(group: FrameGroup, cfg: SensorConfig) -> VoxelGrid:
-    """Tally range-bin occurrences of one pulse train into a voxel grid.
+def build_histogram(frames: np.ndarray, cfg: SensorConfig) -> VoxelGrid:
+    """Tally range-bin occurrences of one pulse train, a ``(pulses,
+    height, width)`` frame array, into a voxel grid.
 
     Pixel values outside the usable window [offset, ceiling - offset - 1]
     (ceiling pixels in particular) contribute nothing.  Each pixel has a
@@ -54,7 +51,6 @@ def build_histogram(group: FrameGroup, cfg: SensorConfig) -> VoxelGrid:
     base, and the distinct flat indices with their multiplicities are
     the histogram.
     """
-    frames = group.frames
     if frames.ndim != 3 or frames.shape[1:] != (cfg.height, cfg.width):
         raise ConfigMismatchError(
             f"frame shape {frames.shape[1:]} does not match "
@@ -66,11 +62,5 @@ def build_histogram(group: FrameGroup, cfg: SensorConfig) -> VoxelGrid:
     hits = np.flatnonzero((frames >= cfg.zmin) & (frames <= cfg.zmax))
     flat = base[hits % base.size] + frames.reshape(-1)[hits]
     flat, counts = np.unique(flat, return_counts=True)
-    return VoxelGrid((nx, ny, nz), flat, counts.astype(np.int32), group.group_index)
+    return VoxelGrid((nx, ny, nz), flat, counts.astype(np.int32))
 
-
-def max_projection(counts: np.ndarray, axis: int) -> np.ndarray:
-    """Maximum-intensity projection along one grid axis (0=x, 1=y, 2=z)."""
-    if axis not in (0, 1, 2):
-        raise ValueError("axis must be 0, 1 or 2")
-    return counts.max(axis=axis)

@@ -32,11 +32,11 @@ from photontrack.labeling import (
 from photontrack.voxelizer import VoxelGrid
 
 
-def grid_of(counts, group_index: int = 0) -> VoxelGrid:
+def grid_of(counts) -> VoxelGrid:
     """The histogram whose dense ``counts`` are ``counts`` (any dtype)."""
     counts = np.asarray(counts)
     flat = np.flatnonzero(counts)
-    return VoxelGrid(counts.shape, flat, counts.reshape(-1)[flat], group_index)
+    return VoxelGrid(counts.shape, flat, counts.reshape(-1)[flat])
 
 
 def dense_labels(labels, shape) -> np.ndarray:
@@ -47,10 +47,9 @@ def dense_labels(labels, shape) -> np.ndarray:
     return out
 
 
-def build_histogram(group, cfg) -> VoxelGrid:
+def build_histogram(frames, cfg) -> VoxelGrid:
     """Gather each in-window pixel's (x, y, z) through broadcast index
     grids, then one flat bincount."""
-    frames = group.frames
     nx, ny, nz = cfg.width, cfg.height, cfg.nz
     vals = frames.astype(np.int64, copy=False)
     valid = (vals >= cfg.zmin) & (vals <= cfg.zmax)
@@ -60,7 +59,7 @@ def build_histogram(group, cfg) -> VoxelGrid:
     zv = vals[valid] - cfg.offset
     flat = (xv * ny + yv) * nz + zv
     counts = np.bincount(flat, minlength=nx * ny * nz).astype(np.int32)
-    return grid_of(counts.reshape(nx, ny, nz), group.group_index)
+    return grid_of(counts.reshape(nx, ny, nz))
 
 
 def majority_rule(mask: np.ndarray, majority_min: int = 2) -> np.ndarray:

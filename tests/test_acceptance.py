@@ -21,7 +21,7 @@ from photontrack.errors import EntryEvictedError
 from photontrack.kalman import KalmanParams, KalmanState, kf_init, kf_predict, kf_update
 from photontrack.labeling import BoundingBox, TargetObservation, label_components
 from photontrack.pipeline import RunConfig, run_groups
-from photontrack.raw_ingest import FrameGroup, SensorConfig, group_frames, parse_frames
+from photontrack.raw_ingest import SensorConfig, group_frames, parse_frames
 from photontrack.simulator import SceneSpec, TargetSpec, simulate, write_raw
 from photontrack.track_manager import (
     Tracker,
@@ -54,13 +54,13 @@ def test_acceptance_01_grid_shape(report):
     t0 = time.perf_counter()
     cfg = SensorConfig()
     frames = np.full((200, 32, 32), cfg.ceiling, dtype=np.uint16)
-    grid = build_histogram(FrameGroup(frames=frames, group_index=0), cfg)
-    ok = grid.dims == (32, 32, 600)
+    grid = build_histogram(frames, cfg)
+    ok = grid.shape == (32, 32, 600)
     report(
         1,
         "default sensor yields a 32x32x600 grid",
         ok,
-        f"dims={grid.dims}, {time.perf_counter() - t0:.2f}s",
+        f"dims={grid.shape}, {time.perf_counter() - t0:.2f}s",
     )
 
 
@@ -542,7 +542,7 @@ def _run_crossing(seed):
     min_hits = None
     for n in range(scene.n_groups):
         block = frames[n * 200 : (n + 1) * 200]
-        for rec in truth.records[n]:
+        for rec in truth[n]:
             x0, y0, z0 = rec.bbox.min
             x1, y1, _ = rec.bbox.max
             hits = int((block[:, y0 : y1 + 1, x0 : x1 + 1] == z0 + sensor.offset).sum())
@@ -559,8 +559,8 @@ def _run_crossing(seed):
     result = run_groups(group_frames(frames, sensor), cfg)
 
     covering = {0: [], 1: []}
-    for rec in result.steps:
-        for k, tr in enumerate(truth.records[rec.step]):
+    for rec in result:
+        for k, tr in enumerate(truth[rec.step]):
             if not tr.alive:
                 continue
             c = np.asarray(tr.centroid)
@@ -572,7 +572,7 @@ def _run_crossing(seed):
             covering[k].append(best[1] if best else None)
 
     presence = Counter(
-        snap.track_id for rec in result.steps for snap in rec.tracks
+        snap.track_id for rec in result for snap in rec.tracks
     )
     coverage, modal_ids = {}, set()
     for k, ids in covering.items():

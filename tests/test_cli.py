@@ -22,8 +22,8 @@ from photontrack.denoise import DenoiseConfig, Fixed, MovingAverage, PeakFractio
 from photontrack.association import AssocMode
 from photontrack.outputs import TRACKS_HEADER
 from photontrack.pipeline import RunConfig
-from photontrack.raw_ingest import FrameGroup, SensorConfig, parse_frames
-from photontrack.voxelizer import build_histogram, max_projection
+from photontrack.raw_ingest import SensorConfig, parse_frames
+from photontrack.voxelizer import build_histogram
 
 SCENE = """
 noise_rate 30
@@ -147,14 +147,12 @@ def test_inspect_stats_match_voxelizer(workspace, capsys):
     assert rc == 0
     out = capsys.readouterr().out
     frames = parse_frames(raw.read_bytes(), SensorConfig())
-    grid = build_histogram(
-        FrameGroup(frames=frames[400:600], group_index=2), SensorConfig()
-    )
+    grid = build_histogram(frames[400:600], SensorConfig())
     assert f"photons in window: {int(grid.counts.sum())}" in out
     assert f"occupied voxels: {int((grid.counts > 0).sum())}" in out
     pgm = (tmp_path / "group0002_xy.pgm").read_bytes()
     payload = pgm.split(b"255\n", 1)[1]
-    proj = max_projection(grid.counts, 2).T
+    proj = grid.counts.max(axis=2).T
     expected = np.rint(proj * (255.0 / proj.max())).clip(0, 255).astype(np.uint8)
     assert payload == expected.tobytes()
 
@@ -168,9 +166,7 @@ def test_inspect_reads_with_the_configured_sensor(workspace, capsys):
     out = capsys.readouterr().out
     sensor = SensorConfig(width=16, height=16)
     frames = parse_frames(raw.read_bytes(), sensor)
-    grid = build_histogram(
-        FrameGroup(frames=frames[400:600], group_index=2), sensor
-    )
+    grid = build_histogram(frames[400:600], sensor)
     assert "histogram 16x16x600" in out
     assert f"photons in window: {int(grid.counts.sum())}" in out
     assert f"occupied voxels: {int((grid.counts > 0).sum())}" in out

@@ -54,7 +54,7 @@ def test_tracks_csv_rows_are_the_step_snapshots(tmp_path, mode):
     raw = io.BytesIO()
     write_raw(frames, raw)
     cfg = parse_config("", [f"assoc_mode={mode}"])
-    steps = run_tracking(raw.getvalue(), cfg).steps
+    steps = run_tracking(raw.getvalue(), cfg)
     path = tmp_path / "tracks.csv"
     write_tracks_csv(steps, path)
     with open(path, newline="") as fh:

@@ -30,7 +30,7 @@ from photontrack.denoise import (
     parzen_smooth,
 )
 from photontrack.labeling import extract_observations, label_components
-from photontrack.raw_ingest import FrameGroup, SensorConfig, group_frames
+from photontrack.raw_ingest import SensorConfig, group_frames
 from photontrack.simulator import SceneSpec, TargetSpec, simulate
 from photontrack.voxelizer import build_histogram
 
@@ -576,10 +576,8 @@ def test_histogram_matches_index_gathers(width, height):
         rng.integers(0, cfg.ceiling + 1, (9, height, width)),
         rng.choice(special, (9, height, width)),
     ).astype(np.uint16)
-    group = FrameGroup(frames=frames, group_index=4)
-    got = build_histogram(group, cfg)
-    want = ref.build_histogram(group, cfg)
-    assert got.group_index == want.group_index
+    got = build_histogram(frames, cfg)
+    want = ref.build_histogram(frames, cfg)
     assert got.shape == want.shape
     assert_same(got.flat, want.flat)
     assert_same(got.values, want.values)

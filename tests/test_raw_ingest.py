@@ -75,12 +75,12 @@ def test_values_above_ceiling_are_clamped(caplog):
 
 def test_grouping_drops_partial_tail(caplog):
     cfg = SensorConfig(width=2, height=2, pulses_per_group=3, ceiling=620, offset=10)
-    frames = np.full((7, 2, 2), cfg.ceiling, dtype=np.uint16)
+    frames = np.arange(7 * 2 * 2, dtype=np.uint16).reshape(7, 2, 2)
     with caplog.at_level("WARNING"):
         groups = group_frames(frames, cfg)
-    assert len(groups) == 2
-    assert [g.group_index for g in groups] == [0, 1]
-    assert all(g.frames.shape == (3, 2, 2) for g in groups)
+    assert groups.shape == (2, 3, 2, 2)
+    assert np.shares_memory(groups, frames)
+    np.testing.assert_array_equal(groups[1], frames[3:6])
     assert any("partial group" in r.getMessage() for r in caplog.records)
 
 

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from photontrack.errors import SceneParseError
 from photontrack.outputs import write_truth_csv
-from photontrack.raw_ingest import FrameGroup, SensorConfig
+from photontrack.raw_ingest import SensorConfig
 from photontrack.simulator import (
     SceneSpec,
     TargetSpec,
@@ -28,7 +28,7 @@ def test_empty_scene_is_all_ceiling():
     assert frames.shape == (400, 32, 32)
     assert frames.dtype == np.uint16
     assert (frames == SENSOR.ceiling).all()
-    assert truth.records == ((), ())
+    assert truth == ((), ())
 
 
 def test_single_voxel_target_hits_one_pixel():
@@ -39,10 +39,10 @@ def test_single_voxel_target_hits_one_pixel():
     others = np.ones((32, 32), dtype=bool)
     others[7, 5] = False
     assert (frames[:, others] == SENSOR.ceiling).all()
-    grid = build_histogram(FrameGroup(frames=frames, group_index=0), SENSOR)
+    grid = build_histogram(frames, SENSOR)
     assert grid.counts[5, 7, 90] == 200
     assert grid.counts.sum() == 200
-    rec = truth.records[0][0]
+    rec = truth[0][0]
     assert rec.alive
     assert rec.centroid == (5.0, 7.0, 90.0)
     assert rec.bbox.min == (5, 7, 90) and rec.bbox.max == (5, 7, 90)
@@ -119,7 +119,7 @@ def test_motion_follows_velocity_segments():
     )
     scene = SceneSpec(targets=(spec,), n_groups=4, seed=23)
     frames, truth = simulate(scene, SENSOR)
-    centroids = [truth.records[n][0].centroid for n in range(4)]
+    centroids = [truth[n][0].centroid for n in range(4)]
     assert centroids[0] == (5.0, 5.0, 90.0)
     assert centroids[1] == (6.0, 5.0, 90.0)
     assert centroids[2] == (7.0, 5.0, 90.0)  # velocity switch applies after
@@ -136,16 +136,16 @@ def test_target_leaving_the_view_goes_dead():
         velocity_segments=((0, (1.0, 0.0, 0.0)),),
     )
     frames, truth = simulate(SceneSpec(targets=(spec,), n_groups=3, seed=29), SENSOR)
-    assert truth.records[0][0].alive
-    assert not truth.records[1][0].alive
-    assert truth.records[1][0].bbox is None
+    assert truth[0][0].alive
+    assert not truth[1][0].alive
+    assert truth[1][0].bbox is None
     assert (frames[200:] == SENSOR.ceiling).all()
 
 
 def test_target_outside_range_window_is_dead():
     spec = TargetSpec(shape=(1, 1, 1), start=(5.0, 5.0, 4.0), reflectivity=10.0)
     _, truth = simulate(SceneSpec(targets=(spec,), n_groups=1), SENSOR)
-    assert not truth.records[0][0].alive
+    assert not truth[0][0].alive
 
 
 def test_write_raw_returns_byte_count(tmp_path):
@@ -239,9 +239,9 @@ def test_target_running_off_to_infinity_goes_dead():
             velocity_segments=((0, velocity),),
         )
         frames, truth = simulate(SceneSpec(targets=(spec,), n_groups=3, seed=3), SENSOR)
-        assert math.isinf(max(map(abs, truth.records[2][0].centroid)))
-        assert truth.records[0][0].alive
-        assert not truth.records[1][0].alive and not truth.records[2][0].alive
+        assert math.isinf(max(map(abs, truth[2][0].centroid)))
+        assert truth[0][0].alive
+        assert not truth[1][0].alive and not truth[2][0].alive
         assert (frames[200:] == SENSOR.ceiling).all()
 
 
@@ -374,4 +374,4 @@ def test_parse_then_simulate_raises_only_scene_parse_error(parts):
         return
     frames, truth = simulate(scene, TINY)
     assert frames.shape == (scene.n_groups * 3, 3, 4)
-    assert len(truth.records) == scene.n_groups
+    assert len(truth) == scene.n_groups

@@ -5,8 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from photontrack.errors import ConfigMismatchError
-from photontrack.raw_ingest import FrameGroup, SensorConfig
-from photontrack.voxelizer import build_histogram, max_projection
+from photontrack.outputs import projection_image
+from photontrack.raw_ingest import SensorConfig
+from photontrack.voxelizer import build_histogram
 
 
 def tally_oracle(frames, cfg):
@@ -30,7 +31,7 @@ SMALL = SensorConfig(width=6, height=5, pulses_per_group=8, ceiling=30, offset=4
 def test_histogram_matches_tally_oracle(seed):
     rng = np.random.default_rng(seed)
     frames = rng.integers(0, SMALL.ceiling + 1, (8, 5, 6)).astype(np.uint16)
-    grid = build_histogram(FrameGroup(frames=frames, group_index=0), SMALL)
+    grid = build_histogram(frames, SMALL)
     np.testing.assert_array_equal(grid.counts, tally_oracle(frames, SMALL))
 
 
@@ -39,7 +40,7 @@ def test_out_of_window_values_are_ignored():
     frames[0, 0, 0] = SMALL.zmin - 1
     frames[1, 0, 0] = SMALL.zmax + 1
     frames[2, 0, 0] = SMALL.zmin
-    grid = build_histogram(FrameGroup(frames=frames, group_index=0), SMALL)
+    grid = build_histogram(frames, SMALL)
     assert grid.counts.sum() == 1
     assert grid.counts[0, 0, 0] == 1
 
@@ -47,7 +48,7 @@ def test_out_of_window_values_are_ignored():
 def test_counts_conserve_in_window_pixels():
     rng = np.random.default_rng(3)
     frames = rng.integers(0, SMALL.ceiling + 1, (8, 5, 6)).astype(np.uint16)
-    grid = build_histogram(FrameGroup(frames=frames, group_index=0), SMALL)
+    grid = build_histogram(frames, SMALL)
     in_window = ((frames >= SMALL.zmin) & (frames <= SMALL.zmax)).sum()
     assert grid.counts.sum() == in_window
 
@@ -55,29 +56,29 @@ def test_counts_conserve_in_window_pixels():
 def test_frame_order_within_group_is_irrelevant():
     rng = np.random.default_rng(9)
     frames = rng.integers(0, SMALL.ceiling + 1, (8, 5, 6)).astype(np.uint16)
-    a = build_histogram(FrameGroup(frames=frames, group_index=0), SMALL)
-    b = build_histogram(FrameGroup(frames=frames[::-1].copy(), group_index=0), SMALL)
+    a = build_histogram(frames, SMALL)
+    b = build_histogram(frames[::-1].copy(), SMALL)
     np.testing.assert_array_equal(a.counts, b.counts)
 
 
 def test_dimension_mismatch_rejected():
     frames = np.full((2, 4, 4), 0, dtype=np.uint16)
     with pytest.raises(ConfigMismatchError):
-        build_histogram(FrameGroup(frames=frames, group_index=0), SMALL)
+        build_histogram(frames, SMALL)
 
 
 def test_default_grid_dims():
     cfg = SensorConfig()
     frames = np.full((200, 32, 32), cfg.ceiling, dtype=np.uint16)
-    grid = build_histogram(FrameGroup(frames=frames, group_index=0), cfg)
-    assert grid.dims == (32, 32, 600)
+    grid = build_histogram(frames, cfg)
+    assert grid.shape == (32, 32, 600)
     assert grid.counts.sum() == 0
 
 
 @pytest.mark.parametrize("axis", [0, 1, 2])
-def test_max_projection_matches_numpy(axis):
+def test_projection_image_matches_numpy(axis):
     rng = np.random.default_rng(11)
     counts = rng.integers(0, 50, (4, 5, 6))
     np.testing.assert_array_equal(
-        max_projection(counts, axis), counts.max(axis=axis)
+        projection_image(counts, axis), counts.max(axis=axis).T
     )
