@@ -97,11 +97,10 @@ def build_association_matrix(
 
 @dataclass(frozen=True)
 class MatchSet:
-    """Resolved one-to-one pairing: fw maps old row -> new column and bw
-    is its inverse."""
+    """Resolved one-to-one pairing: fw maps old row -> new column, and
+    its values are the matched columns."""
 
     fw: dict[int, int]
-    bw: dict[int, int]
 
 
 def resolve_matches(matrix: AssociationMatrix) -> MatchSet:
@@ -112,17 +111,15 @@ def resolve_matches(matrix: AssociationMatrix) -> MatchSet:
     the smallest column index, which is exactly the first flat argmax in
     C order.
     """
-    scores = matrix.scores.astype(np.float64).copy()
+    scores = matrix.scores.astype(np.float64)  # a copy, disabled in place
     fw: dict[int, int] = {}
-    bw: dict[int, int] = {}
     if scores.size == 0:
-        return MatchSet(fw=fw, bw=bw)
+        return MatchSet(fw=fw)
     while True:
         flat = int(np.argmax(scores))
         i, j = np.unravel_index(flat, scores.shape)
         if scores[i, j] <= 0:
-            return MatchSet(fw=fw, bw=bw)
+            return MatchSet(fw=fw)
         fw[int(i)] = int(j)
-        bw[int(j)] = int(i)
         scores[i, :] = -np.inf
         scores[:, j] = -np.inf

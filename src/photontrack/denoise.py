@@ -167,11 +167,10 @@ def _vote(flat: np.ndarray, shape, majority_min: int) -> np.ndarray:
     an interior voxel the 27 flat offsets reach exactly its coordinate
     neighbours, and its vote count is its neighbourhood count.  An offset
     that wraps in flat-index space lands outside the grid or on a
-    boundary voxel, and the rule clears both.
+    boundary voxel, and the rule clears both; a grid thinner than 3 on
+    any axis has no interior voxel, so nothing survives.
     """
     nx, ny, nz = shape
-    if nx < 3 or ny < 3 or nz < 3:
-        return np.empty(0, dtype=np.int64)
     d = np.array([-1, 0, 1])
     offsets = ((d[:, None, None] * ny + d[:, None]) * nz + d).reshape(-1)
     candidates, votes = np.unique(
@@ -195,13 +194,18 @@ def gaussian_kernel(sigma: float, radius_factor: float = 3.0) -> np.ndarray:
     """Symmetric 1D Gaussian taps normalized to sum 1.
 
     Half-width is ``ceil(radius_factor * sigma)``; a zero half-width
-    degenerates to the identity kernel.
+    degenerates to the identity kernel.  A tap 40 sigmas or more from
+    the centre is 0, as ``exp`` would round it (it underflows past
+    38.6), and is not computed, since ``(x / sigma) ** 2`` could
+    overflow there.
     """
     if sigma <= 0:
         raise ValueError("sigma must be positive")
     r = math.ceil(radius_factor * sigma)
     x = np.arange(-r, r + 1, dtype=np.float64)
-    k = np.exp(-0.5 * (x / sigma) ** 2)
+    near = np.abs(x) < 40.0 * sigma
+    k = np.zeros(len(x))
+    k[near] = np.exp(-0.5 * (x[near] / sigma) ** 2)
     return k / k.sum()
 
 
@@ -228,10 +232,10 @@ def _smoothed_windows(counts: np.ndarray, kernels, windows) -> list[np.ndarray]:
     plane that lies inside the grid, so the plane is zero exactly where
     the whole-grid passes read zero padding; x taps that would read
     beyond the grid add zeros and are skipped.  The y pass sums whole
-    rows of the plane.  Its rows, laid end to end, keep ``2 * rz`` zero
-    columns between the data, so each z tap is one contiguous slice.
-    Every value is the same tap-ordered sum as in the whole-grid
-    passes, bit for bit.
+    rows of the plane, and z tap ``k`` reads the 2-D slice of columns
+    ``k`` to ``k + w`` of those rows, so only the window's own columns
+    are summed.  Every value is the same tap-ordered sum as in the
+    whole-grid passes, bit for bit.
 
     Counts are converted to float64 as the x taps read them, which is
     exact.
@@ -250,11 +254,7 @@ def _smoothed_windows(counts: np.ndarray, kernels, windows) -> list[np.ndarray]:
         x_taps = (counts[x + i - rx, ya:yb, za:zb] for i in range(lo, hi))
         plane[ya - top : yb - top, za - left : zb - left] = _sum_taps(kx[lo:hi], x_taps)
         rows = _sum_taps(ky, (plane[j : j + h] for j in range(len(ky))))
-        # z outputs are taken at every column, and the last row's margin
-        # reads up to 2 * rz zeros past the end
-        flat = np.concatenate((rows.ravel(), np.zeros(2 * rz)))
-        z = _sum_taps(kz, (flat[k : k + rows.size] for k in range(len(kz))))
-        smoothed.append(z.reshape(rows.shape)[:, :w])
+        smoothed.append(_sum_taps(kz, (rows[:, k : k + w] for k in range(len(kz)))))
     return smoothed
 
 
@@ -332,7 +332,9 @@ def _hot_windows(grid: VoxelGrid, kernels, mode, t_prev):
         t_low = min(centre, t_low)  # the peak itself must be smoothed
     taps = len(kx) + len(ky) + len(kz)
     scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * np.finfo(float).eps)
-    q = t_low / scale  # a voxel above t_low, or at t_low > 0, has box sum > q
+    # a voxel above t_low, or at t_low > 0, has box sum > q; scale < 2,
+    # so a t_low above 2**32 gives q > 2**31 all the same
+    q = min(t_low, 2.0**32) / scale
     # no box sum exceeds 2**31 - 1, and a cut there fits int32
     cut = math.floor(min(q, 2**31 - 1))
 

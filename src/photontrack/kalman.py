@@ -113,9 +113,10 @@ def kf_predict(state: KalmanState, dt: float = 1.0) -> tuple[np.ndarray, KalmanS
 def kf_update(state: KalmanState, z: np.ndarray) -> KalmanState:
     """Fold a position measurement into a predicted state.
 
-    The innovation variance s = pp + r must be nonzero and finite; a
-    singular or blown-up s means the filter diverged and the track
-    should die rather than absorb garbage.
+    The innovation variance s = pp + r must be finite, and so must its
+    reciprocal, which rules out zero and the subnormal values whose
+    reciprocal overflows; a singular or blown-up s means the filter
+    diverged and the track should die rather than absorb garbage.
     """
     z = np.asarray(z, dtype=np.float64).ravel()
     d = state.dim
@@ -123,9 +124,9 @@ def kf_update(state: KalmanState, z: np.ndarray) -> KalmanState:
         raise ValueError(f"measurement dim {len(z)} != filter dim {d}")
     pp, pv, vv = state.pp, state.pv, state.vv
     s = pp + state.params.r
-    if s == 0 or not math.isfinite(s):
+    inv = 1.0 / s if s else math.inf
+    if not (math.isfinite(s) and math.isfinite(inv)):
         raise SingularInnovationError(f"innovation variance {s:.3g}")
-    inv = 1.0 / s
     kp = pp * inv
     kv = pv * inv
     innovation = z - state.position

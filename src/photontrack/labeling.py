@@ -88,14 +88,17 @@ def label_components(mask: np.ndarray, connectivity: int = 26) -> tuple[Labels, 
     1..n in first-encountered scan order.
 
     Only the set voxels are visited, as a sorted list of flat indices (a
-    C-order scan).  Each voxel's already-scanned neighbors are found with
-    one binary search per neighbor offset, giving an edge list; every
-    voxel then points at the smallest index of its component after
-    rounds of hooking (a root adopts the smallest root it shares an edge
-    with) and pointer jumping.  That smallest index is where the scan
-    first meets the component, so ranking the roots in index order
-    numbers the components exactly as a scan does (edge-list union-find
-    after Wu, Otoo & Suzuki, 2009, in whole-array steps).
+    C-order scan).  They are indexed in the grid padded by one empty
+    voxel per side, where every neighbor offset is one fixed flat step
+    and a neighbor beyond the grid is a padding voxel that matches no set
+    voxel.  Each voxel's already-scanned neighbors are found with one
+    binary search per neighbor offset, giving an edge list; every voxel
+    then points at the smallest index of its component after rounds of
+    hooking (a root adopts the smallest root it shares an edge with) and
+    pointer jumping.  That smallest index is where the scan first meets
+    the component, so ranking the roots in index order numbers the
+    components exactly as a scan does (edge-list union-find after Wu,
+    Otoo & Suzuki, 2009, in whole-array steps).
     """
     back = np.array([o for o in neighbor_offsets(connectivity) if o < (0, 0, 0)])
     flat = np.flatnonzero(mask)
@@ -103,18 +106,13 @@ def label_components(mask: np.ndarray, connectivity: int = 26) -> tuple[Labels, 
     if n == 0:
         return Labels(flat, np.zeros(0, dtype=np.int64)), 0
 
-    _, ny, nz = mask.shape
-    # inside[k, v]: the neighbor of voxel v at offset back[k] is in the grid
-    inside = np.ones((len(back), n), dtype=bool)
-    for c, o, size in zip(np.unravel_index(flat, mask.shape), back.T, mask.shape):
-        shifted = c + o[:, None]
-        inside &= (shifted >= 0) & (shifted < size)
-    target = flat + ((back[:, 0] * ny + back[:, 1]) * nz + back[:, 2])[:, None]
-    # -1 matches no voxel; an in-grid back neighbor precedes its voxel, so
-    # every search lands in range
-    target = np.where(inside, target, -1)
-    pos = np.searchsorted(flat, target)
-    k, voxel = np.nonzero(flat[pos] == target)
+    _, py, pz = (size + 2 for size in mask.shape)
+    x, y, z = np.unravel_index(flat, mask.shape)
+    padded = ((x + 1) * py + y + 1) * pz + z + 1
+    # a back neighbor precedes its voxel, so no search runs past the end
+    target = padded + ((back[:, 0] * py + back[:, 1]) * pz + back[:, 2])[:, None]
+    pos = np.searchsorted(padded, target)
+    k, voxel = np.nonzero(padded[pos] == target)
     neighbor = pos[k, voxel]
 
     # root[v] <= v always lies in v's component; a root points at itself

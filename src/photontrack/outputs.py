@@ -75,7 +75,7 @@ def write_summary_json(steps: list[StepRecord], path) -> None:
             info["last_step"] = rec.step
             info["n_steps"] += 1
             info["final_state"] = snap.state.value
-            info["trajectory_points"].append([rec.step, *snap.centroid])
+            info["trajectory_points"].append([rec.step, *snap.features[:3]])
     summary = {
         "n_steps": len(steps),
         "tracks": [by_id[k] for k in sorted(by_id)],

@@ -97,14 +97,12 @@ class Track:
 
 @dataclass(frozen=True)
 class TrackSnapshot:
-    """Immutable copy of a track as recorded in one history entry."""
+    """Immutable copy of a track as recorded in one history entry; its
+    position, box and age are the feature row's columns."""
 
     track_id: int
     state: TrackState
     bad_count: int
-    age: int
-    centroid: tuple[float, float, float]
-    bbox: BoundingBox
     features: FeatureVector
 
 
@@ -124,12 +122,10 @@ class RingEntry:
 
 
 class HistoryRing:
-    """Fixed-capacity record of the most recent steps."""
+    """Record of the most recent ``HISTORY_LEN`` steps."""
 
-    def __init__(self, capacity: int = HISTORY_LEN):
-        if capacity < 1:
-            raise ValueError("capacity must be positive")
-        self._entries: deque[RingEntry] = deque(maxlen=capacity)
+    def __init__(self):
+        self._entries: deque[RingEntry] = deque(maxlen=HISTORY_LEN)
 
     def push(self, entry: RingEntry) -> None:
         self._entries.append(entry)
@@ -237,6 +233,7 @@ class Tracker:
         matches = resolve_matches(
             build_association_matrix(self.tracks, observations, self.cfg.assoc)
         )
+        matched = set(matches.fw.values())
 
         came_from: dict[int, int] = {}  # matched track id -> previous slot
         old_derived: list[Track] = []
@@ -280,7 +277,7 @@ class Tracker:
         new_tracks = [
             self._new_track(obs)
             for j, obs in enumerate(observations)
-            if j not in matches.bw
+            if j not in matched
         ]
 
         # one stable sort: on equal scores old tracks stay ahead of
@@ -307,15 +304,7 @@ class Tracker:
                 self.ring.latest.fwlink[p] = s
 
         snapshots = [
-            TrackSnapshot(
-                track_id=t.track_id,
-                state=t.state,
-                bad_count=t.bad_count,
-                age=t.age,
-                centroid=tuple(float(c) for c in t.centroid),
-                bbox=t.bbox,
-                features=t.features,
-            )
+            TrackSnapshot(t.track_id, t.state, t.bad_count, t.features)
             for t in kept
         ]
         self.ring.push(

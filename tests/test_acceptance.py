@@ -566,7 +566,7 @@ def _run_crossing(seed):
             c = np.asarray(tr.centroid)
             best = None
             for snap in rec.tracks:
-                d = float(np.linalg.norm(np.asarray(snap.centroid) - c))
+                d = float(np.linalg.norm(np.asarray(snap.features[:3]) - c))
                 if d <= 4.0 and (best is None or d < best[0]):
                     best = (d, snap.track_id)
             covering[k].append(best[1] if best else None)

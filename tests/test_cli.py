@@ -1,18 +1,22 @@
 """Command-line workflow and exit codes."""
 import contextlib
+import csv
 import io
 import json
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
-from dataclasses import replace
+import warnings
+from collections import defaultdict
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import photontrack
@@ -498,6 +502,32 @@ def test_track_singular_filter_exits_1(workspace, tmp_path, capsys, mode):
     assert capsys.readouterr().err.startswith("error: config: ")
 
 
+def _track_warning_free(raw, config, out_dir, overrides):
+    """``main(["track", ...])`` with every warning raised as an error."""
+    argv = ["track", "--raw", str(raw), "--config", str(config), "--out-dir", str(out_dir)]
+    for item in overrides:
+        argv += ["--set", item]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return main(argv)
+
+
+def test_track_subnormal_innovation_variance_exits_1(workspace, tmp_path, capsys):
+    # by the third update pp + r is subnormal, and its reciprocal overflows
+    _, _, config, raw = workspace
+    overrides = ["kf_q=0", "kf_r=0", "kf_p0_vel=1e-300"]
+    assert _track_warning_free(raw, config, tmp_path / "o", overrides) == 1
+    assert capsys.readouterr().err.startswith("error: config: innovation variance")
+
+
+@pytest.mark.parametrize("setting", ["sigma_x=1e-300", "threshold=1e308"])
+def test_track_parzen_at_float_extremes_exits_0(workspace, tmp_path, setting):
+    _, _, config, raw = workspace
+    overrides = ["scheme=parzen_threshold", setting]
+    assert _track_warning_free(raw, config, tmp_path / "o", overrides) == 0
+    assert (tmp_path / "o" / "tracks.csv").exists()
+
+
 def test_parse_config_full():
     cfg = parse_config(
         "\n".join(
@@ -653,3 +683,116 @@ def test_track_on_random_bytes_exits_0_or_1(data, width, height, pulses, scheme)
                 rc = main(argv)
     assert rc in (0, 1)
     assert "Traceback" not in err.getvalue()
+
+
+TINY_SCENE = """
+width 4
+height 4
+pulses_per_group 2
+ceiling 40
+offset 2
+noise_rate 0.5
+n_groups 8
+seed 1
+
+target
+  shape 2 2 2
+  start 1 1 8
+  reflectivity 1
+  velocity 0.25 0.25 1
+end
+
+target
+  shape 1 1 2
+  start 3 2 25
+  reflectivity 1
+  velocity -0.25 0 -1
+end
+"""
+TINY_CONFIG = "threshold 0\n"  # counts of 1 pass, so tracks form
+SENSOR_KEYS = {f.name for f in fields(SensorConfig)}
+# legal extremes next to ordinary values; a value a key refuses makes
+# the run exit 1, which the property allows
+_NONNEG = [0.0, 5e-324, 1e-300, 0.5, 1.0, 2.0, 3.0, 1e308]
+_POS = [5e-324, 1e-300, 0.5, 1.0, 2.0, 10.0, 1e308]
+_WEIGHT = [-1e308, -1.0, 0.0, 5e-324, 1e-300, 1.0, 1e308]
+FUZZ_VALUES = {
+    "scheme": st.sampled_from([s.value for s in Scheme]),
+    "majority_min": st.integers(0, 27),
+    "kernel_radius_factor": st.sampled_from(_NONNEG),
+    **{f"sigma_{a}": st.sampled_from(_POS) for a in "xyz"},
+    "threshold_mode": st.sampled_from(sorted(cli._MODES)),
+    "threshold": st.sampled_from(_NONNEG),
+    "alpha": st.sampled_from([5e-324, 1e-300, 0.5, 1.0]),
+    "beta": st.sampled_from([0.0, 5e-324, 1e-300, 0.5, 1.0]),
+    "connectivity": st.sampled_from([6, 18, 26]),
+    "t_max": st.sampled_from([1, 2, 3, 10, 10**21]),
+    "max_coast": st.integers(1, 7),
+    "assoc_mode": st.sampled_from([m.value for m in AssocMode]),
+    "expansion": st.sampled_from([0, 1, 2, 10**21]),
+    "gate_radius": st.sampled_from(_POS),
+    "kf_q": st.sampled_from(_NONNEG),
+    "kf_r": st.sampled_from(_NONNEG),
+    "kf_p0_pos": st.sampled_from(_POS),
+    "kf_p0_vel": st.sampled_from(_POS),
+    "importance_volume": st.sampled_from(_WEIGHT),
+    "importance_speed": st.sampled_from(_WEIGHT),
+    "importance_photons": st.sampled_from(_WEIGHT),
+}
+
+
+def test_fuzz_values_cover_every_key_but_the_sensor():
+    assert set(FUZZ_VALUES) == set(_KEYS) - SENSOR_KEYS
+
+
+@pytest.fixture(scope="module")
+def tiny_capture(tmp_path_factory):
+    """8 groups of 2 pulses on a 4x4 sensor with 36 range bins."""
+    scene, sensor = photontrack.simulator.parse_scene(TINY_SCENE)
+    frames, _ = photontrack.simulate(scene, sensor)
+    raw = tmp_path_factory.mktemp("tiny") / "tiny.raw"
+    photontrack.write_raw(frames, raw)
+    geometry = [f"{k}={getattr(sensor, k)}" for k in sorted(SENSOR_KEYS)]
+    return raw, geometry
+
+
+@settings(max_examples=200, deadline=None)
+@given(values=st.fixed_dictionaries({}, optional=FUZZ_VALUES))
+# the findings this search made, kept as fixed examples
+@example(values={"scheme": "parzen_threshold", "sigma_x": 1e-300})
+@example(values={"scheme": "parzen_threshold", "threshold": 1e308})
+@example(values={"kf_q": 0.0, "kf_r": 0.0, "kf_p0_vel": 1e-300})
+def test_track_over_the_config_space_runs_clean_or_exits_1(tiny_capture, values):
+    """Any drawn setting of every non-sensor key, extremes included, is
+    tracked or refused with exit 1, with no warning and nothing raised.
+    On success tracks.csv holds only finite numbers, at most t_max rows
+    and unique ids per step, and links pair slots one to one."""
+    raw, geometry = tiny_capture
+    overrides = geometry + [f"{k}={v}" for k, v in values.items()]
+    with tempfile.TemporaryDirectory() as tmp:
+        config, out = Path(tmp) / "base.cfg", Path(tmp) / "o"
+        config.write_text(TINY_CONFIG)
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                rc = _track_warning_free(raw, config, out, overrides)
+        assert rc in (0, 1)
+        if rc == 1:
+            return
+        t_max = parse_config(TINY_CONFIG, overrides).tracker.t_max
+        with open(out / "tracks.csv", newline="") as fh:
+            rows = list(csv.reader(fh))[1:]
+        with open(out / "links.csv", newline="") as fh:
+            links = list(csv.reader(fh))[1:]
+    by_step = defaultdict(list)
+    for row in rows:
+        assert all(math.isfinite(float(v)) for i, v in enumerate(row) if i != 2)
+        by_step[row[0]].append(row[1])
+    for ids in by_step.values():
+        assert len(ids) <= t_max
+        assert len(set(ids)) == len(ids)
+    pairs = defaultdict(list)
+    for step, old, new in links:
+        pairs[step].append((old, new))
+    for step_pairs in pairs.values():
+        olds, news = zip(*step_pairs)
+        assert len(set(olds)) == len(olds) and len(set(news)) == len(news)

@@ -1,5 +1,6 @@
 """Thresholding, majority voting and Parzen smoothing."""
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -152,6 +153,31 @@ def test_gaussian_kernel_shape_and_mass():
     assert k.sum() == pytest.approx(1.0)
     np.testing.assert_allclose(k, k[::-1])
     assert len(gaussian_kernel(1.7, 3.0)) == 2 * math.ceil(3.0 * 1.7) + 1
+
+
+@pytest.mark.parametrize("sigma", [0.5, 1.0, 2.0, 200.0])
+def test_gaussian_kernel_is_the_plain_formula(sigma):
+    r = math.ceil(3.0 * sigma)
+    x = np.arange(-r, r + 1, dtype=np.float64)
+    k = np.exp(-0.5 * (x / sigma) ** 2)
+    assert gaussian_kernel(sigma, 3.0).tobytes() == (k / k.sum()).tobytes()
+
+
+@pytest.mark.parametrize("sigma", [1e-300, 5e-324])
+def test_gaussian_kernel_of_a_tiny_sigma_is_the_identity(sigma):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        k = gaussian_kernel(sigma, 3.0)
+    assert k.tolist() == [0.0, 1.0, 0.0]
+
+
+def test_parzen_threshold_near_the_float_limit_keeps_nothing():
+    grid = grid_of(np.full((3, 4, 8), 5, dtype=np.uint16))
+    cfg = DenoiseConfig(scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=Fixed(1e308))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mask, t = denoise(grid, cfg)
+    assert t == 1e308 and not mask.any()
 
 
 def test_parzen_preserves_interior_mass():

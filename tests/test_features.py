@@ -40,7 +40,8 @@ def test_feature_name_contract():
 def test_tracks_csv_rows_are_the_step_snapshots(tmp_path, mode):
     """Parsed by header, the ``tracks.csv`` rows are the steps'
     snapshots in slot order: each carries its snapshot's step, id,
-    state, bad count, centroid, box faces and age."""
+    state and bad count, and its feature row (centroid, box faces, age
+    and the rest) printed with %.9g."""
     scene = SceneSpec(
         targets=(
             TargetSpec((3, 3, 3), (8.0, 8.0, 150.0), 2.0, ((0, (0.4, 0.2, 0.0)),)),
@@ -67,11 +68,9 @@ def test_tracks_csv_rows_are_the_step_snapshots(tmp_path, mode):
         assert int(row["track_id"]) == snap.track_id
         assert row["state"] == snap.state.value
         assert int(row["bad_count"]) == snap.bad_count
-        centroid = [row[f"centroid_{a}"] for a in "xyz"]
-        assert centroid == [format(c, ".9g") for c in snap.centroid]
-        faces = [float(row[f"bbox_{end}_{a}"]) for end in ("min", "max") for a in "xyz"]
-        assert faces == list(snap.bbox.faces)
-        assert float(row["age"]) == snap.age
+        assert [row[name] for name in FEATURE_NAMES] == [
+            format(v, ".9g") for v in snap.features
+        ]
 
 
 def test_orientation_of_a_line():
@@ -151,6 +150,7 @@ def test_compute_features_first_step_has_zero_accel():
     assert (fv.velocity_x, fv.velocity_y, fv.velocity_z) == (2.0, 0.0, 0.0)
     assert fv.volume == 4
     assert fv.age == 3
+    assert (fv.centroid_x, fv.centroid_y, fv.centroid_z) == (1.5, 0.0, 0.0)
     assert (fv.bbox_min_x, fv.bbox_min_y, fv.bbox_min_z) == (0.0, 0.0, 0.0)
     assert (fv.bbox_max_x, fv.bbox_max_y, fv.bbox_max_z) == (3.0, 0.0, 0.0)
 

@@ -85,6 +85,14 @@ def test_singular_innovation_detected():
         kf_update(replace(s, pp=float("inf")), np.zeros(3))
 
 
+def test_subnormal_innovation_variance_is_singular():
+    # 1 / 1e-310 overflows, so the gain would turn a zero innovation
+    # into NaN
+    s = replace(kf_init(np.zeros(3), KalmanParams(r=0.0)), pp=1e-310)
+    with pytest.raises(SingularInnovationError):
+        kf_update(s, np.zeros(3))
+
+
 def test_params_validation():
     with pytest.raises(ValueError):
         KalmanParams(q=-1)

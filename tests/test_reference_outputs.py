@@ -4,8 +4,8 @@ Each case builds its workload's capture with the benchmark's own scene
 builder (``perfbench/child.build_scene``) and ``simulate``, then runs
 ``photontrack track`` in-process with ``configs/default.cfg`` and the
 workload's ``track_args`` (``perfbench/workloads.WORKLOADS``).  Its
-``tracks.csv`` and ``links.csv``, and crossing's ``truth.csv``, must
-equal the golden files byte for byte.
+``tracks.csv`` and ``links.csv``, and crossing's ``truth.csv`` and
+``summary.json``, must equal the golden files byte for byte.
 
 Distances and principal axes go through BLAS, so another numpy build
 may move a last printed digit.  On a byte mismatch both files are
@@ -14,8 +14,9 @@ float columns in ``FLOAT_COLUMNS``, which must agree to a relative
 ``REL_TOL``.  Below magnitude 1 the difference counts as absolute:
 unit-vector components and accelerations sit near zero (the golden
 files hold values like 4.8e-11 and -0), where a last-digit change is a
-large relative one.  A failure names the largest difference and its
-column.
+large relative one.  A mismatched ``summary.json`` is parsed as JSON
+and compared the same way, every number under the float rule.  A
+failure names the largest difference and where it is.
 
 When a change alters the outputs on purpose, regenerate the golden
 files and state the largest difference it made:
@@ -26,6 +27,7 @@ from __future__ import annotations
 
 import csv
 import io
+import json
 import sys
 from pathlib import Path
 
@@ -67,7 +69,7 @@ def _outputs(name: str, out_dir: Path) -> dict[str, bytes]:
     )
     assert rc == 0
     files = ["tracks.csv", "links.csv"]
-    files += ["truth.csv"] if name == "crossing" else []
+    files += ["truth.csv", "summary.json"] if name == "crossing" else []
     return {f: (out_dir / f).read_bytes() for f in files}
 
 
@@ -79,10 +81,35 @@ def _rel_diff(a: float, b: float) -> float:
     return abs(a - b) / max(abs(a), abs(b), 1.0)
 
 
+def _json_diffs(got, want, where: str):
+    """Yield (relative difference, place) for every number pair of two
+    parsed JSON values; any other difference fails at once."""
+    if isinstance(want, dict):
+        assert isinstance(got, dict) and got.keys() == want.keys(), where
+        for key in want:
+            yield from _json_diffs(got[key], want[key], f"{where}.{key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for i, (g, w) in enumerate(zip(got, want)):
+            yield from _json_diffs(g, w, f"{where}[{i}]")
+    elif isinstance(want, float) or isinstance(got, float):
+        yield _rel_diff(float(got), float(want)), where
+    else:
+        assert got == want, f"{where}: {got!r} != golden {want!r}"
+
+
 def _compare(fname: str, got: bytes, want: bytes) -> None:
-    """Pass on equal bytes, or on equal parsed tables whose float columns
-    agree to REL_TOL; otherwise fail naming the largest difference."""
+    """Pass on equal bytes, or on equal parsed tables (or JSON) whose
+    floats agree to REL_TOL; otherwise fail naming the largest
+    difference."""
     if got == want:
+        return
+    if fname.endswith(".json"):
+        diffs = _json_diffs(json.loads(got), json.loads(want), fname)
+        diff, where = max(diffs, default=(0.0, None))
+        assert diff <= REL_TOL, (
+            f"largest relative difference {diff:.3g} at {where} exceeds {REL_TOL:g}"
+        )
         return
     got_rows, want_rows = _rows(got), _rows(want)
     header = want_rows[0]
@@ -121,6 +148,15 @@ def test_compare_reports_the_largest_float_difference():
         _compare("t.csv", b"step,centroid_x,speed\n0,1.5,2.001\n1,3,4.01\n", want)
     with pytest.raises(AssertionError, match="line 2, step"):
         _compare("t.csv", b"step,centroid_x,speed\n7,1.5,2\n1,3,4\n", want)
+
+
+def test_compare_reads_json_numbers_under_the_float_rule():
+    want = b'{"n": 2, "p": [[0, 1.5, -0.0]]}'
+    _compare("s.json", b'{"n": 2, "p": [[0, 1.5000000001, 1e-12]]}', want)
+    with pytest.raises(AssertionError, match=r"s\.json\.p\[0\]\[1\]"):
+        _compare("s.json", b'{"n": 2, "p": [[0, 1.6, 0.0]]}', want)
+    with pytest.raises(AssertionError, match=r"s\.json\.n: 3"):
+        _compare("s.json", b'{"n": 3, "p": [[0, 1.5, 0.0]]}', want)
 
 
 if __name__ == "__main__":

@@ -13,6 +13,7 @@ from photontrack.labeling import (
     importance_sort,
 )
 from photontrack.track_manager import (
+    HISTORY_LEN,
     HistoryRing,
     RingEntry,
     Tracker,
@@ -60,7 +61,7 @@ def run_script(tracker, script):
 def states_of(tracks, track_id):
     for t in tracks:
         if t.track_id == track_id:
-            return (t.state, t.bad_count, t.age)
+            return (t.state, t.bad_count, t.features.age)
     return None
 
 
@@ -182,10 +183,9 @@ def test_reconstruction_round_trip():
 
 
 def test_reconstruction_of_evicted_step_raises():
-    ring = HistoryRing(2)
-    ring.push(RingEntry(step=0, tracks=[], fwlink=[], bwlink=[]))
-    ring.push(RingEntry(step=1, tracks=[], fwlink=[], bwlink=[]))
-    ring.push(RingEntry(step=2, tracks=[], fwlink=[], bwlink=[]))
+    ring = HistoryRing()
+    for step in range(HISTORY_LEN + 1):
+        ring.push(RingEntry(step=step, tracks=[], fwlink=[], bwlink=[]))
     with pytest.raises(EntryEvictedError):
         reconstruct_forward(ring, 0, 0)
 
@@ -232,7 +232,7 @@ def test_tracker_is_deterministic():
             tracker.step(obs)
             out.append(
                 [
-                    (s.track_id, s.state, s.bad_count, s.centroid)
+                    (s.track_id, s.state, s.bad_count, s.features[:3])
                     for s in tracker.ring.latest.tracks
                 ]
             )
