@@ -62,15 +62,16 @@ def build_association_matrix(
 ) -> AssociationMatrix:
     """Score every (old, new) pair at once.
 
-    Rows need ``bbox`` (``bbox`` mode), ``pred_centroid``
-    (``kalman_centroid``) or ``pred_bbox`` (``kalman_bbox``); columns
-    need ``bbox`` and ``centroid``.
+    Rows need ``bbox`` (``bbox`` mode), ``kf`` (``kalman_centroid``,
+    which gates on the predicted centroid ``kf.position``) or
+    ``bbox_kf`` (``kalman_bbox``); columns need ``bbox`` and
+    ``centroid``.  In ``kalman_bbox`` mode each row's predicted faces
+    ``bbox_kf.position`` round to the nearest voxel, halves to even
+    (``np.rint``, like Python's ``round``), and a max face that rounds
+    below its min face is raised to it.
     """
     if cfg.mode is AssocMode.KALMAN_CENTROID:
-        preds = [old.pred_centroid for old in old_targets]
-        if any(p is None for p in preds):
-            raise ValueError("centroid mode needs predicted centroids")
-        rows = np.array(preds, dtype=np.float64).reshape(-1, 3)
+        rows = np.array([old.kf.position for old in old_targets]).reshape(-1, 3)
         cols = np.array(
             [obs.centroid for obs in new_observations], dtype=np.float64
         ).reshape(-1, 3)
@@ -82,14 +83,12 @@ def build_association_matrix(
         scores = np.where(dist <= cfg.gate_radius, 1.0 / (1.0 + dist), 0.0)
         return AssociationMatrix(scores=scores)
     if cfg.mode is AssocMode.BBOX_EXPANSION:
-        boxes = [old.bbox for old in old_targets]
+        rows = np.array([old.bbox.faces for old in old_targets]).reshape(-1, 6)
     elif cfg.mode is AssocMode.KALMAN_BBOX:
-        boxes = [old.pred_bbox for old in old_targets]
-        if any(b is None for b in boxes):
-            raise ValueError("bbox-filter mode needs predicted boxes")
+        rows = np.rint([old.bbox_kf.position for old in old_targets]).reshape(-1, 6)
+        np.maximum(rows[:, 3:], rows[:, :3], out=rows[:, 3:])
     else:
         raise ValueError(f"unknown association mode {cfg.mode!r}")
-    rows = np.array([b.faces for b in boxes]).reshape(-1, 6)
     cols = np.array([obs.bbox.faces for obs in new_observations]).reshape(-1, 6)
     gap = np.abs(rows[:, None, :] - cols[None, :, :]).max(axis=2)
     return AssociationMatrix(scores=(gap <= cfg.expansion_e).astype(np.float64))

@@ -68,7 +68,7 @@ from .pipeline import RunConfig, run_tracking
 from .raw_ingest import SensorConfig, group_frames, parse_frames
 from .simulator import load_scene, simulate, write_raw
 from .track_manager import TrackerConfig
-from .voxelizer import build_histogram
+from .voxelizer import VoxelGrid, build_histogram
 
 _MODES = {"fixed": Fixed, "peak_fraction": PeakFraction, "moving_average": MovingAverage}
 
@@ -205,11 +205,11 @@ def _read_inputs(args) -> tuple[RunConfig, bytes]:
         raise ConfigError(str(exc)) from exc
 
 
-def _write_projections(counts: np.ndarray, stem: Path) -> None:
-    """Write the xy, xz and yz projections of ``counts`` as
+def _write_projections(grid: VoxelGrid, stem: Path) -> None:
+    """Write the xy, xz and yz projections of ``grid`` as
     ``<stem>_xy.pgm`` and so on."""
     for axis, tag in ((2, "xy"), (1, "xz"), (0, "yz")):
-        img = projection_image(counts, axis)
+        img = projection_image(grid, axis)
         write_pgm(stem.with_name(f"{stem.name}_{tag}.pgm"), img)
 
 
@@ -219,7 +219,7 @@ def cmd_track(args) -> int:
     on_step = None
     if args.projections:
         def on_step(rec):
-            _write_projections(rec.grid.counts, out_dir / f"step{rec.step:04d}")
+            _write_projections(rec.grid, out_dir / f"step{rec.step:04d}")
 
     out_dir.mkdir(parents=True, exist_ok=True)
     steps = run_tracking(data, cfg, on_step=on_step)
@@ -239,22 +239,21 @@ def cmd_inspect(args) -> int:
             f"group {args.group} out of range (stream has {len(groups)})"
         )
     grid = build_histogram(groups[args.group], cfg.sensor)
-    counts = grid.counts
-    total = int(counts.sum())
-    occupied = int((counts > 0).sum())
-    peak = int(counts.max()) if counts.size else 0
+    values = grid.values
+    peak = int(values.max(initial=0))
     print(f"group {args.group}: {len(groups[args.group])} frames")
-    print(f"histogram {counts.shape[0]}x{counts.shape[1]}x{counts.shape[2]}")
-    print(f"photons in window: {total}")
-    print(f"occupied voxels: {occupied}")
+    print("histogram {}x{}x{}".format(*grid.shape))
+    print(f"photons in window: {int(values.sum())}")
+    print(f"occupied voxels: {len(values)}")
     if peak > 0:
-        x, y, z = np.unravel_index(int(counts.argmax()), counts.shape)
+        # the first brightest voxel in C order, as a dense argmax finds
+        x, y, z = np.unravel_index(int(grid.flat[values.argmax()]), grid.shape)
         print(f"peak count {peak} at voxel ({x}, {y}, {z})")
     else:
         print("peak count 0")
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    _write_projections(counts, out_dir / f"group{args.group:04d}")
+    _write_projections(grid, out_dir / f"group{args.group:04d}")
     return 0
 def _add_set_option(p: argparse.ArgumentParser) -> None:
     p.add_argument(

@@ -102,15 +102,17 @@ def compute_features(track, prev: FeatureVector | None) -> FeatureVector:
     """Refresh a track's descriptor from its current filter and cluster.
 
     Acceleration is the first difference of the filter velocity between
-    consecutive steps (zero on the first step).  Position and box come
-    from the track itself so that coasting tracks report their predicted
-    location, not the stale last detection.
+    consecutive steps (zero on the first step), and age counts the steps
+    the track has lived (1 on the first, ``prev.age + 1`` after that).
+    Position and box come from the track itself so that coasting tracks
+    report their predicted location, not the stale last detection.
     """
     velocity = np.asarray(track.kf.velocity, dtype=np.float64)
     if prev is None:
-        accel = np.zeros(3)
+        accel, age = np.zeros(3), 1.0
     else:
         accel = velocity - (prev.velocity_x, prev.velocity_y, prev.velocity_z)
+        age = prev.age + 1.0
     obs = track.obs
     return FeatureVector(
         *map(float, track.centroid),
@@ -120,5 +122,5 @@ def compute_features(track, prev: FeatureVector | None) -> FeatureVector:
         float(np.linalg.norm(velocity)),
         *map(float, accel),
         *map(float, principal_orientation(obs.voxels)),
-        float(track.age),
+        age,
     )

@@ -11,7 +11,9 @@ form, so every axis shares one position/velocity variance triple
 dense 2d x 2d matrix on request.
 
 Two usages share this module: one 3D filter per track centroid, and one
-6D filter for the faces of a bounding box (``BoundingBox.faces``).
+6D filter for the faces of a bounding box (``BoundingBox.faces``).  A
+predicted state is the prediction: its ``position`` is the predicted
+centroid or faces, which association and coasting read directly.
 """
 from __future__ import annotations
 
@@ -87,8 +89,9 @@ def kf_init(centroid: np.ndarray, params: KalmanParams) -> KalmanState:
     )
 
 
-def kf_predict(state: KalmanState, dt: float = 1.0) -> tuple[np.ndarray, KalmanState]:
-    """Advance one step; returns (predicted position, predicted state).
+def kf_predict(state: KalmanState, dt: float = 1.0) -> KalmanState:
+    """Advance one step; the predicted position is the returned state's
+    ``position``.
 
     With F = [[1, dt], [0, 1]] per axis and the white-noise-acceleration
     process covariance, F P F' + Q expands to the three expressions
@@ -98,16 +101,14 @@ def kf_predict(state: KalmanState, dt: float = 1.0) -> tuple[np.ndarray, KalmanS
         raise ValueError("dt must be at least one frame-group period")
     q = state.params.q
     pp, pv, vv = state.pp, state.pv, state.vv
-    position = state.position + dt * state.velocity
-    new = KalmanState(
-        position=position,
+    return KalmanState(
+        position=state.position + dt * state.velocity,
         velocity=state.velocity,
         pp=pp + dt * (pv + pv) + dt**2 * vv + q * dt**4 / 4.0,
         pv=pv + dt * vv + q * dt**3 / 2.0,
         vv=vv + q * dt**2,
         params=state.params,
     )
-    return position, new
 
 
 def kf_update(state: KalmanState, z: np.ndarray) -> KalmanState:
@@ -145,10 +146,9 @@ def bbox_kf_init(bbox: BoundingBox, params: KalmanParams) -> KalmanState:
     return kf_init(bbox.faces, params)
 
 
-def bbox_kf_predict(
-    state: KalmanState, dt: float = 1.0
-) -> tuple[np.ndarray, KalmanState]:
-    """Advance the face filter; returns (predicted faces, state)."""
+def bbox_kf_predict(state: KalmanState, dt: float = 1.0) -> KalmanState:
+    """Advance the face filter; the predicted faces, min xyz then max
+    xyz and not yet rounded to voxels, are the returned ``position``."""
     return kf_predict(state, dt)
 
 

@@ -36,18 +36,6 @@ class BoundingBox:
         if any(lo > hi for lo, hi in zip(self.min, self.max)):
             raise ValueError(f"degenerate box {self.min}..{self.max}")
 
-    @classmethod
-    def from_faces(cls, faces) -> "BoundingBox":
-        """The box nearest six faces given min xyz then max xyz.
-
-        Each face rounds to the nearest voxel, halves to even (Python's
-        ``round``, like ``np.rint``); a max face that rounds below its
-        min face is raised to it.
-        """
-        lo = tuple(round(float(v)) for v in faces[:3])
-        hi = tuple(max(round(float(v)), m) for v, m in zip(faces[3:], lo))
-        return cls(lo, hi)
-
     @property
     def faces(self) -> tuple[int, int, int, int, int, int]:
         """The six faces, min xyz then max xyz."""

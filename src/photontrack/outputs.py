@@ -13,6 +13,7 @@ import numpy as np
 
 from .features import FEATURE_NAMES
 from .pipeline import StepRecord
+from .voxelizer import VoxelGrid
 
 TRACKS_HEADER = ("step", "track_id", "state", "bad_count") + FEATURE_NAMES
 LINKS_HEADER = ("step", "old_slot", "new_slot")
@@ -101,13 +102,25 @@ def write_pgm(path, img: np.ndarray) -> None:
         fh.write(scaled.tobytes())
 
 
-def projection_image(counts: np.ndarray, axis: int) -> np.ndarray:
-    """Maximum-intensity projection as image rows x columns.
+def projection_image(grid: VoxelGrid, axis: int) -> np.ndarray:
+    """Maximum-intensity projection of a histogram along ``axis``, as
+    image rows x columns, equal to ``grid.counts.max(axis).T``.
 
     Collapsing z gives an x-y view (rows y, columns x); collapsing y or
-    x puts range on the rows instead.
+    x puts range on the rows instead.  Only the occupied voxels are
+    read: each one's pixel, the flat index of its two kept coordinates,
+    comes from ``divmod`` of its flat index by ``nz`` and ``ny``, and
+    one unbuffered maximum per pixel fills an image of zeros.
     """
-    return counts.max(axis=axis).T
+    _, ny, nz = grid.shape
+    xy, z = np.divmod(grid.flat, nz)
+    # collapsing z keeps the pixel x * ny + y, collapsing y keeps
+    # x * nz + z and collapsing x keeps y * nz + z
+    pixel = xy if axis == 2 else np.divmod(xy, ny)[1 - axis] * nz + z
+    kept = [n for d, n in enumerate(grid.shape) if d != axis]
+    img = np.zeros(kept[0] * kept[1], dtype=grid.values.dtype)
+    np.maximum.at(img, pixel, grid.values)
+    return img.reshape(kept).T
 
 
 def write_truth_csv(truth: tuple, path) -> None:

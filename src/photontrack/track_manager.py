@@ -14,6 +14,7 @@ trajectory without storing full histories per track.
 from __future__ import annotations
 
 import logging
+import operator
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -84,15 +85,12 @@ class Track:
     track_id: int
     state: TrackState
     bad_count: int
-    age: int
     obs: TargetObservation
     kf: KalmanState
     centroid: np.ndarray
     bbox: BoundingBox
     features: FeatureVector | None = None
     bbox_kf: KalmanState | None = None
-    pred_centroid: np.ndarray | None = None
-    pred_bbox: BoundingBox | None = None
 
 
 @dataclass(frozen=True)
@@ -201,10 +199,9 @@ class Tracker:
             track_id=self._next_id,
             state=TrackState.NEW,
             bad_count=0,
-            age=1,
             obs=obs,
             kf=kf_init(obs.centroid, self.cfg.kalman),
-            centroid=np.asarray(obs.centroid, dtype=np.float64),
+            centroid=obs.centroid,
             bbox=obs.bbox,
         )
         if self.cfg.assoc.mode is AssocMode.KALMAN_BBOX:
@@ -225,10 +222,9 @@ class Tracker:
             )
 
         for t in self.tracks:
-            t.pred_centroid, t.kf = kf_predict(t.kf)
+            t.kf = kf_predict(t.kf)
             if t.bbox_kf is not None:
-                faces, t.bbox_kf = bbox_kf_predict(t.bbox_kf)
-                t.pred_bbox = BoundingBox.from_faces(faces)
+                t.bbox_kf = bbox_kf_predict(t.bbox_kf)
 
         matches = resolve_matches(
             build_association_matrix(self.tracks, observations, self.cfg.assoc)
@@ -250,10 +246,9 @@ class Tracker:
                 if t.bbox_kf is not None:
                     t.bbox_kf = bbox_kf_update(t.bbox_kf, obs.bbox)
                 t.obs = obs
-                t.centroid = np.asarray(obs.centroid, dtype=np.float64)
+                t.centroid = obs.centroid
                 t.bbox = obs.bbox
                 t.bad_count = 0
-                t.age += 1
                 came_from[t.track_id] = i
                 old_derived.append(t)
             else:
@@ -266,11 +261,13 @@ class Tracker:
                     continue
                 t.state = TrackState.COASTING
                 t.bad_count += 1
-                t.age += 1
-                t.centroid = np.asarray(t.pred_centroid, dtype=np.float64)
-                shift = np.rint(t.pred_centroid - t.obs.centroid).astype(int)
-                t.bbox = BoundingBox.from_faces(
-                    np.add(t.obs.bbox.faces, np.concatenate([shift, shift]))
+                t.centroid = t.kf.position
+                # the last observed box, moved by the whole voxels the
+                # centroid has moved since
+                shift = np.rint(t.kf.position - t.obs.centroid).astype(int).tolist()
+                t.bbox = BoundingBox(
+                    tuple(map(operator.add, t.obs.bbox.min, shift)),
+                    tuple(map(operator.add, t.obs.bbox.max, shift)),
                 )
                 old_derived.append(t)
 

@@ -3,8 +3,9 @@
 ``build_association_matrix`` here is the straightforward double loop
 that expands both boxes into new ``BoundingBox`` objects and checks
 containment twice, or takes ``np.linalg.norm`` of one centroid
-difference at a time.  Tests compare ``photontrack``'s whole-array gate
-against it.
+difference at a time.  A row's predicted box is built from its face
+filter one face at a time with Python's ``round``.  Tests compare
+``photontrack``'s whole-array gate against it.
 """
 from __future__ import annotations
 
@@ -37,6 +38,15 @@ def bbox_match(old_box: BoundingBox, new_box: BoundingBox, e: int) -> bool:
     )
 
 
+def predicted_box(faces) -> BoundingBox:
+    """The box nearest six predicted faces, min xyz then max xyz: each
+    face rounds to the nearest voxel, halves to even, and a max face
+    that rounds below its min face is raised to it."""
+    lo = tuple(round(float(v)) for v in faces[:3])
+    hi = tuple(max(round(float(v)), m) for v, m in zip(faces[3:], lo))
+    return BoundingBox(lo, hi)
+
+
 def centroid_gate(p, q, radius: float) -> bool:
     """True when the points sit within ``radius`` of each other
     (boundary inclusive)."""
@@ -53,16 +63,14 @@ def pair_score(old, obs, cfg) -> float:
     if cfg.mode is AssocMode.BBOX_EXPANSION:
         return 1.0 if bbox_match(old.bbox, obs.bbox, cfg.expansion_e) else 0.0
     if cfg.mode is AssocMode.KALMAN_CENTROID:
-        if old.pred_centroid is None:
-            raise ValueError("centroid mode needs predicted centroids")
-        if centroid_gate(old.pred_centroid, obs.centroid, cfg.gate_radius):
-            dist = float(np.linalg.norm(old.pred_centroid - obs.centroid))
+        pred = old.kf.position
+        if centroid_gate(pred, obs.centroid, cfg.gate_radius):
+            dist = float(np.linalg.norm(pred - obs.centroid))
             return 1.0 / (1.0 + dist)
         return 0.0
     if cfg.mode is AssocMode.KALMAN_BBOX:
-        if old.pred_bbox is None:
-            raise ValueError("bbox-filter mode needs predicted boxes")
-        return 1.0 if bbox_match(old.pred_bbox, obs.bbox, cfg.expansion_e) else 0.0
+        pred = predicted_box(old.bbox_kf.position)
+        return 1.0 if bbox_match(pred, obs.bbox, cfg.expansion_e) else 0.0
     raise ValueError(f"unknown association mode {cfg.mode!r}")
 
 

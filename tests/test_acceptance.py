@@ -296,7 +296,7 @@ def test_acceptance_06_kalman_oracle(report):
         x, P = s.x.copy(), s.P.copy()
         for _ in range(50):
             dt = float(rng.choice([1.0, 1.5, 2.0]))
-            _, s = kf_predict(s, dt)
+            s = kf_predict(s, dt)
             x, P = dense_predict(x, P, params.q, dt)
             z = x[:3] + rng.normal(0, 1, 3)
             s = kf_update(s, z)
@@ -313,7 +313,7 @@ def test_acceptance_06_kalman_oracle(report):
     err_at_20 = None
     truth_v = np.array([0.7, -0.3, 0.2])
     for step in range(1, 21):
-        _, conv = kf_predict(conv)
+        conv = kf_predict(conv)
         conv = kf_update(conv, truth_v * step)
         err_at_20 = np.abs(conv.position - truth_v * step).max()
     ok = worst <= 1e-9 and worst_sym < 1e-12 and err_at_20 < 1e-3

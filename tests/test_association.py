@@ -27,10 +27,20 @@ box_strategy = st.builds(
 # halves put many pairs exactly on a gate boundary such as (3, 4, 0)
 coord = st.integers(-16, 16).map(lambda v: v / 2.0) | st.floats(-20, 20)
 point_strategy = st.tuples(coord, coord, coord)
+# predicted faces: halves round to even, and a max face drawn apart from
+# its min face is as likely below it as above
+faces_strategy = st.tuples(*[coord] * 6)
 
 
-def _row(bbox, pred_centroid=None, pred_bbox=None):
-    return SimpleNamespace(bbox=bbox, pred_centroid=pred_centroid, pred_bbox=pred_bbox)
+def _row(bbox, position=(0.0, 0.0, 0.0), faces=None):
+    """A track as association reads it: its box, and the predicted
+    centroid and faces of its two filters (faces default to the box)."""
+    faces = bbox.faces if faces is None else faces
+    return SimpleNamespace(
+        bbox=bbox,
+        kf=SimpleNamespace(position=np.asarray(position, float)),
+        bbox_kf=SimpleNamespace(position=np.asarray(faces, float)),
+    )
 
 
 def _obs(bbox, centroid=(0.0, 0.0, 0.0)):
@@ -83,7 +93,7 @@ def test_empty_sides_give_empty_matrices():
     box = BoundingBox((0, 0, 0), (1, 1, 1))
     for mode in AssocMode:
         cfg = AssociationConfig(mode=mode)
-        row = _row(box, pred_centroid=np.zeros(3), pred_bbox=box)
+        row = _row(box)
         assert build_association_matrix([], [_obs(box)], cfg).scores.shape == (0, 1)
         assert build_association_matrix([row], [], cfg).scores.shape == (1, 0)
 
@@ -91,7 +101,7 @@ def test_empty_sides_give_empty_matrices():
 def test_centroid_mode_scores_decay_with_distance():
     cfg = AssociationConfig(mode=AssocMode.KALMAN_CENTROID, gate_radius=5.0)
     box = BoundingBox((0, 0, 0), (1, 1, 1))
-    old = [_row(box, pred_centroid=np.zeros(3))]
+    old = [_row(box)]
     near = _obs(box, [1.0, 0, 0])
     mid = _obs(box, [3.0, 0, 0])
     out = _obs(box, [5.1, 0, 0])
@@ -103,7 +113,7 @@ def test_centroid_mode_scores_decay_with_distance():
 
 def test_gate_boundary_is_inclusive():
     box = BoundingBox((0, 0, 0), (1, 1, 1))
-    old = [_row(box, pred_centroid=np.zeros(3))]
+    old = [_row(box)]
     obs = [_obs(box, [3.0, 4.0, 0.0])]
     at = AssociationConfig(mode=AssocMode.KALMAN_CENTROID, gate_radius=5.0)
     inside = AssociationConfig(mode=AssocMode.KALMAN_CENTROID, gate_radius=5.0 - 1e-9)
@@ -111,26 +121,12 @@ def test_gate_boundary_is_inclusive():
     assert build_association_matrix(old, obs, inside).scores[0, 0] == 0.0
 
 
-def test_centroid_mode_requires_predictions():
-    cfg = AssociationConfig(mode=AssocMode.KALMAN_CENTROID)
-    box = BoundingBox((0, 0, 0), (1, 1, 1))
-    with pytest.raises(ValueError):
-        build_association_matrix([_row(box)], [_obs(box)], cfg)
-
-
-def test_bbox_filter_mode_requires_predictions():
-    cfg = AssociationConfig(mode=AssocMode.KALMAN_BBOX)
-    box = BoundingBox((0, 0, 0), (1, 1, 1))
-    with pytest.raises(ValueError):
-        build_association_matrix([_row(box)], [_obs(box)], cfg)
-
-
 def test_bbox_filter_mode_uses_predicted_box():
     cfg = AssociationConfig(mode=AssocMode.KALMAN_BBOX, expansion_e=1)
     old = [
         _row(
             BoundingBox((90, 90, 90), (92, 92, 92)),  # stale
-            pred_bbox=BoundingBox((0, 0, 0), (2, 2, 2)),
+            faces=(0.0, 0.0, 0.0, 2.0, 2.0, 2.0),
         )
     ]
     obs = _obs(BoundingBox((1, 1, 1), (3, 3, 3)), [2, 2, 2])
@@ -138,16 +134,43 @@ def test_bbox_filter_mode_uses_predicted_box():
     assert m.scores[0, 0] == 1.0
 
 
+@pytest.mark.parametrize(
+    "faces, box",
+    [
+        ([-0.5, 0.5, -1.5, 1.5, 2.5, 1.5], ((0, 0, -2), (2, 2, 2))),
+        ([-2.5, -1.5, -0.5, 0.5, 1.5, 2.5], ((-2, -2, 0), (0, 2, 2))),
+        # max faces that round below their min faces are raised to them
+        ([2.5, 1.5, 0.5, -0.5, 1.4, 0.49], ((2, 2, 0), (2, 2, 0))),
+        ([3.0, 7.2, 0.0, 1.2, 6.6, 4.0], ((3, 7, 0), (3, 7, 4))),
+        ([-0.5, 0.5, 1.5, 2.5, 3.5, 4.5], ((0, 0, 2), (2, 4, 4))),
+    ],
+)
+def test_bbox_filter_mode_rounds_predicted_faces(faces, box):
+    """At e = 0 a row matches only the box its faces round to, halves to
+    even: not one grown by a voxel on any single face."""
+    want = BoundingBox(*box)
+    assert ref.predicted_box(faces) == want
+    grown = [
+        tuple(f + (k == i) * (1 if i >= 3 else -1) for k, f in enumerate(want.faces))
+        for i in range(6)
+    ]
+    obs = [_obs(want)] + [_obs(BoundingBox(g[:3], g[3:])) for g in grown]
+    stale = _row(BoundingBox((90, 90, 90), (92, 92, 92)), faces=faces)
+    cfg = AssociationConfig(mode=AssocMode.KALMAN_BBOX, expansion_e=0)
+    scores = build_association_matrix([stale], obs, cfg).scores
+    np.testing.assert_array_equal(scores, [[1.0] + [0.0] * 6])
+
+
 @settings(max_examples=200, deadline=None)
 @given(
-    rows=st.lists(st.tuples(box_strategy, box_strategy), max_size=6),
+    rows=st.lists(st.tuples(box_strategy, faces_strategy), max_size=6),
     cols=st.lists(box_strategy, max_size=6),
     e=st.integers(0, 4),
     mode=st.sampled_from([AssocMode.BBOX_EXPANSION, AssocMode.KALMAN_BBOX]),
 )
 def test_box_modes_equal_reference(rows, cols, e, mode):
     cfg = AssociationConfig(mode=mode, expansion_e=e)
-    old = [_row(b, pred_bbox=p) for b, p in rows]
+    old = [_row(b, faces=f) for b, f in rows]
     new = [_obs(b) for b in cols]
     got = build_association_matrix(old, new, cfg).scores
     want = ref.build_association_matrix(old, new, cfg).scores
@@ -164,7 +187,7 @@ def test_box_modes_equal_reference(rows, cols, e, mode):
 def test_centroid_mode_matches_reference(preds, cents, radius):
     cfg = AssociationConfig(mode=AssocMode.KALMAN_CENTROID, gate_radius=radius)
     box = BoundingBox((0, 0, 0), (0, 0, 0))
-    old = [_row(box, pred_centroid=np.array(p)) for p in preds]
+    old = [_row(box, position=p) for p in preds]
     new = [_obs(box, c) for c in cents]
     got = build_association_matrix(old, new, cfg).scores
     want = ref.build_association_matrix(old, new, cfg).scores

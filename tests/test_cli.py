@@ -125,6 +125,30 @@ def test_track_projections_are_valid_pgm(workspace):
     assert max(blob[len(b"P5\n32 32\n255\n"):]) == 255
 
 
+def test_track_projections_never_build_the_dense_grid(workspace, monkeypatch):
+    """Under threshold_majority nothing in a ``track --projections`` run
+    reads ``grid.counts``, so no group's dense grid is built."""
+    tmp_path, _, config, raw = workspace
+    grids = []
+
+    def build_histogram(frames, cfg):
+        grids.append(photontrack.voxelizer.build_histogram(frames, cfg))
+        return grids[-1]
+
+    monkeypatch.setattr(photontrack.pipeline, "build_histogram", build_histogram)
+    rc = main(
+        [
+            "track",
+            "--raw", str(raw),
+            "--config", str(config),
+            "--out-dir", str(tmp_path / "proj"),
+            "--projections",
+        ]
+    )
+    assert rc == 0 and len(grids) == 6
+    assert not any("counts" in vars(grid) for grid in grids)
+
+
 def test_track_set_overrides_config(workspace):
     tmp_path, _, config, raw = workspace
     out = tmp_path / "cap"

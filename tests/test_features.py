@@ -113,7 +113,7 @@ def test_orientation_dominant_axis():
     assert abs(v[0]) > 0.99
 
 
-def _track(centroid, velocity, voxels, age=3):
+def _track(centroid, velocity, voxels):
     obs = TargetObservation(
         label=1,
         voxels=voxels,
@@ -133,7 +133,6 @@ def _track(centroid, velocity, voxels, age=3):
         track_id=1,
         state=TrackState.MATCHED,
         bad_count=0,
-        age=age,
         obs=obs,
         kf=kf,
         centroid=np.asarray(centroid, float),
@@ -149,7 +148,7 @@ def test_compute_features_first_step_has_zero_accel():
     assert fv.speed == pytest.approx(2.0)
     assert (fv.velocity_x, fv.velocity_y, fv.velocity_z) == (2.0, 0.0, 0.0)
     assert fv.volume == 4
-    assert fv.age == 3
+    assert fv.age == 1.0
     assert (fv.centroid_x, fv.centroid_y, fv.centroid_z) == (1.5, 0.0, 0.0)
     assert (fv.bbox_min_x, fv.bbox_min_y, fv.bbox_min_z) == (0.0, 0.0, 0.0)
     assert (fv.bbox_max_x, fv.bbox_max_y, fv.bbox_max_z) == (3.0, 0.0, 0.0)
@@ -160,13 +159,14 @@ def test_compute_features_accel_is_velocity_difference():
     prev = compute_features(_track([0, 0, 0], [1.0, 0, 0], vox), None)
     fv = compute_features(_track([1, 0, 0], [2.5, 1.0, 0], vox), prev)
     assert (fv.accel_x, fv.accel_y, fv.accel_z) == pytest.approx((1.5, 1.0, 0.0))
+    assert fv.age == 2.0
 
 
 def test_speed_estimate_converges_for_constant_motion():
     params = KalmanParams()
     s = kf_init(np.array([0.0, 0.0, 0.0]), params)
     for step in range(1, 21):
-        _, s = kf_predict(s)
+        s = kf_predict(s)
         s = kf_update(s, np.array([float(step), 0.0, 0.0]))
     assert np.linalg.norm(s.velocity) == pytest.approx(1.0, abs=0.05)
 

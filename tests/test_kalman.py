@@ -28,8 +28,8 @@ def test_init_state():
 def test_predict_moves_by_velocity():
     s = kf_init(np.zeros(3), KalmanParams())
     s = replace(s, velocity=np.array([1.0, 2.0, 3.0]))
-    pred, s2 = kf_predict(s, dt=2.0)
-    np.testing.assert_allclose(pred, [2, 4, 6])
+    s2 = kf_predict(s, dt=2.0)
+    np.testing.assert_allclose(s2.position, [2, 4, 6])
     np.testing.assert_allclose(s2.velocity, [1, 2, 3])
 
 
@@ -41,14 +41,14 @@ def test_predict_rejects_sub_step_dt():
 
 def test_predict_inflates_uncertainty():
     s = kf_init(np.zeros(3), KalmanParams())
-    _, s2 = kf_predict(s)
+    s2 = kf_predict(s)
     assert np.all(np.diag(s2.P) >= np.diag(s.P))
 
 
 def test_update_with_huge_r_barely_moves():
     params = KalmanParams(r=1e9)
     s = kf_init(np.zeros(3), params)
-    _, s = kf_predict(s)
+    s = kf_predict(s)
     s2 = kf_update(s, np.array([5.0, 5.0, 5.0]))
     assert np.abs(s2.position).max() < 1e-6
 
@@ -56,7 +56,7 @@ def test_update_with_huge_r_barely_moves():
 def test_update_with_tiny_r_snaps_to_measurement():
     params = KalmanParams(r=1e-9)
     s = kf_init(np.zeros(3), params)
-    _, s = kf_predict(s)
+    s = kf_predict(s)
     z = np.array([5.0, -2.0, 1.0])
     s2 = kf_update(s, z)
     np.testing.assert_allclose(s2.position, z, atol=1e-6)
@@ -66,7 +66,7 @@ def test_update_keeps_covariance_symmetric():
     rng = np.random.default_rng(0)
     s = kf_init(rng.normal(size=3), KalmanParams())
     for _ in range(30):
-        _, s = kf_predict(s)
+        s = kf_predict(s)
         s = kf_update(s, rng.normal(size=3))
         assert np.abs(s.P - s.P.T).max() < 1e-12
 
@@ -105,11 +105,11 @@ def test_bbox_filter_bank_tracks_a_drifting_box():
     filters = bbox_kf_init(BoundingBox((0, 0, 0), (2, 2, 2)), params)
     assert filters.dim == 6
     for step in range(1, 25):
-        preds, filters = bbox_kf_predict(filters)
-        assert preds.shape == (6,)
+        filters = bbox_kf_predict(filters)
+        assert filters.position.shape == (6,)
         box = BoundingBox((step, 0, 0), (step + 2, 2, 2))
         filters = bbox_kf_update(filters, box)
-    preds, _ = bbox_kf_predict(filters)
+    preds = bbox_kf_predict(filters).position
     # after many steps at constant drift the x faces are predicted ahead
     assert preds[0] == pytest.approx(25.0, abs=0.05)
     assert preds[3] == pytest.approx(27.0, abs=0.05)
@@ -123,15 +123,15 @@ def test_bbox_filter_equals_six_scalar_filters():
     bank = bbox_kf_init(box, params)
     scalars = [kf_init(np.array([float(v)]), params) for v in (*box.min, *box.max)]
     for _ in range(24):
-        preds, bank = bbox_kf_predict(bank)
+        bank = bbox_kf_predict(bank)
         advanced = [kf_predict(f) for f in scalars]
-        assert list(preds) == [float(p[0]) for p, _ in advanced]
+        assert list(bank.position) == [float(f.position[0]) for f in advanced]
         lo = rng.integers(0, 28, size=3)
         box = BoundingBox(tuple(int(v) for v in lo), tuple(int(v) for v in lo + 3))
         bank = bbox_kf_update(bank, box)
         scalars = [
             kf_update(f, np.array([float(v)]))
-            for (_, f), v in zip(advanced, (*box.min, *box.max))
+            for f, v in zip(advanced, (*box.min, *box.max))
         ]
         assert list(bank.position) == [float(f.position[0]) for f in scalars]
         assert list(bank.velocity) == [float(f.velocity[0]) for f in scalars]

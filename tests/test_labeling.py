@@ -103,36 +103,7 @@ def test_bounding_box_validation():
 def test_box_faces_round_trip():
     box = BoundingBox((1, -2, 30), (4, 5, 599))
     assert box.faces == (1, -2, 30, 4, 5, 599)
-    assert BoundingBox.from_faces(box.faces) == box
-    assert BoundingBox.from_faces(np.array(box.faces, dtype=np.float64)) == box
-    again = BoundingBox.from_faces(np.array(box.faces) + 0.3)
-    assert again == box
-    assert all(type(v) is int for v in again.faces)
-
-
-def test_box_from_faces_raises_a_max_face_below_its_min():
-    box = BoundingBox.from_faces(np.array([3.0, 7.2, 0.0, 1.2, 6.6, 4.0]))
-    assert box == BoundingBox((3, 7, 0), (3, 7, 4))
-
-
-def test_box_from_faces_rounds_halves_to_even():
-    box = BoundingBox.from_faces(np.array([-0.5, 0.5, 1.5, 2.5, 3.5, 4.5]))
-    assert box == BoundingBox((0, 0, 2), (2, 4, 4))
-
-
-@pytest.mark.parametrize(
-    "faces",
-    [
-        [-0.5, 0.5, -1.5, 1.5, 2.5, 1.5],
-        [-2.5, -1.5, -0.5, 0.5, 1.5, 2.5],
-        [2.5, 1.5, 0.5, -0.5, 1.4, 0.49],  # max faces round below their min
-    ],
-)
-def test_box_from_faces_matches_numpy_rounding(faces):
-    faces = np.array(faces)
-    lo = np.rint(faces[:3]).astype(int)
-    hi = np.maximum(np.rint(faces[3:]).astype(int), lo)
-    assert BoundingBox.from_faces(faces).faces == (*lo.tolist(), *hi.tolist())
+    assert BoundingBox(box.faces[:3], box.faces[3:]) == box
 
 
 def _fake_obs(volume, photons, label=1):

@@ -3,7 +3,9 @@
 Each case builds its workload's capture with the benchmark's own scene
 builder (``perfbench/child.build_scene``) and ``simulate``, then runs
 ``photontrack track`` in-process with ``configs/default.cfg`` and the
-workload's ``track_args`` (``perfbench/workloads.WORKLOADS``).  Its
+workload's ``track_args`` (``perfbench/workloads.WORKLOADS``).  The
+``clutter_kalman_centroid`` case tracks clutter's capture under
+``assoc_mode=kalman_centroid``, the one case whose tracks coast.  Its
 ``tracks.csv`` and ``links.csv``, and crossing's ``truth.csv`` and
 ``summary.json``, must equal the golden files byte for byte.
 
@@ -26,6 +28,7 @@ files and state the largest difference it made:
 from __future__ import annotations
 
 import csv
+import dataclasses
 import io
 import json
 import sys
@@ -45,7 +48,11 @@ sys.path.insert(0, str(ROOT / "perfbench"))
 import child  # noqa: E402
 from workloads import CONFIG, WORKLOADS  # noqa: E402
 
-CASES = ("crossing", "parzen", "swarm", "clutter")
+CASES = {name: WORKLOADS[name] for name in ("crossing", "parzen", "swarm", "clutter")}
+CASES["clutter_kalman_centroid"] = dataclasses.replace(
+    CASES["clutter"],
+    track_args=(*CASES["clutter"].track_args, "--set", "assoc_mode=kalman_centroid"),
+)
 REL_TOL = 1e-8
 FLOAT_COLUMNS = frozenset(
     [f"centroid_{a}" for a in "xyz"]
@@ -57,7 +64,7 @@ FLOAT_COLUMNS = frozenset(
 def _outputs(name: str, out_dir: Path) -> dict[str, bytes]:
     """Simulate the workload's capture and track it; returns file bytes
     by golden file name."""
-    workload = WORKLOADS[name]
+    workload = CASES[name]
     scene, sensor = child.build_scene(photontrack, ROOT, workload.capture, SEED)
     frames, truth = photontrack.simulate(scene, sensor)
     raw = out_dir / "capture.raw"

@@ -9,6 +9,8 @@ from photontrack.outputs import projection_image
 from photontrack.raw_ingest import SensorConfig
 from photontrack.voxelizer import build_histogram
 
+from frontend_reference import grid_of
+
 
 def tally_oracle(frames, cfg):
     """Straight per-pixel loop: count frames whose value falls in the
@@ -78,7 +80,10 @@ def test_default_grid_dims():
 @pytest.mark.parametrize("axis", [0, 1, 2])
 def test_projection_image_matches_numpy(axis):
     rng = np.random.default_rng(11)
-    counts = rng.integers(0, 50, (4, 5, 6))
-    np.testing.assert_array_equal(
-        projection_image(counts, axis), counts.max(axis=axis).T
-    )
+    counts = rng.integers(0, 50, (4, 5, 6)).astype(np.int32)
+    counts[rng.random(counts.shape) < 0.5] = 0
+    for dense in (counts, np.zeros_like(counts)):
+        got = projection_image(grid_of(dense), axis)
+        want = dense.max(axis=axis).T
+        assert got.dtype == want.dtype
+        np.testing.assert_array_equal(got, want)
