@@ -3,12 +3,13 @@
 Three subcommands cover the usual workflow:
 
   * ``simulate`` renders a scene description to a raw frame stream;
-  * ``track`` runs the full pipeline over a raw stream and writes the
-    tracks table, the link table, a JSON summary and (optionally)
-    per-step projection images;
+  * ``track`` runs the full pipeline over a raw stream, read one frame
+    group at a time, and writes the tracks table, the link table, a
+    JSON summary and (optionally) per-step projection images;
   * ``inspect`` prints histogram statistics for one frame group and
-    writes its three projections, reading the stream with the sensor
-    geometry of an optional config file and ``--set`` overrides.
+    writes its three projections, reading only that group's bytes with
+    the sensor geometry of an optional config file and ``--set``
+    overrides.
 
 A pipeline config is flat ``key value`` lines.  One table, ``_KEYS``,
 declares every key once: its value type and the RunConfig field it
@@ -65,7 +66,7 @@ from .outputs import (
     write_truth_csv,
 )
 from .pipeline import RunConfig, run_tracking
-from .raw_ingest import SensorConfig, group_frames, parse_frames
+from .raw_ingest import SensorConfig, parse_frames, stream_nbytes
 from .simulator import load_scene, simulate, write_raw
 from .track_manager import TrackerConfig
 from .voxelizer import VoxelGrid, build_histogram
@@ -194,13 +195,11 @@ def cmd_simulate(args) -> int:
     return 0
 
 
-def _read_inputs(args) -> tuple[RunConfig, bytes]:
-    """The parsed ``--config``/``--set`` settings and the ``--raw``
-    bytes."""
+def _read_config(args) -> RunConfig:
+    """The parsed ``--config``/``--set`` settings."""
     config = Path(args.config).read_bytes() if args.config else b""
-    data = Path(args.raw).read_bytes()
     try:  # a config that is not UTF-8 raises UnicodeDecodeError, a ValueError
-        return parse_config(config.decode("utf-8"), args.set), data
+        return parse_config(config.decode("utf-8"), args.set)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
@@ -214,15 +213,16 @@ def _write_projections(grid: VoxelGrid, stem: Path) -> None:
 
 
 def cmd_track(args) -> int:
-    cfg, data = _read_inputs(args)
+    cfg = _read_config(args)
     out_dir = Path(args.out_dir)
     on_step = None
     if args.projections:
         def on_step(rec):
             _write_projections(rec.grid, out_dir / f"step{rec.step:04d}")
 
-    out_dir.mkdir(parents=True, exist_ok=True)
-    steps = run_tracking(data, cfg, on_step=on_step)
+    with open(args.raw, "rb") as fh:
+        out_dir.mkdir(parents=True, exist_ok=True)
+        steps = run_tracking(fh, cfg, on_step=on_step)
     write_tracks_csv(steps, out_dir / "tracks.csv")
     write_links_csv(steps, out_dir / "links.csv")
     write_summary_json(steps, out_dir / "summary.json")
@@ -232,16 +232,19 @@ def cmd_track(args) -> int:
 
 
 def cmd_inspect(args) -> int:
-    cfg, data = _read_inputs(args)
-    groups = group_frames(parse_frames(data, cfg.sensor), cfg.sensor)
-    if not 0 <= args.group < len(groups):
-        raise PhotontrackError(
-            f"group {args.group} out of range (stream has {len(groups)})"
-        )
-    grid = build_histogram(groups[args.group], cfg.sensor)
+    sensor = _read_config(args).sensor
+    with open(args.raw, "rb") as fh:
+        n_groups = stream_nbytes(fh, sensor) // sensor.group_nbytes
+        if not 0 <= args.group < n_groups:
+            raise PhotontrackError(
+                f"group {args.group} out of range (stream has {n_groups})"
+            )
+        fh.seek(args.group * sensor.group_nbytes)
+        frames = parse_frames(fh.read(sensor.group_nbytes), sensor)
+    grid = build_histogram(frames, sensor)
     values = grid.values
     peak = int(values.max(initial=0))
-    print(f"group {args.group}: {len(groups[args.group])} frames")
+    print(f"group {args.group}: {len(frames)} frames")
     print("histogram {}x{}x{}".format(*grid.shape))
     print(f"photons in window: {int(values.sum())}")
     print(f"occupied voxels: {len(values)}")

@@ -1,10 +1,15 @@
-"""End-to-end wiring: raw bytes in, per-step track records out.
+"""End-to-end wiring: a raw frame stream in, per-step track records out.
 
 A pulse group is a plain ``(pulses, height, width)`` frame array.
 Groups are handled strictly in order by one loop on the calling
 thread: reduce the group to ranked observations, advance the tracker,
 emit a StepRecord.  A run's result is the list of its StepRecords;
 ``StepRecord.step`` is the index of the group it came from.
+
+``run_tracking`` reads its stream one group at a time into one reused
+buffer, so the capture's share of its memory is one group, whatever
+the capture's length: a group array it hands on is valid only until
+the next group is read.
 """
 from __future__ import annotations
 
@@ -18,7 +23,8 @@ from .labeling import (
     label_components,
     truncate_targets,
 )
-from .raw_ingest import SensorConfig, group_frames, parse_frames
+from .errors import TruncatedFileError
+from .raw_ingest import SensorConfig, group_frames, parse_frames, stream_nbytes
 from .track_manager import Tracker, TrackerConfig, TrackSnapshot
 from .voxelizer import VoxelGrid, build_histogram
 
@@ -100,8 +106,30 @@ def run_groups(groups, cfg: RunConfig, on_step=None) -> list[StepRecord]:
     return steps
 
 
-def run_tracking(data: bytes, cfg: RunConfig, on_step=None) -> list[StepRecord]:
-    """Convenience wrapper over parse, group and track."""
-    frames = parse_frames(data, cfg.sensor)
-    groups = group_frames(frames, cfg.sensor)
+def _read_groups(stream, nbytes: int, sensor: SensorConfig):
+    """Yield the whole groups of the next ``nbytes`` of ``stream``, each
+    parsed from the same reused buffer; a trailing partial group is
+    parsed and dropped with ``group_frames``' warning."""
+    buf = memoryview(bytearray(sensor.group_nbytes))
+    while nbytes:
+        chunk = buf[: min(nbytes, len(buf))]
+        if stream.readinto(chunk) != len(chunk):
+            raise TruncatedFileError(f"stream ended {nbytes} bytes early")
+        nbytes -= len(chunk)
+        yield from group_frames(parse_frames(chunk, sensor), sensor)
+
+
+def run_tracking(stream, cfg: RunConfig, on_step=None) -> list[StepRecord]:
+    """Track the frames of a seekable binary stream, such as a file
+    opened ``"rb"``, from its position to its end.
+
+    The stream's length is checked before any group is read: an empty
+    stream raises EmptyInputError, and one that is not a whole number
+    of frames TruncatedFileError.  Groups are then read one at a time
+    into one reused buffer, so a group array is valid only until the
+    next group is read; ``on_step`` sees each record's histogram, which
+    holds no reference to it.
+    """
+    nbytes = stream_nbytes(stream, cfg.sensor)
+    groups = _read_groups(stream, nbytes, cfg.sensor)
     return run_groups(groups, cfg, on_step=on_step)

@@ -7,12 +7,17 @@ values.  Pixel (x, y) of frame f lives at byte offset
 
 Grouping is one reshape: ``group_frames`` returns a view of the parsed
 frames with shape (groups, pulses, height, width), so group n is the
-plain array ``groups[n]``.
+plain array ``groups[n]``.  ``parse_frames`` takes any bytes-like
+object, so a reader can parse a file one group's bytes at a time;
+``stream_nbytes`` checks a stream's length up front, by the rule
+``parse_frames`` applies to its bytes.
 """
 from __future__ import annotations
 
+import io
 import logging
 from dataclasses import dataclass
+from typing import BinaryIO
 
 import numpy as np
 
@@ -65,6 +70,11 @@ class SensorConfig:
         return 2 * self.frame_pixels
 
     @property
+    def group_nbytes(self) -> int:
+        """Bytes of one pulse group's frames."""
+        return self.pulses_per_group * self.frame_nbytes
+
+    @property
     def zmin(self) -> int:
         """First usable range bin."""
         return self.offset
@@ -75,23 +85,41 @@ class SensorConfig:
         return self.ceiling - self.offset - 1
 
 
-def parse_frames(data: bytes, cfg: SensorConfig) -> np.ndarray:
-    """Decode a raw byte stream into an array of frames.
-
-    Returns an array of shape (n_frames, height, width), dtype uint16,
-    indexed [frame, y, x].  Values above ``cfg.ceiling`` are clamped to
-    the ceiling; the number of clamped pixels is logged as a warning.
-    """
-    if len(data) == 0:
+def _check_length(nbytes: int, cfg: SensorConfig) -> None:
+    """Raise unless ``nbytes`` is a nonzero whole number of frames."""
+    if nbytes == 0:
         raise EmptyInputError("no bytes to parse")
-    if len(data) % cfg.frame_nbytes != 0:
+    if nbytes % cfg.frame_nbytes != 0:
         raise TruncatedFileError(
-            f"{len(data)} bytes is not a multiple of the "
+            f"{nbytes} bytes is not a multiple of the "
             f"{cfg.frame_nbytes}-byte frame size"
         )
+
+
+def stream_nbytes(stream: BinaryIO, cfg: SensorConfig) -> int:
+    """The bytes from a seekable binary stream's position to its end,
+    refused as ``parse_frames`` refuses its bytes when empty or not a
+    whole number of frames; the position is left where it was."""
+    start = stream.tell()
+    nbytes = stream.seek(0, io.SEEK_END) - start
+    stream.seek(start)
+    _check_length(nbytes, cfg)
+    return nbytes
+
+
+def parse_frames(data, cfg: SensorConfig) -> np.ndarray:
+    """Decode raw bytes, any bytes-like object, into an array of frames.
+
+    Returns an array of shape (n_frames, height, width), dtype uint16,
+    indexed [frame, y, x], that shares memory with ``data`` unless a
+    value needed clamping.  Values above ``cfg.ceiling`` are clamped to
+    the ceiling; the number of clamped pixels is logged as a warning.
+    """
+    _check_length(len(data), cfg)
     frames = np.frombuffer(data, dtype=RAW_DTYPE).reshape(-1, cfg.height, cfg.width)
-    n_over = int(np.count_nonzero(frames > cfg.ceiling))
-    if n_over:
+    # a clean array is told by its maximum, without a bool temporary
+    if frames.max(initial=0) > cfg.ceiling:
+        n_over = int(np.count_nonzero(frames > cfg.ceiling))
         log.warning("clamped %d pixel values above ceiling %d", n_over, cfg.ceiling)
         frames = frames.clip(max=np.uint16(cfg.ceiling))
     return frames

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import warnings
 from collections import defaultdict
 from dataclasses import fields, replace
@@ -219,6 +220,39 @@ def test_inspect_group_out_of_range(workspace):
     assert main(["inspect", "--raw", str(raw), "--group", "-1"]) == 1
 
 
+def test_inspect_reads_only_its_group(workspace, capsys):
+    """After a trailing partial group, inspect shows the last whole
+    group as it does without the tail, with the same images, and
+    refuses the partial one."""
+    tmp_path, _, _, raw = workspace
+    data = raw.read_bytes()
+    tailed = tmp_path / "tailed.raw"
+    tailed.write_bytes(data + bytes(3 * SensorConfig().frame_nbytes))
+    outs = []
+    for n, path in enumerate((raw, tailed)):
+        argv = ["inspect", "--raw", str(path), "--group", "5"]
+        assert main(argv + ["--out-dir", str(tmp_path / f"i{n}")]) == 0
+        outs.append(capsys.readouterr().out)
+    assert outs[0] == outs[1]
+    grid = build_histogram(parse_frames(data, SensorConfig())[1000:], SensorConfig())
+    assert f"photons in window: {int(grid.values.sum())}" in outs[0]
+    for tag in ("xy", "xz", "yz"):
+        name = f"group0005_{tag}.pgm"
+        assert (tmp_path / "i0" / name).read_bytes() == (tmp_path / "i1" / name).read_bytes()
+    assert main(["inspect", "--raw", str(tailed), "--group", "6"]) == 1
+
+
+@pytest.mark.parametrize("cut", [5, None], ids=["truncated", "empty"])
+def test_inspect_bad_capture_exits_1(workspace, capsys, cut):
+    tmp_path, _, _, raw = workspace
+    bad = tmp_path / "bad.raw"
+    bad.write_bytes(raw.read_bytes()[:-cut] if cut else b"")
+    argv = ["inspect", "--raw", str(bad), "--group", "0", "--out-dir", str(tmp_path / "o")]
+    assert main(argv) == 1
+    assert capsys.readouterr().err.startswith("error: raw stream: ")
+    assert not (tmp_path / "o").exists()
+
+
 def test_simulate_bad_scene_exits_1(tmp_path):
     scene = tmp_path / "bad.txt"
     scene.write_text("gibberish here\n")
@@ -288,6 +322,48 @@ def test_track_truncated_raw_exits_1(workspace):
         ["track", "--raw", str(bad), "--config", str(config), "--out-dir", str(tmp_path / "o")]
     )
     assert rc == 1
+
+
+@pytest.mark.parametrize("cut", [5, None], ids=["truncated", "empty"])
+def test_track_refuses_a_bad_capture_before_any_output(workspace, capsys, cut):
+    """A capture that is empty or not a whole number of frames is
+    refused before any group is read: exit 1, and no projection image
+    and no table is written."""
+    tmp_path, _, config, raw = workspace
+    bad = tmp_path / "bad.raw"
+    bad.write_bytes(raw.read_bytes()[:-cut] if cut else b"")
+    out = tmp_path / "o"
+    argv = ["track", "--raw", str(bad), "--config", str(config), "--out-dir", str(out)]
+    assert main(argv + ["--projections"]) == 1
+    assert capsys.readouterr().err.startswith("error: raw stream: ")
+    assert list(out.glob("*")) == []
+
+
+def test_track_memory_is_bounded_by_a_group(tmp_path):
+    """The traced peak memory of a ``track`` run does not grow with the
+    capture: on 8 and 32 groups it differs by less than one group's
+    bytes."""
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(CONFIG)
+    runs = []
+    for n in (8, 32):
+        scene, raw = tmp_path / f"scene{n}.txt", tmp_path / f"frames{n}.raw"
+        scene.write_text(SCENE.replace("n_groups 6", f"n_groups {n}"))
+        assert main(["simulate", "--scene", str(scene), "--out", str(raw)]) == 0
+        runs.append(
+            ["track", "--raw", str(raw), "--config", str(config),
+             "--out-dir", str(tmp_path / f"o{n}")]
+        )
+    assert main(runs[0]) == 0  # first-call allocations are not the capture's
+    peaks = []
+    for argv in runs:
+        tracemalloc.start()
+        try:
+            assert main(argv) == 0
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert abs(peaks[1] - peaks[0]) < SensorConfig().group_nbytes
 
 
 def test_track_unknown_config_key_exits_1(workspace, tmp_path):

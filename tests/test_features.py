@@ -55,7 +55,7 @@ def test_tracks_csv_rows_are_the_step_snapshots(tmp_path, mode):
     raw = io.BytesIO()
     write_raw(frames, raw)
     cfg = parse_config("", [f"assoc_mode={mode}"])
-    steps = run_tracking(raw.getvalue(), cfg)
+    steps = run_tracking(io.BytesIO(raw.getvalue()), cfg)
     path = tmp_path / "tracks.csv"
     write_tracks_csv(steps, path)
     with open(path, newline="") as fh:

@@ -12,7 +12,7 @@ import pytest
 
 import frontend_reference as ref
 from photontrack.denoise import DenoiseConfig, Scheme
-from photontrack.errors import ConfigMismatchError
+from photontrack.errors import ConfigMismatchError, EmptyInputError, TruncatedFileError
 from photontrack.pipeline import RunConfig, run_groups, run_tracking
 from photontrack.raw_ingest import SensorConfig, group_frames, parse_frames
 from photontrack.simulator import SceneSpec, TargetSpec, simulate, write_raw
@@ -45,7 +45,7 @@ def test_on_step_sees_each_histogram_and_results_drop_it():
     data = churn_scene_bytes()
     groups = group_frames(parse_frames(data, SENSOR), SENSOR)
     seen = []
-    result = run_tracking(data, RunConfig(), on_step=seen.append)
+    result = run_tracking(io.BytesIO(data), RunConfig(), on_step=seen.append)
     assert len(result) == len(seen) == len(groups) == 8
     for n, (rec, kept) in enumerate(zip(result, seen)):
         assert rec == replace(kept, grid=None)
@@ -114,6 +114,71 @@ def test_stream_shorter_than_a_group_gives_no_steps(caplog):
     data = bytes(SENSOR.frame_nbytes * (SENSOR.pulses_per_group - 1))
     with caplog.at_level("WARNING"):
         groups = group_frames(parse_frames(data, SENSOR), SENSOR)
-        assert run_tracking(data, RunConfig()) == []
+        assert run_tracking(io.BytesIO(data), RunConfig()) == []
     assert groups.shape == (0, SENSOR.pulses_per_group, SENSOR.height, SENSOR.width)
     assert any("partial group" in r.getMessage() for r in caplog.records)
+
+
+def test_streamed_run_equals_the_parsed_capture_run(caplog):
+    """Read one group at a time into one reused buffer, a capture gives
+    the records and histograms of its parsed and grouped bytes.  Values
+    above the ceiling are clamped group by group, with one warning per
+    affected group, and a trailing partial group is dropped with its
+    warning."""
+    frames = np.frombuffer(churn_scene_bytes(), dtype="<u2").reshape(8, -1).copy()
+    frames[2, [5, 900, 70000]] = [621, 700, 0xFFFF]
+    frames[5, :4] = 1000
+    tail = np.full(37 * SENSOR.frame_pixels, SENSOR.ceiling, dtype="<u2")
+    data = frames.tobytes() + tail.tobytes()
+    want_grids, got_grids = [], []
+    want = run_groups(
+        group_frames(parse_frames(data, SENSOR), SENSOR),
+        RunConfig(),
+        on_step=lambda rec: want_grids.append(rec.grid),
+    )
+    caplog.clear()
+    with caplog.at_level("WARNING"):
+        got = run_tracking(
+            io.BytesIO(data), RunConfig(), on_step=lambda rec: got_grids.append(rec.grid)
+        )
+    assert [r.getMessage() for r in caplog.records] == [
+        "clamped 3 pixel values above ceiling 620",
+        "clamped 4 pixel values above ceiling 620",
+        "discarding trailing partial group of 37 frames",
+    ]
+    assert len(got) == 8 and any(rec.links for rec in got)
+    assert got == want
+    for g, w in zip(got_grids, want_grids, strict=True):
+        np.testing.assert_array_equal(g.flat, w.flat)
+        np.testing.assert_array_equal(g.values, w.values)
+
+
+@pytest.mark.parametrize(
+    "cut, error",
+    [(None, EmptyInputError), (5, TruncatedFileError)],
+    ids=["empty", "truncated"],
+)
+def test_bad_stream_length_fails_before_any_group(cut, error):
+    """An empty stream, or one that is not a whole number of frames, is
+    refused before any byte is read: ``on_step`` never runs and the
+    stream stays where it was."""
+    stream = io.BytesIO(churn_scene_bytes()[:-cut] if cut else b"")
+
+    def on_step(rec):
+        raise AssertionError("a group was tracked")
+
+    with pytest.raises(error):
+        run_tracking(stream, RunConfig(), on_step=on_step)
+    assert stream.tell() == 0
+
+
+def test_stream_that_ends_early_raises():
+    """A stream that yields fewer bytes than its length promised, as a
+    file cut while it is read does, raises TruncatedFileError."""
+
+    class Short(io.BytesIO):
+        def readinto(self, buf):
+            return super().readinto(buf[: len(buf) // 2])
+
+    with pytest.raises(TruncatedFileError, match="ended"):
+        run_tracking(Short(churn_scene_bytes()), RunConfig())

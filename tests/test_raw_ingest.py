@@ -1,4 +1,5 @@
 """Raw frame stream parsing and grouping."""
+import io
 import struct
 
 import numpy as np
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from photontrack.errors import EmptyInputError, PhotontrackError, TruncatedFileError
-from photontrack.raw_ingest import SensorConfig, group_frames, parse_frames
+from photontrack.raw_ingest import SensorConfig, group_frames, parse_frames, stream_nbytes
 from photontrack.simulator import write_raw
 from photontrack.voxelizer import build_histogram
 
@@ -73,6 +74,35 @@ def test_values_above_ceiling_are_clamped(caplog):
     assert any("clamp" in r.getMessage() for r in caplog.records)
 
 
+def test_clean_frames_are_a_view_of_the_bytes(caplog):
+    """Frames with no value above the ceiling are read in place from
+    any bytes-like object, without a warning."""
+    cfg = SensorConfig(width=2, height=2, pulses_per_group=1, ceiling=620, offset=10)
+    buf = bytearray(struct.pack("<8H", 5, 620, 0, 619, 620, 620, 1, 2))
+    with caplog.at_level("WARNING"):
+        frames = parse_frames(memoryview(buf)[:8], cfg)
+    assert frames.tolist() == [[[5, 620], [0, 619]]]
+    buf[0] = 9
+    assert frames[0, 0, 0] == 9
+    assert caplog.records == []
+
+
+def test_stream_nbytes_counts_from_the_position():
+    """A stream's length is taken from its position to its end, which
+    must be a nonzero whole number of frames; the position is kept."""
+    cfg = SensorConfig(width=2, height=1)
+    stream = io.BytesIO(b"head" + bytes(3 * cfg.frame_nbytes))
+    stream.seek(4)
+    assert stream_nbytes(stream, cfg) == 3 * cfg.frame_nbytes
+    assert stream.tell() == 4
+    stream.seek(5)
+    with pytest.raises(TruncatedFileError):
+        stream_nbytes(stream, cfg)
+    stream.seek(0, io.SEEK_END)
+    with pytest.raises(EmptyInputError):
+        stream_nbytes(stream, cfg)
+
+
 def test_grouping_drops_partial_tail(caplog):
     cfg = SensorConfig(width=2, height=2, pulses_per_group=3, ceiling=620, offset=10)
     frames = np.arange(7 * 2 * 2, dtype=np.uint16).reshape(7, 2, 2)
@@ -93,8 +123,6 @@ def test_write_then_parse_round_trip(n_frames, seed):
     cfg = SensorConfig(width=5, height=4, pulses_per_group=2, ceiling=620, offset=10)
     rng = np.random.default_rng(seed)
     frames = rng.integers(0, cfg.ceiling + 1, (n_frames, 4, 5)).astype(np.uint16)
-    import io
-
     buf = io.BytesIO()
     nbytes = write_raw(frames, buf)
     assert nbytes == n_frames * cfg.frame_nbytes
