@@ -16,10 +16,10 @@ from .labeling import (
     TargetObservation,
     label_components,
 )
-from .pipeline import RunConfig, StepRecord, run_tracking
+from .pipeline import RunConfig, run_tracking
 from .raw_ingest import SensorConfig, group_frames, parse_frames
 from .simulator import SceneSpec, TargetSpec, load_scene, simulate, write_raw
-from .track_manager import Tracker, TrackerConfig, TrackState
+from .track_manager import StepRecord, Tracker, TrackerConfig, TrackState
 from .voxelizer import VoxelGrid, build_histogram
 
 __version__ = "0.1.0"

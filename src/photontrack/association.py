@@ -3,11 +3,12 @@
 Old tracks (rows) are scored against new observations (columns) under
 one of three modes:
 
-  * bounding-box expansion: two boxes match when every one of their six
-    faces lies within e voxels of the matching face.  This is symmetric
-    containment under expansion (each box sits inside the other's box
-    grown by e), so a huge new cluster cannot swallow a small old track
-    just by covering it;
+  * bounding-box expansion: a track's last reported box (the box
+    columns of its feature row) and an observation's box match when
+    every one of their six faces lies within e voxels of the matching
+    face.  This is symmetric containment under expansion (each box
+    sits inside the other's box grown by e), so a huge new cluster
+    cannot swallow a small old track just by covering it;
   * Kalman centroid: distance gating against the predicted centroid,
     scored 1 / (1 + distance) so that nearer pairs win;
   * Kalman bbox: the same face test against the box predicted by a
@@ -62,13 +63,15 @@ def build_association_matrix(
 ) -> AssociationMatrix:
     """Score every (old, new) pair at once.
 
-    Rows need ``bbox`` (``bbox`` mode), ``kf`` (``kalman_centroid``,
-    which gates on the predicted centroid ``kf.position``) or
-    ``bbox_kf`` (``kalman_bbox``); columns need ``bbox`` and
-    ``centroid``.  In ``kalman_bbox`` mode each row's predicted faces
-    ``bbox_kf.position`` round to the nearest voxel, halves to even
-    (``np.rint``, like Python's ``round``), and a max face that rounds
-    below its min face is raised to it.
+    Rows need ``features`` (``bbox`` mode, which reads the box columns
+    ``features[3:9]`` of the row's last feature row: the box the track
+    was last reported at, moved with its prediction while it coasts),
+    ``kf`` (``kalman_centroid``, which gates on the predicted centroid
+    ``kf.position``) or ``bbox_kf`` (``kalman_bbox``); columns need
+    ``bbox`` and ``centroid``.  In ``kalman_bbox`` mode each row's
+    predicted faces ``bbox_kf.position`` round to the nearest voxel,
+    halves to even (``np.rint``, like Python's ``round``), and a max
+    face that rounds below its min face is raised to it.
     """
     if cfg.mode is AssocMode.KALMAN_CENTROID:
         rows = np.array([old.kf.position for old in old_targets]).reshape(-1, 3)
@@ -83,7 +86,7 @@ def build_association_matrix(
         scores = np.where(dist <= cfg.gate_radius, 1.0 / (1.0 + dist), 0.0)
         return AssociationMatrix(scores=scores)
     if cfg.mode is AssocMode.BBOX_EXPANSION:
-        rows = np.array([old.bbox.faces for old in old_targets]).reshape(-1, 6)
+        rows = np.array([old.features[3:9] for old in old_targets]).reshape(-1, 6)
     elif cfg.mode is AssocMode.KALMAN_BBOX:
         rows = np.rint([old.bbox_kf.position for old in old_targets]).reshape(-1, 6)
         np.maximum(rows[:, 3:], rows[:, :3], out=rows[:, 3:])

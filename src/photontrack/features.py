@@ -104,8 +104,12 @@ def compute_features(track, prev: FeatureVector | None) -> FeatureVector:
     Acceleration is the first difference of the filter velocity between
     consecutive steps (zero on the first step), and age counts the steps
     the track has lived (1 on the first, ``prev.age + 1`` after that).
-    Position and box come from the track itself so that coasting tracks
-    report their predicted location, not the stale last detection.
+    A detected track is reported at its observation's centroid and box.
+    A coasting track (``bad_count > 0``) is reported at its predicted
+    position ``kf.position``, not the stale last detection, and its box
+    is the last observed one moved by the whole voxels,
+    ``rint(kf.position - obs.centroid)``, that the centroid has moved
+    since.
     """
     velocity = np.asarray(track.kf.velocity, dtype=np.float64)
     if prev is None:
@@ -114,9 +118,14 @@ def compute_features(track, prev: FeatureVector | None) -> FeatureVector:
         accel = velocity - (prev.velocity_x, prev.velocity_y, prev.velocity_z)
         age = prev.age + 1.0
     obs = track.obs
+    centroid, faces = obs.centroid, obs.bbox.faces
+    if track.bad_count:
+        centroid = track.kf.position
+        shift = np.rint(centroid - obs.centroid).astype(int)
+        faces = np.add(faces, np.tile(shift, 2))
     return FeatureVector(
-        *map(float, track.centroid),
-        *map(float, track.bbox.faces),
+        *map(float, centroid),
+        *map(float, faces),
         float(obs.volume), float(obs.total_photons), float(obs.peak_photons),
         *map(float, velocity),
         float(np.linalg.norm(velocity)),

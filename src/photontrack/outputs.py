@@ -12,7 +12,7 @@ import json
 import numpy as np
 
 from .features import FEATURE_NAMES
-from .pipeline import StepRecord
+from .track_manager import StepRecord
 from .voxelizer import VoxelGrid
 
 TRACKS_HEADER = ("step", "track_id", "state", "bad_count") + FEATURE_NAMES
@@ -47,13 +47,16 @@ def write_tracks_csv(steps: list[StepRecord], path) -> None:
 def write_links_csv(steps: list[StepRecord], path) -> None:
     """Confirmed slot links between consecutive steps.
 
-    The step column names the older of the two steps: a row
-    ``n,a,b`` says slot a of step n continued as slot b of step n+1.
+    The rows are each record's ``bwlink`` pairs.  The step column names
+    the older of the two steps: a row ``n,a,b`` says slot a of step n
+    continued as slot b of step n+1.
     """
-    rows = []
-    for rec in steps:
-        for old_slot, new_slot in rec.links:
-            rows.append((rec.step - 1, old_slot, new_slot))
+    rows = [
+        (rec.step - 1, old_slot, new_slot)
+        for rec in steps
+        for new_slot, old_slot in enumerate(rec.bwlink)
+        if old_slot is not None
+    ]
     _write_rows(path, LINKS_HEADER, rows)
 
 

@@ -3,8 +3,11 @@
 A pulse group is a plain ``(pulses, height, width)`` frame array.
 Groups are handled strictly in order by one loop on the calling
 thread: reduce the group to ranked observations, advance the tracker,
-emit a StepRecord.  A run's result is the list of its StepRecords;
-``StepRecord.step`` is the index of the group it came from.
+emit the step's record.  That record is the tracker's own
+``StepRecord``, the entry its history ring holds: a run's result is
+the list of its StepRecords, ``StepRecord.step`` is the index of the
+group it came from, and each record's ``fwlink`` is filled when the
+next group is tracked.
 
 ``run_tracking`` reads its stream one group at a time into one reused
 buffer, so the capture's share of its memory is one group, whatever
@@ -25,8 +28,8 @@ from .labeling import (
 )
 from .errors import TruncatedFileError
 from .raw_ingest import SensorConfig, group_frames, parse_frames, stream_nbytes
-from .track_manager import Tracker, TrackerConfig, TrackSnapshot
-from .voxelizer import VoxelGrid, build_histogram
+from .track_manager import StepRecord, Tracker, TrackerConfig
+from .voxelizer import build_histogram
 
 
 @dataclass(frozen=True)
@@ -51,24 +54,6 @@ class RunConfig:
             )
 
 
-@dataclass(frozen=True)
-class StepRecord:
-    """One processed frame group.
-
-    ``links`` pairs (previous-step slot, this-step slot) for tracks
-    whose association was confirmed across the boundary; ``grid`` is
-    the step's histogram while ``on_step`` sees the record, and None
-    in the run's results.  The histogram holds the occupied voxels;
-    its dense ``counts`` are built only if a reader asks for them (the
-    Parzen scheme does, once per group).
-    """
-
-    step: int
-    grid: VoxelGrid | None
-    tracks: list[TrackSnapshot]
-    links: list[tuple[int, int]]
-
-
 def _reduce_group(frames, cfg: RunConfig, t_prev):
     """Histogram, denoise, label, extract and rank one group's frames;
     returns (grid, observations, threshold used)."""
@@ -85,9 +70,14 @@ def run_groups(groups, cfg: RunConfig, on_step=None) -> list[StepRecord]:
     """Process frame groups, any iterable of ``(pulses, height, width)``
     arrays, strictly in order on the calling thread.
 
-    ``on_step`` is called with each StepRecord while its histogram is
-    still attached, so callers can derive imagery or keep grids; the
-    returned records drop them, since full histograms are large.
+    ``on_step`` is called with a copy of each StepRecord that carries
+    its histogram as ``grid``, so callers can derive imagery or keep
+    grids; the returned records are the tracker's, without histograms,
+    since full histograms are large.  The copy shares the record's link
+    lists, so its ``fwlink`` too is filled when the next group is
+    tracked.  The histogram holds the occupied voxels; its dense
+    ``counts`` are built only if a reader asks for them (the Parzen
+    scheme does, once per group).
     """
     tracker = Tracker(cfg.tracker)
     steps: list[StepRecord] = []
@@ -95,22 +85,19 @@ def run_groups(groups, cfg: RunConfig, on_step=None) -> list[StepRecord]:
     for group in groups:
         grid, observations, t_prev = _reduce_group(group, cfg, t_prev)
         tracker.step(observations)
-        entry = tracker.ring.latest
-        links = [(p, s) for s, p in enumerate(entry.bwlink) if p is not None]
-        record = StepRecord(
-            step=entry.step, grid=grid, tracks=entry.tracks, links=links
-        )
+        record = tracker.ring.latest
         if on_step is not None:
-            on_step(record)
-        steps.append(replace(record, grid=None))
+            on_step(replace(record, grid=grid))
+        steps.append(record)
     return steps
 
 
 def _read_groups(stream, nbytes: int, sensor: SensorConfig):
     """Yield the whole groups of the next ``nbytes`` of ``stream``, each
-    parsed from the same reused buffer; a trailing partial group is
-    parsed and dropped with ``group_frames``' warning."""
-    buf = memoryview(bytearray(sensor.group_nbytes))
+    parsed from the same reused buffer of one group, or of all
+    ``nbytes`` when that is less; a trailing partial group is parsed
+    and dropped with ``group_frames``' warning."""
+    buf = memoryview(bytearray(min(nbytes, sensor.group_nbytes)))
     while nbytes:
         chunk = buf[: min(nbytes, len(buf))]
         if stream.readinto(chunk) != len(chunk):

@@ -6,15 +6,14 @@ and dies after too many consecutive misses.  Each step the surviving old
 tracks and the newly born ones are fused by one stable importance sort
 (old tracks first on ties) and truncated to the configured capacity.
 
-The last ten per-step track lists live in a ring buffer.  Steps where a
-track was matched also record slot-to-slot links between consecutive
-entries; following those links forward or backward replays a short
+Each step's record, a ``StepRecord``, is the step's track list with
+slot-to-slot links to its neighbours; the last ten live in a ring
+buffer.  Following the links forward or backward replays a short
 trajectory without storing full histories per track.
 """
 from __future__ import annotations
 
 import logging
-import operator
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -39,12 +38,8 @@ from .kalman import (
     kf_predict,
     kf_update,
 )
-from .labeling import (
-    BoundingBox,
-    ImportanceConfig,
-    TargetObservation,
-    observation_score,
-)
+from .labeling import ImportanceConfig, TargetObservation, observation_score
+from .voxelizer import VoxelGrid
 
 logger = logging.getLogger(__name__)
 
@@ -87,8 +82,6 @@ class Track:
     bad_count: int
     obs: TargetObservation
     kf: KalmanState
-    centroid: np.ndarray
-    bbox: BoundingBox
     features: FeatureVector | None = None
     bbox_kf: KalmanState | None = None
 
@@ -104,38 +97,44 @@ class TrackSnapshot:
     features: FeatureVector
 
 
-@dataclass
-class RingEntry:
-    """One step's recorded track list plus links to its neighbors.
+@dataclass(frozen=True)
+class StepRecord:
+    """One processed frame group: its recorded track list plus links to
+    its neighbours.
 
-    fwlink[s] is the slot this entry's track s occupies in the next
-    entry, bwlink[s] the slot it came from in the previous one; either
-    is None when the step boundary was not a confirmed match.
+    ``step`` is the index of the group.  fwlink[s] is the slot this
+    step's track s occupies in the next step, bwlink[s] the slot it
+    came from in the previous one; either is None when the step
+    boundary was not a confirmed match.  The tracker fills ``fwlink``
+    in place when it records the next step.  ``grid`` is the step's
+    histogram while a pipeline's ``on_step`` sees the record, and None
+    in the ring and in a run's results.
     """
 
     step: int
     tracks: list[TrackSnapshot]
     fwlink: list[int | None]
     bwlink: list[int | None]
+    grid: VoxelGrid | None = None
 
 
 class HistoryRing:
     """Record of the most recent ``HISTORY_LEN`` steps."""
 
     def __init__(self):
-        self._entries: deque[RingEntry] = deque(maxlen=HISTORY_LEN)
+        self._entries: deque[StepRecord] = deque(maxlen=HISTORY_LEN)
 
-    def push(self, entry: RingEntry) -> None:
+    def push(self, entry: StepRecord) -> None:
         self._entries.append(entry)
 
-    def entry(self, step: int) -> RingEntry:
+    def entry(self, step: int) -> StepRecord:
         for e in self._entries:
             if e.step == step:
                 return e
         raise EntryEvictedError(f"step {step} no longer in the ring")
 
     @property
-    def latest(self) -> RingEntry | None:
+    def latest(self) -> StepRecord | None:
         return self._entries[-1] if self._entries else None
 
     def __len__(self) -> int:
@@ -201,8 +200,6 @@ class Tracker:
             bad_count=0,
             obs=obs,
             kf=kf_init(obs.centroid, self.cfg.kalman),
-            centroid=obs.centroid,
-            bbox=obs.bbox,
         )
         if self.cfg.assoc.mode is AssocMode.KALMAN_BBOX:
             t.bbox_kf = bbox_kf_init(obs.bbox, self.cfg.kalman)
@@ -246,8 +243,6 @@ class Tracker:
                 if t.bbox_kf is not None:
                     t.bbox_kf = bbox_kf_update(t.bbox_kf, obs.bbox)
                 t.obs = obs
-                t.centroid = obs.centroid
-                t.bbox = obs.bbox
                 t.bad_count = 0
                 came_from[t.track_id] = i
                 old_derived.append(t)
@@ -261,14 +256,6 @@ class Tracker:
                     continue
                 t.state = TrackState.COASTING
                 t.bad_count += 1
-                t.centroid = t.kf.position
-                # the last observed box, moved by the whole voxels the
-                # centroid has moved since
-                shift = np.rint(t.kf.position - t.obs.centroid).astype(int).tolist()
-                t.bbox = BoundingBox(
-                    tuple(map(operator.add, t.obs.bbox.min, shift)),
-                    tuple(map(operator.add, t.obs.bbox.max, shift)),
-                )
                 old_derived.append(t)
 
         new_tracks = [
@@ -305,7 +292,7 @@ class Tracker:
             for t in kept
         ]
         self.ring.push(
-            RingEntry(
+            StepRecord(
                 step=self._step,
                 tracks=snapshots,
                 fwlink=[None] * len(kept),

@@ -3,8 +3,9 @@
 ``build_association_matrix`` here is the straightforward double loop
 that expands both boxes into new ``BoundingBox`` objects and checks
 containment twice, or takes ``np.linalg.norm`` of one centroid
-difference at a time.  A row's predicted box is built from its face
-filter one face at a time with Python's ``round``.  Tests compare
+difference at a time.  A row's box is built from the box columns of
+its feature row (``bbox`` mode), or from its face filter one face at
+a time with Python's ``round`` (``kalman_bbox``).  Tests compare
 ``photontrack``'s whole-array gate against it.
 """
 from __future__ import annotations
@@ -61,7 +62,9 @@ def centroid_gate(p, q, radius: float) -> bool:
 
 def pair_score(old, obs, cfg) -> float:
     if cfg.mode is AssocMode.BBOX_EXPANSION:
-        return 1.0 if bbox_match(old.bbox, obs.bbox, cfg.expansion_e) else 0.0
+        box = old.features[3:9]
+        reported = BoundingBox(tuple(map(int, box[:3])), tuple(map(int, box[3:])))
+        return 1.0 if bbox_match(reported, obs.bbox, cfg.expansion_e) else 0.0
     if cfg.mode is AssocMode.KALMAN_CENTROID:
         pred = old.kf.position
         if centroid_gate(pred, obs.centroid, cfg.gate_radius):

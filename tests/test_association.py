@@ -33,11 +33,12 @@ faces_strategy = st.tuples(*[coord] * 6)
 
 
 def _row(bbox, position=(0.0, 0.0, 0.0), faces=None):
-    """A track as association reads it: its box, and the predicted
-    centroid and faces of its two filters (faces default to the box)."""
+    """A track as association reads it: its feature row's position and
+    box columns, and the predicted centroid and faces of its two
+    filters (faces default to the box)."""
     faces = bbox.faces if faces is None else faces
     return SimpleNamespace(
-        bbox=bbox,
+        features=tuple(map(float, (*position, *bbox.faces))),
         kf=SimpleNamespace(position=np.asarray(position, float)),
         bbox_kf=SimpleNamespace(position=np.asarray(faces, float)),
     )

@@ -25,7 +25,7 @@ from photontrack import cli, errors
 from photontrack.cli import _KEYS, main, parse_config
 from photontrack.denoise import DenoiseConfig, Fixed, MovingAverage, PeakFraction, Scheme
 from photontrack.association import AssocMode
-from photontrack.outputs import TRACKS_HEADER
+from photontrack.outputs import LINKS_HEADER, TRACKS_HEADER
 from photontrack.pipeline import RunConfig
 from photontrack.raw_ingest import SensorConfig, parse_frames
 from photontrack.voxelizer import build_histogram
@@ -525,6 +525,27 @@ def test_track_geometry_too_large_for_memory_exits_2(tmp_path):
     assert not (out / "tracks.csv").exists()
 
 
+def test_track_capture_shorter_than_a_huge_group_exits_0_under_a_memory_limit(tmp_path):
+    """A group of 10**8 default frames would take 191 GiB, but the read
+    buffer is no larger than the capture: 4 frames are one partial
+    group, dropped with its warning, and the tables are header-only."""
+    config = tmp_path / "pipeline.cfg"
+    config.write_text(CONFIG)
+    raw = tmp_path / "short.raw"
+    np.zeros((4, 32, 32), np.uint16).tofile(raw)
+    out = tmp_path / "o"
+    child = _main_under_memory_limit(
+        [
+            "track", "--raw", str(raw), "--config", str(config), "--out-dir", str(out),
+            "--set", "pulses_per_group=100000000",
+        ]
+    )
+    assert child.returncode == 0, child.stderr
+    assert "discarding trailing partial group of 4 frames" in child.stderr
+    assert (out / "tracks.csv").read_text() == ",".join(TRACKS_HEADER) + "\n"
+    assert (out / "links.csv").read_text() == ",".join(LINKS_HEADER) + "\n"
+
+
 def test_parzen_kernel_may_span_the_longest_axis():
     """The bound is the longest axis, not each sigma's own axis: a
     half-width of 600 voxels passes on the default 32x32x600 grid."""
@@ -602,9 +623,11 @@ def test_track_singular_filter_exits_1(workspace, tmp_path, capsys, mode):
     assert capsys.readouterr().err.startswith("error: config: ")
 
 
-def _track_warning_free(raw, config, out_dir, overrides):
-    """``main(["track", ...])`` with every warning raised as an error."""
+def _track_warning_free(raw, config, out_dir, overrides, *flags):
+    """``main(["track", ..., *flags])`` with every warning raised as an
+    error."""
     argv = ["track", "--raw", str(raw), "--config", str(config), "--out-dir", str(out_dir)]
+    argv += flags
     for item in overrides:
         argv += ["--set", item]
     with warnings.catch_warnings():
@@ -864,9 +887,8 @@ def tiny_capture(tmp_path_factory):
 @example(values={"kf_q": 0.0, "kf_r": 0.0, "kf_p0_vel": 1e-300})
 def test_track_over_the_config_space_runs_clean_or_exits_1(tiny_capture, values):
     """Any drawn setting of every non-sensor key, extremes included, is
-    tracked or refused with exit 1, with no warning and nothing raised.
-    On success tracks.csv holds only finite numbers, at most t_max rows
-    and unique ids per step, and links pair slots one to one."""
+    tracked or refused with exit 1, with no warning and nothing raised;
+    on success the tables pass ``_check_tables``."""
     raw, geometry = tiny_capture
     overrides = geometry + [f"{k}={v}" for k, v in values.items()]
     with tempfile.TemporaryDirectory() as tmp:
@@ -876,13 +898,17 @@ def test_track_over_the_config_space_runs_clean_or_exits_1(tiny_capture, values)
             with contextlib.redirect_stderr(io.StringIO()):
                 rc = _track_warning_free(raw, config, out, overrides)
         assert rc in (0, 1)
-        if rc == 1:
-            return
-        t_max = parse_config(TINY_CONFIG, overrides).tracker.t_max
-        with open(out / "tracks.csv", newline="") as fh:
-            rows = list(csv.reader(fh))[1:]
-        with open(out / "links.csv", newline="") as fh:
-            links = list(csv.reader(fh))[1:]
+        if rc == 0:
+            _check_tables(out, parse_config(TINY_CONFIG, overrides).tracker.t_max)
+
+
+def _check_tables(out: Path, t_max: int) -> None:
+    """tracks.csv holds only finite numbers, at most t_max rows and
+    unique ids per step, and links pair slots one to one."""
+    with open(out / "tracks.csv", newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    with open(out / "links.csv", newline="") as fh:
+        links = list(csv.reader(fh))[1:]
     by_step = defaultdict(list)
     for row in rows:
         assert all(math.isfinite(float(v)) for i, v in enumerate(row) if i != 2)
@@ -896,3 +922,52 @@ def test_track_over_the_config_space_runs_clean_or_exits_1(tiny_capture, values)
     for step_pairs in pairs.values():
         olds, news = zip(*step_pairs)
         assert len(set(olds)) == len(olds) and len(set(news)) == len(news)
+
+
+@st.composite
+def _geometry_and_capture(draw):
+    """A sensor geometry as ``--set`` items, and a capture of 0-24
+    frames for it, pixel values up to ceiling + 3."""
+    width, height = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    offset = draw(st.integers(0, 10))
+    ceiling = 2 * offset + draw(st.integers(1, 40) | st.just(600))
+    n_frames = draw(st.integers(0, 24))
+    pulses = draw(st.integers(1, n_frames + 3))
+    values = draw(
+        st.lists(
+            st.integers(0, ceiling + 3),
+            min_size=n_frames * width * height,
+            max_size=n_frames * width * height,
+        )
+    )
+    geometry = [
+        f"width={width}", f"height={height}", f"offset={offset}",
+        f"ceiling={ceiling}", f"pulses_per_group={pulses}",
+    ]
+    return geometry, np.array(values, dtype="<u2").tobytes()
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    drawn=_geometry_and_capture(),
+    scheme=st.sampled_from([s.value for s in Scheme]),
+    mode=st.sampled_from([m.value for m in AssocMode]),
+)
+def test_track_over_sensor_geometries_runs_clean_or_exits_1(drawn, scheme, mode):
+    """Any small sensor geometry, with a capture written for it (empty,
+    shorter than a group, or with a partial last group), is tracked
+    with projections or refused with exit 1, with no warning and
+    nothing raised; on success the tables pass ``_check_tables``.  Groups stay small here: a group far larger than the
+    capture is run under a memory limit above."""
+    geometry, data = drawn
+    overrides = geometry + [f"scheme={scheme}", f"assoc_mode={mode}"]
+    with tempfile.TemporaryDirectory() as tmp:
+        raw, config, out = Path(tmp) / "c.raw", Path(tmp) / "base.cfg", Path(tmp) / "o"
+        raw.write_bytes(data)
+        config.write_text(TINY_CONFIG)
+        with contextlib.redirect_stdout(io.StringIO()):
+            with contextlib.redirect_stderr(io.StringIO()):
+                rc = _track_warning_free(raw, config, out, overrides, "--projections")
+        assert rc in (0, 1)
+        if rc == 0:
+            _check_tables(out, parse_config(TINY_CONFIG, overrides).tracker.t_max)

@@ -135,8 +135,6 @@ def _track(centroid, velocity, voxels):
         bad_count=0,
         obs=obs,
         kf=kf,
-        centroid=np.asarray(centroid, float),
-        bbox=obs.bbox,
     )
 
 

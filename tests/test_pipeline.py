@@ -12,16 +12,19 @@ import pytest
 
 import frontend_reference as ref
 from photontrack.denoise import DenoiseConfig, Scheme
+from photontrack import pipeline
 from photontrack.errors import ConfigMismatchError, EmptyInputError, TruncatedFileError
+from photontrack.outputs import write_links_csv
 from photontrack.pipeline import RunConfig, run_groups, run_tracking
 from photontrack.raw_ingest import SensorConfig, group_frames, parse_frames
 from photontrack.simulator import SceneSpec, TargetSpec, simulate, write_raw
+from photontrack.track_manager import HISTORY_LEN, Tracker
 from photontrack.voxelizer import build_histogram
 
 SENSOR = SensorConfig()
 
 
-def churn_scene_bytes():
+def churn_scene_bytes(n_groups=8):
     """Two movers plus dark counts, enough to exercise links and births."""
     scene = SceneSpec(
         targets=(
@@ -29,7 +32,7 @@ def churn_scene_bytes():
             TargetSpec((3, 3, 3), (24.0, 20.0, 330.0), 2.0, ((0, (-0.4, 0.0, 0.0)),)),
         ),
         noise_rate=30.0,
-        n_groups=8,
+        n_groups=n_groups,
         seed=11,
     )
     frames, _ = simulate(scene, SENSOR)
@@ -53,6 +56,43 @@ def test_on_step_sees_each_histogram_and_results_drop_it():
         np.testing.assert_array_equal(
             kept.grid.counts, build_histogram(groups[n], SENSOR).counts
         )
+
+
+def test_run_records_are_the_ring_entries_and_link_both_ways(tmp_path, monkeypatch):
+    """A run's records link both ways: each record's ``fwlink`` is the
+    inverse of the next record's ``bwlink``, and the last record's is
+    all None.  links.csv holds the ``bwlink`` pairs, and the tracker's
+    history ring holds the run's last ten records themselves."""
+    trackers = []
+
+    class Recorded(Tracker):
+        def __init__(self, cfg):
+            super().__init__(cfg)
+            trackers.append(self)
+
+    monkeypatch.setattr(pipeline, "Tracker", Recorded)
+    steps = run_tracking(io.BytesIO(churn_scene_bytes(n_groups=14)), RunConfig())
+    assert len(steps) == 14
+    for rec, nxt in zip(steps, steps[1:]):
+        inverse = [None] * len(rec.tracks)
+        for slot, prev in enumerate(nxt.bwlink):
+            if prev is not None:
+                inverse[prev] = slot
+        assert rec.fwlink == inverse
+    assert steps[-1].fwlink == [None] * len(steps[-1].tracks)
+    pairs = [
+        f"{rec.step - 1},{prev},{slot}"
+        for rec in steps
+        for slot, prev in enumerate(rec.bwlink)
+        if prev is not None
+    ]
+    assert pairs
+    write_links_csv(steps, tmp_path / "links.csv")
+    assert (tmp_path / "links.csv").read_text().splitlines()[1:] == pairs
+    (tracker,) = trackers
+    ring = list(tracker.ring)
+    assert len(ring) == HISTORY_LEN
+    assert all(a is b for a, b in zip(ring, steps[-HISTORY_LEN:]))
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
@@ -146,7 +186,7 @@ def test_streamed_run_equals_the_parsed_capture_run(caplog):
         "clamped 4 pixel values above ceiling 620",
         "discarding trailing partial group of 37 frames",
     ]
-    assert len(got) == 8 and any(rec.links for rec in got)
+    assert len(got) == 8 and any(p is not None for rec in got for p in rec.bwlink)
     assert got == want
     for g, w in zip(got_grids, want_grids, strict=True):
         np.testing.assert_array_equal(g.flat, w.flat)

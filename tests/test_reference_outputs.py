@@ -3,9 +3,14 @@
 Each case builds its workload's capture with the benchmark's own scene
 builder (``perfbench/child.build_scene``) and ``simulate``, then runs
 ``photontrack track`` in-process with ``configs/default.cfg`` and the
-workload's ``track_args`` (``perfbench/workloads.WORKLOADS``).  The
-``clutter_kalman_centroid`` case tracks clutter's capture under
-``assoc_mode=kalman_centroid``, the one case whose tracks coast.  Its
+workload's ``track_args`` (``perfbench/workloads.WORKLOADS``).  Three
+more cases make tracks coast.  ``clutter_kalman_centroid`` tracks
+clutter's capture under ``assoc_mode=kalman_centroid``, which reads no
+box.  ``parzen_bbox_coasting`` and ``parzen_kalman_bbox_coasting``
+track parzen's capture under ``scheme=threshold``, ``threshold=1`` and
+``t_max=12`` in the two box modes: noise tracks are born and coast
+every step (447 of the 720 rows), so the box a coasting track reports,
+and under ``bbox`` associates by, is refereed.  Each case's
 ``tracks.csv`` and ``links.csv``, and crossing's ``truth.csv`` and
 ``summary.json``, must equal the golden files byte for byte.
 
@@ -53,6 +58,15 @@ CASES["clutter_kalman_centroid"] = dataclasses.replace(
     CASES["clutter"],
     track_args=(*CASES["clutter"].track_args, "--set", "assoc_mode=kalman_centroid"),
 )
+for _mode in ("bbox", "kalman_bbox"):
+    CASES[f"parzen_{_mode}_coasting"] = dataclasses.replace(
+        CASES["parzen"],
+        track_args=(
+            *CASES["parzen"].track_args,
+            "--set", "scheme=threshold", "--set", "threshold=1",
+            "--set", "t_max=12", "--set", f"assoc_mode={_mode}",
+        ),
+    )
 REL_TOL = 1e-8
 FLOAT_COLUMNS = frozenset(
     [f"centroid_{a}" for a in "xyz"]

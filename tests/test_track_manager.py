@@ -15,7 +15,7 @@ from photontrack.labeling import (
 from photontrack.track_manager import (
     HISTORY_LEN,
     HistoryRing,
-    RingEntry,
+    StepRecord,
     Tracker,
     TrackerConfig,
     TrackState,
@@ -185,7 +185,7 @@ def test_reconstruction_round_trip():
 def test_reconstruction_of_evicted_step_raises():
     ring = HistoryRing()
     for step in range(HISTORY_LEN + 1):
-        ring.push(RingEntry(step=step, tracks=[], fwlink=[], bwlink=[]))
+        ring.push(StepRecord(step=step, tracks=[], fwlink=[], bwlink=[]))
     with pytest.raises(EntryEvictedError):
         reconstruct_forward(ring, 0, 0)
 
@@ -197,13 +197,17 @@ def test_coasting_carries_the_box_along():
     kept = tracker.step([])
     t = kept[0]
     assert t.state is TrackState.COASTING
-    # the filter has locked onto the +2/step drift, so the coasted box
-    # sits ahead of the last detection
-    shift = int(np.rint(t.centroid[0] - t.obs.centroid[0]))
+    # a coasting track is reported at its prediction; the filter has
+    # locked onto the +2/step drift, so the coasted box sits ahead of
+    # the last detection
+    f = t.features
+    assert (f.centroid_x, f.centroid_y, f.centroid_z) == tuple(t.kf.position)
+    shift = int(np.rint(f.centroid_x - t.obs.centroid[0]))
     assert shift >= 1
-    assert t.bbox.min[0] == t.obs.bbox.min[0] + shift
-    assert t.bbox.max[0] == t.obs.bbox.max[0] + shift
-    assert t.bbox.min[1:] == t.obs.bbox.min[1:]
+    assert f.bbox_min_x == t.obs.bbox.min[0] + shift
+    assert f.bbox_max_x == t.obs.bbox.max[0] + shift
+    assert (f.bbox_min_y, f.bbox_min_z) == t.obs.bbox.min[1:]
+    assert (f.bbox_max_y, f.bbox_max_z) == t.obs.bbox.max[1:]
 
 
 def test_two_targets_keep_their_ids():
