@@ -57,24 +57,24 @@ class AssociationMatrix:
 
 
 def build_association_matrix(
-    old_targets: list,
+    rows: np.ndarray | list,
     new_observations: list[TargetObservation],
     cfg: AssociationConfig,
 ) -> AssociationMatrix:
     """Score every (old, new) pair at once.
 
-    Rows need ``features`` (``bbox`` mode, which reads the box columns
-    ``features[3:9]`` of the row's last feature row: the box the track
-    was last reported at, moved with its prediction while it coasts),
-    ``kf`` (``kalman_centroid``, which gates on the predicted centroid
-    ``kf.position``) or ``bbox_kf`` (``kalman_bbox``); columns need
-    ``bbox`` and ``centroid``.  In ``kalman_bbox`` mode each row's
-    predicted faces ``bbox_kf.position`` round to the nearest voxel,
-    halves to even (``np.rint``, like Python's ``round``), and a max
-    face that rounds below its min face is raised to it.
+    ``rows`` holds what each old track is gated on, one row per track:
+    in ``bbox`` mode the six faces of the box it was last reported at
+    (the box columns ``features[3:9]`` of its last feature row, moved
+    with its prediction while it coasts), in ``kalman_centroid`` mode
+    its predicted centroid, and in ``kalman_bbox`` mode its predicted
+    faces.  Columns need ``bbox`` and ``centroid``.  In ``kalman_bbox``
+    mode the predicted faces round to the nearest voxel, halves to even
+    (``np.rint``, like Python's ``round``), and a max face that rounds
+    below its min face is raised to it.
     """
     if cfg.mode is AssocMode.KALMAN_CENTROID:
-        rows = np.array([old.kf.position for old in old_targets]).reshape(-1, 3)
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
         cols = np.array(
             [obs.centroid for obs in new_observations], dtype=np.float64
         ).reshape(-1, 3)
@@ -86,9 +86,9 @@ def build_association_matrix(
         scores = np.where(dist <= cfg.gate_radius, 1.0 / (1.0 + dist), 0.0)
         return AssociationMatrix(scores=scores)
     if cfg.mode is AssocMode.BBOX_EXPANSION:
-        rows = np.array([old.features[3:9] for old in old_targets]).reshape(-1, 6)
+        rows = np.asarray(rows, dtype=np.float64).reshape(-1, 6)
     elif cfg.mode is AssocMode.KALMAN_BBOX:
-        rows = np.rint([old.bbox_kf.position for old in old_targets]).reshape(-1, 6)
+        rows = np.rint(rows).reshape(-1, 6)
         np.maximum(rows[:, 3:], rows[:, :3], out=rows[:, 3:])
     else:
         raise ValueError(f"unknown association mode {cfg.mode!r}")
@@ -117,11 +117,11 @@ def resolve_matches(matrix: AssociationMatrix) -> MatchSet:
     fw: dict[int, int] = {}
     if scores.size == 0:
         return MatchSet(fw=fw)
+    n_cols = scores.shape[1]
     while True:
-        flat = int(np.argmax(scores))
-        i, j = np.unravel_index(flat, scores.shape)
+        i, j = divmod(int(np.argmax(scores)), n_cols)
         if scores[i, j] <= 0:
             return MatchSet(fw=fw)
-        fw[int(i)] = int(j)
+        fw[i] = j
         scores[i, :] = -np.inf
         scores[:, j] = -np.inf

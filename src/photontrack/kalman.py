@@ -10,10 +10,12 @@ form, so every axis shares one position/velocity variance triple
 (Kalata, "The tracking index", 1984).  ``KalmanState.P`` rebuilds the
 dense 2d x 2d matrix on request.
 
-Two usages share this module: one 3D filter per track centroid, and one
+Two usages share this module: a 3D filter per track centroid, and a
 6D filter for the faces of a bounding box (``BoundingBox.faces``).  A
-predicted state is the prediction: its ``position`` is the predicted
-centroid or faces, which association and coasting read directly.
+tracker holds each kind as one bank, a ``KalmanState`` whose rows are
+its tracks' filters, and advances all rows in one call.  A predicted
+state is the prediction: its ``position`` is the predicted centroid or
+faces, which association and coasting read directly.
 """
 from __future__ import annotations
 
@@ -23,7 +25,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SingularInnovationError
-from .labeling import BoundingBox
 
 
 @dataclass(frozen=True)
@@ -48,43 +49,76 @@ class KalmanParams:
             raise ValueError("initial variances must be finite and positive")
 
 
+_ROW_FIELDS = ("position", "velocity", "pp", "pv", "vv")
+
+
 @dataclass(frozen=True)
 class KalmanState:
     """Filter state: per-axis position and velocity plus the covariance
-    triple shared by all axes."""
+    triple shared by all axes.
+
+    One filter holds ``(d,)`` position and velocity and scalar triple.
+    A bank of k filters holds ``(k, d)`` positions and velocities and
+    ``(k,)`` triples, row i being filter i; the functions below apply
+    the same elementwise expressions to every row, so a row of a bank
+    advances exactly as the filter on its own would.
+    """
 
     position: np.ndarray
     velocity: np.ndarray
-    pp: float
-    pv: float
-    vv: float
+    pp: float | np.ndarray
+    pv: float | np.ndarray
+    vv: float | np.ndarray
     params: KalmanParams
 
     @property
     def dim(self) -> int:
-        return len(self.position)
+        return self.position.shape[-1]
 
     @property
     def x(self) -> np.ndarray:
-        """Stacked state, position then velocity."""
+        """Stacked state of one filter, position then velocity."""
         return np.concatenate([self.position, self.velocity])
 
     @property
     def P(self) -> np.ndarray:
-        """Dense 2d x 2d covariance."""
+        """Dense 2d x 2d covariance of one filter."""
         block = np.array([[self.pp, self.pv], [self.pv, self.vv]])
         return np.kron(block, np.eye(self.dim))
 
+    def take(self, rows) -> KalmanState:
+        """The bank of this bank's rows ``rows``, in that order."""
+        rows = np.asarray(rows, dtype=np.intp)
+        return KalmanState(*(getattr(self, f)[rows] for f in _ROW_FIELDS), self.params)
+
+
+def kf_concat(banks: list[KalmanState]) -> KalmanState:
+    """The banks' rows end to end, in one bank."""
+    return KalmanState(
+        *(np.concatenate([getattr(b, f) for b in banks]) for f in _ROW_FIELDS),
+        banks[0].params,
+    )
+
+
+def _quiet_triple():
+    """The covariance triple overflows to inf and 1 / 0 is inf without
+    a warning, as in Python float arithmetic: a diverged triple is
+    caught as a singular innovation variance at the filter's next
+    update."""
+    return np.errstate(divide="ignore", over="ignore", invalid="ignore")
+
 
 def kf_init(centroid: np.ndarray, params: KalmanParams) -> KalmanState:
-    """Start a filter at a measured position with zero velocity."""
-    pos = np.asarray(centroid, dtype=np.float64).ravel()
+    """Start a filter at a measured position with zero velocity, or a
+    bank at the rows of a ``(k, d)`` array of positions."""
+    pos = np.asarray(centroid, dtype=np.float64)
+    ones = np.ones(pos.shape[:-1])
     return KalmanState(
         position=pos,
-        velocity=np.zeros(len(pos)),
-        pp=float(params.p0_pos),
-        pv=0.0,
-        vv=float(params.p0_vel),
+        velocity=np.zeros_like(pos),
+        pp=float(params.p0_pos) * ones,
+        pv=0.0 * ones,
+        vv=float(params.p0_vel) * ones,
         params=params,
     )
 
@@ -101,57 +135,67 @@ def kf_predict(state: KalmanState, dt: float = 1.0) -> KalmanState:
         raise ValueError("dt must be at least one frame-group period")
     q = state.params.q
     pp, pv, vv = state.pp, state.pv, state.vv
+    with _quiet_triple():
+        triple = (
+            pp + dt * (pv + pv) + dt**2 * vv + q * dt**4 / 4.0,
+            pv + dt * vv + q * dt**3 / 2.0,
+            vv + q * dt**2,
+        )
     return KalmanState(
-        position=state.position + dt * state.velocity,
-        velocity=state.velocity,
-        pp=pp + dt * (pv + pv) + dt**2 * vv + q * dt**4 / 4.0,
-        pv=pv + dt * vv + q * dt**3 / 2.0,
-        vv=vv + q * dt**2,
-        params=state.params,
+        state.position + dt * state.velocity, state.velocity, *triple, state.params
     )
 
 
 def kf_update(state: KalmanState, z: np.ndarray) -> KalmanState:
-    """Fold a position measurement into a predicted state.
+    """Fold position measurements, one per row, into a predicted state.
 
-    The innovation variance s = pp + r must be finite, and so must its
-    reciprocal, which rules out zero and the subnormal values whose
-    reciprocal overflows; a singular or blown-up s means the filter
-    diverged and the track should die rather than absorb garbage.
+    Every row's innovation variance s = pp + r must be finite, and so
+    must its reciprocal, which rules out zero and the subnormal values
+    whose reciprocal overflows; a singular or blown-up s means the
+    filter diverged and the track should die rather than absorb garbage.
     """
-    z = np.asarray(z, dtype=np.float64).ravel()
-    d = state.dim
-    if len(z) != d:
-        raise ValueError(f"measurement dim {len(z)} != filter dim {d}")
+    z = np.asarray(z, dtype=np.float64)
+    if z.shape != state.position.shape:
+        raise ValueError(
+            f"measurement shape {z.shape} != filter shape {state.position.shape}"
+        )
     pp, pv, vv = state.pp, state.pv, state.vv
-    s = pp + state.params.r
-    inv = 1.0 / s if s else math.inf
-    if not (math.isfinite(s) and math.isfinite(inv)):
-        raise SingularInnovationError(f"innovation variance {s:.3g}")
-    kp = pp * inv
-    kv = pv * inv
+    with _quiet_triple():
+        s = np.add(pp, state.params.r)
+        inv = 1.0 / s
+        kp = pp * inv
+        kv = pv * inv
+        triple = (
+            pp - kp * pp,
+            0.5 * ((pv - kp * pv) + (pv - kv * pp)),
+            vv - kv * pv,
+        )
+    bad = ~(np.isfinite(s) & np.isfinite(inv))
+    if bad.any():
+        raise SingularInnovationError(
+            f"innovation variance {np.extract(bad, s)[0]:.3g}"
+        )
     innovation = z - state.position
     return KalmanState(
-        position=state.position + kp * innovation,
-        velocity=state.velocity + kv * innovation,
-        pp=pp - kp * pp,
-        pv=0.5 * ((pv - kp * pv) + (pv - kv * pp)),
-        vv=vv - kv * pv,
-        params=state.params,
+        state.position + kp[..., None] * innovation,
+        state.velocity + kv[..., None] * innovation,
+        *triple,
+        state.params,
     )
 
 
-def bbox_kf_init(bbox: BoundingBox, params: KalmanParams) -> KalmanState:
-    """One 6D filter over ``bbox.faces``."""
-    return kf_init(bbox.faces, params)
+def bbox_kf_init(faces: np.ndarray, params: KalmanParams) -> KalmanState:
+    """Face filters: ``kf_init`` over six faces (``BoundingBox.faces``)
+    or a ``(k, 6)`` array of them."""
+    return kf_init(faces, params)
 
 
 def bbox_kf_predict(state: KalmanState, dt: float = 1.0) -> KalmanState:
-    """Advance the face filter; the predicted faces, min xyz then max
-    xyz and not yet rounded to voxels, are the returned ``position``."""
+    """Advance face filters; the predicted faces, min xyz then max xyz
+    and not yet rounded to voxels, are the returned ``position``."""
     return kf_predict(state, dt)
 
 
-def bbox_kf_update(state: KalmanState, bbox: BoundingBox) -> KalmanState:
-    """Measure all six faces from an observed box."""
-    return kf_update(state, bbox.faces)
+def bbox_kf_update(state: KalmanState, faces: np.ndarray) -> KalmanState:
+    """Measure all six faces of each filter's observed box."""
+    return kf_update(state, faces)

@@ -27,13 +27,14 @@ from .association import (
     resolve_matches,
 )
 from .errors import ConfigViolationError, EntryEvictedError
-from .features import FeatureVector, compute_features
+from .features import FeatureVector, compute_features, row_norms
 from .kalman import (
     KalmanParams,
     KalmanState,
     bbox_kf_init,
     bbox_kf_predict,
     bbox_kf_update,
+    kf_concat,
     kf_init,
     kf_predict,
     kf_update,
@@ -77,13 +78,13 @@ class TrackerConfig:
 
 @dataclass
 class Track:
+    """A live track; its filters are its row of the tracker's banks."""
+
     track_id: int
     state: TrackState
     bad_count: int
     obs: TargetObservation
-    kf: KalmanState
     features: FeatureVector | None = None
-    bbox_kf: KalmanState | None = None
 
 
 @dataclass(frozen=True)
@@ -180,31 +181,48 @@ def reconstruct_backward(
 
 
 class Tracker:
-    """Runs the per-step associate / update / fuse / record cycle."""
+    """Runs the per-step associate / update / fuse / record cycle.
+
+    The live tracks' filters are held as banks: row i of ``kf`` (the
+    centroids) and, under ``kalman_bbox``, of ``bbox_kf`` (the box
+    faces) belongs to ``tracks[i]``, and each step advances every row
+    with one predict, one update of the matched rows and one init of
+    the newborns per bank.
+    """
 
     def __init__(self, cfg: TrackerConfig):
         self.cfg = cfg
         self.tracks: list[Track] = []
+        self.kf = kf_init(np.empty((0, 3)), cfg.kalman)
+        self.bbox_kf = (
+            bbox_kf_init(np.empty((0, 6)), cfg.kalman)
+            if cfg.assoc.mode is AssocMode.KALMAN_BBOX
+            else None
+        )
         self.ring = HistoryRing()
         self._next_id = 1
         self._step = 0
 
-    def _score(self, t: Track) -> float:
-        speed = float(np.linalg.norm(t.kf.velocity))
-        return observation_score(t.obs, self.cfg.importance, speed)
+    def _gate_rows(self, kf: KalmanState, bbox_kf: KalmanState | None):
+        """What association gates each track on under the mode: its
+        predicted faces, its predicted centroid, or its reported box."""
+        if bbox_kf is not None:
+            return bbox_kf.position
+        if self.cfg.assoc.mode is AssocMode.KALMAN_CENTROID:
+            return kf.position
+        return [t.features[3:9] for t in self.tracks]
 
-    def _new_track(self, obs: TargetObservation) -> Track:
-        t = Track(
-            track_id=self._next_id,
-            state=TrackState.NEW,
-            bad_count=0,
-            obs=obs,
-            kf=kf_init(obs.centroid, self.cfg.kalman),
-        )
-        if self.cfg.assoc.mode is AssocMode.KALMAN_BBOX:
-            t.bbox_kf = bbox_kf_init(obs.bbox, self.cfg.kalman)
-        self._next_id += 1
-        return t
+    def _advance(self, bank, update, init, measured, updated, cols, born):
+        """A predicted bank's rows, then its rows ``updated`` updated with
+        measurements ``cols``, then rows started at the measurements
+        ``born``; update and init run only when they have rows."""
+        measured = np.array(measured, dtype=np.float64).reshape(-1, bank.dim)
+        banks = [bank]
+        if updated:
+            banks.append(update(bank.take(updated), measured[cols]))
+        if born:
+            banks.append(init(measured[born], self.cfg.kalman))
+        return kf_concat(banks)
 
     def step(self, observations: list[TargetObservation]) -> list[Track]:
         """Advance one frame group.
@@ -218,34 +236,44 @@ class Tracker:
                 f"{len(observations)} observations exceed capacity {self.cfg.t_max}"
             )
 
-        for t in self.tracks:
-            t.kf = kf_predict(t.kf)
-            if t.bbox_kf is not None:
-                t.bbox_kf = bbox_kf_predict(t.bbox_kf)
-
+        kf = kf_predict(self.kf)
+        bbox_kf = None if self.bbox_kf is None else bbox_kf_predict(self.bbox_kf)
         matches = resolve_matches(
-            build_association_matrix(self.tracks, observations, self.cfg.assoc)
+            build_association_matrix(
+                self._gate_rows(kf, bbox_kf), observations, self.cfg.assoc
+            )
         )
-        matched = set(matches.fw.values())
+
+        # bank rows: the predicted rows, then the matched rows updated,
+        # then the newborns in observation order
+        k = len(self.tracks)
+        updated, cols = list(matches.fw), list(matches.fw.values())
+        born = sorted(set(range(len(observations))) - set(cols))
+        rows_of = {i: k + n for n, i in enumerate(updated)}
+        kf = self._advance(
+            kf, kf_update, kf_init, [obs.centroid for obs in observations],
+            updated, cols, born,
+        )
+        if bbox_kf is not None:
+            bbox_kf = self._advance(
+                bbox_kf, bbox_kf_update, bbox_kf_init,
+                [obs.bbox.faces for obs in observations], updated, cols, born,
+            )
 
         came_from: dict[int, int] = {}  # matched track id -> previous slot
-        old_derived: list[Track] = []
+        fused: list[tuple[Track, int]] = []  # (track, bank row)
         for i, t in enumerate(self.tracks):
             j = matches.fw.get(i)
             if j is not None:
-                obs = observations[j]
                 t.state = (
                     TrackState.REACQUIRED
                     if t.state is TrackState.COASTING
                     else TrackState.MATCHED
                 )
-                t.kf = kf_update(t.kf, obs.centroid)
-                if t.bbox_kf is not None:
-                    t.bbox_kf = bbox_kf_update(t.bbox_kf, obs.bbox)
-                t.obs = obs
+                t.obs = observations[j]
                 t.bad_count = 0
                 came_from[t.track_id] = i
-                old_derived.append(t)
+                fused.append((t, rows_of[i]))
             else:
                 if t.bad_count >= self.cfg.max_coast:
                     logger.info(
@@ -256,17 +284,22 @@ class Tracker:
                     continue
                 t.state = TrackState.COASTING
                 t.bad_count += 1
-                old_derived.append(t)
-
-        new_tracks = [
-            self._new_track(obs)
-            for j, obs in enumerate(observations)
-            if j not in matched
-        ]
+                fused.append((t, i))
+        for n, j in enumerate(born):
+            t = Track(self._next_id, TrackState.NEW, 0, observations[j])
+            self._next_id += 1
+            fused.append((t, k + len(updated) + n))
 
         # one stable sort: on equal scores old tracks stay ahead of
         # newborns, and each list keeps its own order
-        merged = sorted(old_derived + new_tracks, key=self._score, reverse=True)
+        speeds = row_norms(kf.velocity)
+        merged = sorted(
+            fused,
+            key=lambda tr: observation_score(
+                tr[0].obs, self.cfg.importance, speeds[tr[1]]
+            ),
+            reverse=True,
+        )
         if len(merged) > 2 * self.cfg.t_max:
             raise ConfigViolationError(
                 f"{len(merged)} fused tracks exceed twice the capacity {self.cfg.t_max}"
@@ -277,10 +310,14 @@ class Tracker:
                 self.cfg.t_max,
                 len(merged) - self.cfg.t_max,
             )
-        kept = merged[: self.cfg.t_max]
+        kept = [t for t, _ in merged[: self.cfg.t_max]]
+        rows = [row for _, row in merged[: self.cfg.t_max]]
+        self.kf = kf.take(rows)
+        if bbox_kf is not None:
+            self.bbox_kf = bbox_kf.take(rows)
 
-        for t in kept:
-            t.features = compute_features(t, t.features)
+        for t, f in zip(kept, compute_features(kept, self.kf)):
+            t.features = f
 
         bwlink = [came_from.get(t.track_id) for t in kept]
         for s, p in enumerate(bwlink):

@@ -1,12 +1,17 @@
-"""The power-iteration orientation as it was before its norms became
-direct dot products, kept as a test reference.
+"""Features one track at a time, kept as a test reference.
 
-Every norm here goes through ``np.linalg.norm``; the library computes
-the same ``sqrt(x.dot(x))`` directly, so tests require equal bits.
+``compute_features`` here is the per-track descriptor the library now
+builds for all of a step's tracks in one call, reading the track's own
+filter ``track.kf``.  ``principal_orientation`` is the power iteration
+for one cloud with every norm through ``np.linalg.norm``; the library
+computes the same ``sqrt(x.dot(x))`` directly or as a stacked
+``matmul``.  Tests require equal bits.
 """
 from __future__ import annotations
 
 import numpy as np
+
+from photontrack.features import FeatureVector
 
 
 def principal_orientation(voxels: np.ndarray) -> np.ndarray:
@@ -54,3 +59,30 @@ def principal_orientation(voxels: np.ndarray) -> np.ndarray:
                 v = -v
             break
     return v
+
+
+def compute_features(track, prev: FeatureVector | None) -> FeatureVector:
+    """One track's descriptor from its filter ``track.kf``, cluster
+    ``track.obs`` and miss count ``track.bad_count``."""
+    velocity = np.asarray(track.kf.velocity, dtype=np.float64)
+    if prev is None:
+        accel, age = np.zeros(3), 1.0
+    else:
+        accel = velocity - (prev.velocity_x, prev.velocity_y, prev.velocity_z)
+        age = prev.age + 1.0
+    obs = track.obs
+    centroid, faces = obs.centroid, obs.bbox.faces
+    if track.bad_count:
+        centroid = track.kf.position
+        shift = np.rint(centroid - obs.centroid).astype(int)
+        faces = np.add(faces, np.tile(shift, 2))
+    return FeatureVector(
+        *map(float, centroid),
+        *map(float, faces),
+        float(obs.volume), float(obs.total_photons), float(obs.peak_photons),
+        *map(float, velocity),
+        float(np.linalg.norm(velocity)),
+        *map(float, accel),
+        *map(float, principal_orientation(obs.voxels)),
+        age,
+    )

@@ -44,13 +44,25 @@ def _row(bbox, position=(0.0, 0.0, 0.0), faces=None):
     )
 
 
+def _build(old, new, cfg):
+    """The library's matrix for tracks ``old``, gated on the array the
+    tracker hands it under ``cfg.mode``: the box columns of the feature
+    rows, or the centroid or face filters' predicted positions."""
+    gate = {
+        AssocMode.BBOX_EXPANSION: lambda r: r.features[3:9],
+        AssocMode.KALMAN_CENTROID: lambda r: r.kf.position,
+        AssocMode.KALMAN_BBOX: lambda r: r.bbox_kf.position,
+    }[cfg.mode]
+    return build_association_matrix([gate(r) for r in old], new, cfg)
+
+
 def _obs(bbox, centroid=(0.0, 0.0, 0.0)):
     return SimpleNamespace(bbox=bbox, centroid=np.asarray(centroid, float))
 
 
 def _matches(a, b, e):
     cfg = AssociationConfig(expansion_e=e)
-    return build_association_matrix([_row(a)], [_obs(b)], cfg).scores[0, 0] == 1.0
+    return _build([_row(a)], [_obs(b)], cfg).scores[0, 0] == 1.0
 
 
 @settings(max_examples=100, deadline=None)
@@ -61,8 +73,8 @@ def _matches(a, b, e):
 )
 def test_match_is_symmetric(a, b, e):
     cfg = AssociationConfig(expansion_e=e)
-    ab = build_association_matrix([_row(x) for x in a], [_obs(y) for y in b], cfg)
-    ba = build_association_matrix([_row(y) for y in b], [_obs(x) for x in a], cfg)
+    ab = _build([_row(x) for x in a], [_obs(y) for y in b], cfg)
+    ba = _build([_row(y) for y in b], [_obs(x) for x in a], cfg)
     np.testing.assert_array_equal(ab.scores, ba.scores.T)
 
 
@@ -86,7 +98,7 @@ def test_bbox_mode_matrix():
     old = [_row(BoundingBox((0, 0, 0), (2, 2, 2)))]
     close = _obs(BoundingBox((1, 0, 0), (3, 2, 2)), [2, 1, 1])
     far = _obs(BoundingBox((9, 9, 9), (11, 11, 11)), [10, 10, 10])
-    m = build_association_matrix(old, [close, far], cfg)
+    m = _build(old, [close, far], cfg)
     np.testing.assert_array_equal(m.scores, [[1.0, 0.0]])
 
 
@@ -95,8 +107,8 @@ def test_empty_sides_give_empty_matrices():
     for mode in AssocMode:
         cfg = AssociationConfig(mode=mode)
         row = _row(box)
-        assert build_association_matrix([], [_obs(box)], cfg).scores.shape == (0, 1)
-        assert build_association_matrix([row], [], cfg).scores.shape == (1, 0)
+        assert _build([], [_obs(box)], cfg).scores.shape == (0, 1)
+        assert _build([row], [], cfg).scores.shape == (1, 0)
 
 
 def test_centroid_mode_scores_decay_with_distance():
@@ -106,7 +118,7 @@ def test_centroid_mode_scores_decay_with_distance():
     near = _obs(box, [1.0, 0, 0])
     mid = _obs(box, [3.0, 0, 0])
     out = _obs(box, [5.1, 0, 0])
-    m = build_association_matrix(old, [near, mid, out], cfg)
+    m = _build(old, [near, mid, out], cfg)
     assert m.scores[0, 0] == pytest.approx(1 / 2)
     assert m.scores[0, 1] == pytest.approx(1 / 4)
     assert m.scores[0, 2] == 0.0
@@ -118,8 +130,8 @@ def test_gate_boundary_is_inclusive():
     obs = [_obs(box, [3.0, 4.0, 0.0])]
     at = AssociationConfig(mode=AssocMode.KALMAN_CENTROID, gate_radius=5.0)
     inside = AssociationConfig(mode=AssocMode.KALMAN_CENTROID, gate_radius=5.0 - 1e-9)
-    assert build_association_matrix(old, obs, at).scores[0, 0] == 1 / 6
-    assert build_association_matrix(old, obs, inside).scores[0, 0] == 0.0
+    assert _build(old, obs, at).scores[0, 0] == 1 / 6
+    assert _build(old, obs, inside).scores[0, 0] == 0.0
 
 
 def test_bbox_filter_mode_uses_predicted_box():
@@ -131,7 +143,7 @@ def test_bbox_filter_mode_uses_predicted_box():
         )
     ]
     obs = _obs(BoundingBox((1, 1, 1), (3, 3, 3)), [2, 2, 2])
-    m = build_association_matrix(old, [obs], cfg)
+    m = _build(old, [obs], cfg)
     assert m.scores[0, 0] == 1.0
 
 
@@ -158,7 +170,7 @@ def test_bbox_filter_mode_rounds_predicted_faces(faces, box):
     obs = [_obs(want)] + [_obs(BoundingBox(g[:3], g[3:])) for g in grown]
     stale = _row(BoundingBox((90, 90, 90), (92, 92, 92)), faces=faces)
     cfg = AssociationConfig(mode=AssocMode.KALMAN_BBOX, expansion_e=0)
-    scores = build_association_matrix([stale], obs, cfg).scores
+    scores = _build([stale], obs, cfg).scores
     np.testing.assert_array_equal(scores, [[1.0] + [0.0] * 6])
 
 
@@ -173,7 +185,7 @@ def test_box_modes_equal_reference(rows, cols, e, mode):
     cfg = AssociationConfig(mode=mode, expansion_e=e)
     old = [_row(b, faces=f) for b, f in rows]
     new = [_obs(b) for b in cols]
-    got = build_association_matrix(old, new, cfg).scores
+    got = _build(old, new, cfg).scores
     want = ref.build_association_matrix(old, new, cfg).scores
     assert got.dtype == want.dtype and got.shape == want.shape
     np.testing.assert_array_equal(got, want)
@@ -190,7 +202,7 @@ def test_centroid_mode_matches_reference(preds, cents, radius):
     box = BoundingBox((0, 0, 0), (0, 0, 0))
     old = [_row(box, position=p) for p in preds]
     new = [_obs(box, c) for c in cents]
-    got = build_association_matrix(old, new, cfg).scores
+    got = _build(old, new, cfg).scores
     want = ref.build_association_matrix(old, new, cfg).scores
     assert got.dtype == want.dtype and got.shape == want.shape
     dist = np.array(

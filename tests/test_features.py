@@ -2,15 +2,20 @@
 import csv
 import io
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import features_reference as ref
+from photontrack import track_manager
+from photontrack.association import AssocMode, AssociationConfig
 from photontrack.cli import parse_config
 from photontrack.features import (
     FEATURE_NAMES,
+    FeatureVector,
     compute_features,
-    principal_orientation,
+    principal_orientations,
 )
 from photontrack.kalman import KalmanParams, kf_init, kf_predict, kf_update
 from photontrack.labeling import BoundingBox, TargetObservation
@@ -18,7 +23,12 @@ from photontrack.outputs import write_tracks_csv
 from photontrack.pipeline import run_tracking
 from photontrack.raw_ingest import SensorConfig
 from photontrack.simulator import SceneSpec, TargetSpec, simulate, write_raw
-from photontrack.track_manager import Track, TrackState
+from photontrack.track_manager import Track, Tracker, TrackerConfig, TrackState
+
+
+def principal_orientation(voxels):
+    """The orientation of one cloud, from a batch of one."""
+    return principal_orientations([voxels])[0]
 
 
 def test_feature_name_contract():
@@ -113,35 +123,35 @@ def test_orientation_dominant_axis():
     assert abs(v[0]) > 0.99
 
 
-def _track(centroid, velocity, voxels):
-    obs = TargetObservation(
+def _obs(voxels, centroid=None, photons=40):
+    voxels = np.asarray(voxels)
+    return TargetObservation(
         label=1,
         voxels=voxels,
         volume=len(voxels),
         bbox=BoundingBox(
-            tuple(voxels.min(axis=0).astype(int)),
-            tuple(voxels.max(axis=0).astype(int)),
+            tuple(int(v) for v in voxels.min(axis=0)),
+            tuple(int(v) for v in voxels.max(axis=0)),
         ),
-        centroid=np.asarray(centroid, float),
-        total_photons=40,
+        centroid=voxels.mean(axis=0) if centroid is None else np.asarray(centroid, float),
+        total_photons=photons,
         peak_photons=9,
     )
+
+
+def _features(centroid, velocity, voxels, prev=None):
+    """One matched track's descriptor, from a bank of one filter."""
     kf = replace(
-        kf_init(centroid, KalmanParams()), velocity=np.asarray(velocity, float)
+        kf_init(np.array([centroid], float), KalmanParams()),
+        velocity=np.array([velocity], float),
     )
-    return Track(
-        track_id=1,
-        state=TrackState.MATCHED,
-        bad_count=0,
-        obs=obs,
-        kf=kf,
-    )
+    t = Track(1, TrackState.MATCHED, 0, _obs(voxels, centroid), prev)
+    return compute_features([t], kf)[0]
 
 
 def test_compute_features_first_step_has_zero_accel():
     vox = np.array([[i, 0, 0] for i in range(4)])
-    t = _track([1.5, 0, 0], [2.0, 0, 0], vox)
-    fv = compute_features(t, None)
+    fv = _features([1.5, 0, 0], [2.0, 0, 0], vox)
     assert (fv.accel_x, fv.accel_y, fv.accel_z) == (0.0, 0.0, 0.0)
     assert fv.speed == pytest.approx(2.0)
     assert (fv.velocity_x, fv.velocity_y, fv.velocity_z) == (2.0, 0.0, 0.0)
@@ -154,8 +164,8 @@ def test_compute_features_first_step_has_zero_accel():
 
 def test_compute_features_accel_is_velocity_difference():
     vox = np.array([[i, 0, 0] for i in range(4)])
-    prev = compute_features(_track([0, 0, 0], [1.0, 0, 0], vox), None)
-    fv = compute_features(_track([1, 0, 0], [2.5, 1.0, 0], vox), prev)
+    prev = _features([0, 0, 0], [1.0, 0, 0], vox)
+    fv = _features([1, 0, 0], [2.5, 1.0, 0], vox, prev)
     assert (fv.accel_x, fv.accel_y, fv.accel_z) == pytest.approx((1.5, 1.0, 0.0))
     assert fv.age == 2.0
 
@@ -209,13 +219,99 @@ def _orientation_clouds():
         yield ring @ np.array([[c, s, 0], [-s, c, 0], [0, 0, 1]])
 
 
-def test_orientation_equals_linalg_norm_reference():
-    """Direct dot-product norms give the power iteration the same bits
-    as np.linalg.norm did, on random clouds and on tied spreads where
-    the iteration runs to its cap."""
-    import features_reference as ref
+def _same_bits(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    return got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
-    for vox in _orientation_clouds():
-        got = principal_orientation(vox)
-        want = ref.principal_orientation(vox)
-        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+def test_orientation_equals_linalg_norm_reference():
+    """One batch over all clouds gives each cloud the bits of the
+    one-cloud iteration with np.linalg.norm norms, on random clouds and
+    on tied spreads where the iteration runs to its cap."""
+    clouds = list(_orientation_clouds())
+    got = principal_orientations(clouds)
+    assert got.shape == (len(clouds), 3)
+    for row, vox in zip(got, clouds):
+        assert _same_bits(row, ref.principal_orientation(vox))
+
+
+def test_orientation_batch_mixes_degenerate_and_capped_clouds():
+    """Fallback clouds (empty, one point, an isotropic cube) between
+    near-tied clouds that run to the iteration cap leave every other
+    row as the one-cloud iteration gives it."""
+    capped = list(_orientation_clouds())[-3:]
+    degenerate = [np.zeros((0, 3)), np.array([[4, 5, 6]]), _box(3, 3, 3)]
+    clouds = [c for pair in zip(degenerate, capped) for c in pair]
+    clouds += [capped[0], np.zeros((0, 3)), capped[0]]
+    got = principal_orientations(clouds)
+    for row, vox in zip(got, clouds):
+        assert _same_bits(row, ref.principal_orientation(vox))
+    np.testing.assert_array_equal(got[[0, 2, 4, 7]], [[1, 0, 0]] * 4)
+    assert principal_orientations([]).shape == (0, 3)
+
+
+def _filter_row(kf, i):
+    """Row i of a bank as the one-track reference reads a filter."""
+    return SimpleNamespace(position=kf.position[i], velocity=kf.velocity[i])
+
+
+def test_compute_features_equals_one_track_reference():
+    """Newborn, matched and coasting rows in one call, each equal as
+    bytes to the one-track descriptor."""
+    rng = np.random.default_rng(23)
+    clouds = list(_orientation_clouds())
+    k = len(clouds)
+    kf = replace(
+        kf_init(rng.normal(10, 8, (k, 3)), KalmanParams()),
+        velocity=rng.normal(0, 1, (k, 3)) * (rng.random((k, 1)) < 0.8),
+    )
+    tracks = []
+    for i, vox in enumerate(clouds):
+        vox = np.rint(vox * 3).astype(int) + 10
+        prev = None
+        if i % 3:
+            prev = FeatureVector(*rng.normal(0, 5, 22), float(rng.integers(1, 9)))
+        tracks.append(Track(i, TrackState.MATCHED, i % 4 // 2, _obs(vox), prev))
+    got = compute_features(tracks, kf)
+    assert len(got) == k and {t.bad_count for t in tracks} == {0, 1}
+    for i, (t, f) in enumerate(zip(tracks, got)):
+        want = ref.compute_features(
+            SimpleNamespace(obs=t.obs, bad_count=t.bad_count, kf=_filter_row(kf, i)),
+            t.features,
+        )
+        assert type(f) is FeatureVector and _same_bits(f, want)
+    assert compute_features([], kf.take([])) == []
+
+
+def test_tracker_features_equal_reference_under_kalman_bbox(monkeypatch):
+    """Every row the tracker computes over a run with misses, coasting
+    rows included, equals the one-track descriptor as bytes."""
+    batched = track_manager.compute_features
+    seen = {"rows": 0, "coasting": 0}
+
+    def checked(tracks, kf):
+        got = batched(tracks, kf)
+        for i, (t, f) in enumerate(zip(tracks, got)):
+            row = SimpleNamespace(obs=t.obs, bad_count=t.bad_count, kf=_filter_row(kf, i))
+            assert _same_bits(f, ref.compute_features(row, t.features))
+            seen["rows"] += 1
+            seen["coasting"] += t.bad_count > 0
+        return got
+
+    monkeypatch.setattr(track_manager, "compute_features", checked)
+    rng = np.random.default_rng(29)
+    cfg = TrackerConfig(
+        t_max=8, assoc=AssociationConfig(mode=AssocMode.KALMAN_BBOX, expansion_e=2)
+    )
+    tracker = Tracker(cfg)
+    starts = rng.uniform(5, 25, (6, 3)) * (1, 1, 20)
+    drift = rng.uniform(-0.6, 0.6, (6, 3))
+    for step in range(30):
+        obs = []
+        for start, v in zip(starts, drift):
+            if rng.random() < 0.25:
+                continue
+            vox = np.rint(start + step * v + rng.normal(0, 1.2, (12, 3))).astype(int)
+            obs.append(_obs(vox, photons=int(rng.integers(20, 80))))
+        tracker.step(obs)
+    assert seen["rows"] > 100 and seen["coasting"] > 10

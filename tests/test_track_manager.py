@@ -201,7 +201,7 @@ def test_coasting_carries_the_box_along():
     # locked onto the +2/step drift, so the coasted box sits ahead of
     # the last detection
     f = t.features
-    assert (f.centroid_x, f.centroid_y, f.centroid_z) == tuple(t.kf.position)
+    assert (f.centroid_x, f.centroid_y, f.centroid_z) == tuple(tracker.kf.position[0])
     shift = int(np.rint(f.centroid_x - t.obs.centroid[0]))
     assert shift >= 1
     assert f.bbox_min_x == t.obs.bbox.min[0] + shift
