@@ -7,7 +7,7 @@ existing track list and fused under a capacity limit, with a short ring
 of per-step history for trajectory reconstruction.
 """
 from .association import AssociationConfig, AssocMode
-from .denoise import DenoiseConfig, Fixed, MovingAverage, PeakFraction, Scheme, denoise
+from .denoise import DenoiseConfig, Fixed, MovingAverage, PeakFraction, Scheme
 from .errors import PhotontrackError
 from .kalman import KalmanParams
 from .labeling import (
@@ -47,7 +47,6 @@ __all__ = [
     "TrackState",
     "VoxelGrid",
     "build_histogram",
-    "denoise",
     "group_frames",
     "label_components",
     "load_scene",

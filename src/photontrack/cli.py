@@ -168,17 +168,18 @@ def build_run_config(values: dict) -> RunConfig:
     )
 
 
-# (error types, exit code, stderr text after "error: "): main answers an
-# error with the first row it matches, so the catch-all PhotontrackError
-# row must follow the rows of its subclasses
+# (error types, exit code, stderr text after "error: "): main catches
+# exactly these types and answers an error with the first row it
+# matches, so the catch-all PhotontrackError row must follow the rows of
+# its subclasses
 _EXITS = (
-    (SceneParseError, 1, "scene: {exc}"),
+    ((SceneParseError,), 1, "scene: {exc}"),
     ((TruncatedFileError, EmptyInputError), 1, "raw stream: {exc}"),
     ((ConfigError, SingularInnovationError), 1, "config: {exc}"),
-    (ConfigViolationError, 3, "internal invariant violated: {exc!r}"),
-    (PhotontrackError, 1, "{exc}"),
-    (OSError, 2, "{exc}"),
-    (MemoryError, 2, "out of memory: {exc}"),
+    ((ConfigViolationError,), 3, "internal invariant violated: {exc!r}"),
+    ((PhotontrackError,), 1, "{exc}"),
+    ((OSError,), 2, "{exc}"),
+    ((MemoryError,), 2, "out of memory: {exc}"),
 )
 
 
@@ -258,6 +259,8 @@ def cmd_inspect(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     _write_projections(grid, out_dir / f"group{args.group:04d}")
     return 0
+
+
 def _add_set_option(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--set",
@@ -315,7 +318,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     try:
         return args.func(args)
-    except (PhotontrackError, OSError, MemoryError) as exc:
+    except tuple(kind for kinds, _, _ in _EXITS for kind in kinds) as exc:
         code, fmt = next((c, f) for kinds, c, f in _EXITS if isinstance(exc, kinds))
         print("error: " + fmt.format(exc=exc), file=sys.stderr)
         return code

@@ -11,11 +11,14 @@ form, so every axis shares one position/velocity variance triple
 dense 2d x 2d matrix on request.
 
 Two usages share this module: a 3D filter per track centroid, and a
-6D filter for the faces of a bounding box (``BoundingBox.faces``).  A
-tracker holds each kind as one bank, a ``KalmanState`` whose rows are
-its tracks' filters, and advances all rows in one call.  A predicted
-state is the prediction: its ``position`` is the predicted centroid or
-faces, which association and coasting read directly.
+6D filter for the six faces of a bounding box, min xyz then max xyz
+(``BoundingBox.faces``).  The face filters are the centroid filters
+over six axes, under their own ``bbox_kf_*`` names so that a profiler
+can time the two kinds apart.  A tracker holds each kind as one bank,
+a ``KalmanState`` whose rows are its tracks' filters, and advances all
+rows in one call.  A predicted state is the prediction: its
+``position`` is the predicted centroid or faces, not yet rounded to
+voxels, which association and coasting read directly.
 """
 from __future__ import annotations
 
@@ -184,18 +187,4 @@ def kf_update(state: KalmanState, z: np.ndarray) -> KalmanState:
     )
 
 
-def bbox_kf_init(faces: np.ndarray, params: KalmanParams) -> KalmanState:
-    """Face filters: ``kf_init`` over six faces (``BoundingBox.faces``)
-    or a ``(k, 6)`` array of them."""
-    return kf_init(faces, params)
-
-
-def bbox_kf_predict(state: KalmanState, dt: float = 1.0) -> KalmanState:
-    """Advance face filters; the predicted faces, min xyz then max xyz
-    and not yet rounded to voxels, are the returned ``position``."""
-    return kf_predict(state, dt)
-
-
-def bbox_kf_update(state: KalmanState, faces: np.ndarray) -> KalmanState:
-    """Measure all six faces of each filter's observed box."""
-    return kf_update(state, faces)
+bbox_kf_init, bbox_kf_predict, bbox_kf_update = kf_init, kf_predict, kf_update

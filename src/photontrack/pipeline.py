@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-from .denoise import DenoiseConfig, denoise
+from .denoise import DenoiseConfig, Scheme, denoise
 from .labeling import (
     _CONNECTIVITIES,
     extract_observations,
@@ -44,10 +44,11 @@ class RunConfig:
             raise ValueError(f"connectivity must be one of {_CONNECTIVITIES}")
         # a Parzen kernel's half-width ceil(factor * sigma) may not exceed
         # the histogram's longest axis; for an integer bound that is the
-        # same test on the product, which may be too large for ceil
+        # same test on the product, which may be too large for ceil.  The
+        # other schemes never read the kernel.
         longest = max(self.sensor.width, self.sensor.height, self.sensor.nz)
         reach = self.denoise.kernel_radius_factor * max(self.denoise.sigmas)
-        if reach > longest:
+        if self.denoise.scheme is Scheme.PARZEN_THRESHOLD and reach > longest:
             raise ValueError(
                 f"Parzen kernel half-width kernel_radius_factor * sigma = "
                 f"{reach:.6g} exceeds the histogram's longest axis ({longest})"

@@ -24,7 +24,7 @@ import numpy as np
 
 from .errors import SceneParseError
 from .labeling import BoundingBox
-from .raw_ingest import SensorConfig
+from .raw_ingest import RAW_DTYPE, SensorConfig
 
 
 def _check_rate(name: str, rate: float) -> None:
@@ -220,7 +220,7 @@ def simulate(scene: SceneSpec, cfg: SensorConfig) -> tuple[np.ndarray, tuple]:
 def write_raw(frames: np.ndarray, sink) -> int:
     """Serialize frames as little-endian 16-bit words; returns the byte
     count.  ``sink`` may be a path or a binary file object."""
-    data = np.ascontiguousarray(frames, dtype="<u2").tobytes()
+    data = np.ascontiguousarray(frames, dtype=RAW_DTYPE).tobytes()
     if hasattr(sink, "write"):
         sink.write(data)
     else:

@@ -260,8 +260,8 @@ class Tracker:
                 [obs.bbox.faces for obs in observations], updated, cols, born,
             )
 
-        came_from: dict[int, int] = {}  # matched track id -> previous slot
-        fused: list[tuple[Track, int]] = []  # (track, bank row)
+        # (track, bank row, previous slot if matched)
+        fused: list[tuple[Track, int, int | None]] = []
         for i, t in enumerate(self.tracks):
             j = matches.fw.get(i)
             if j is not None:
@@ -272,8 +272,7 @@ class Tracker:
                 )
                 t.obs = observations[j]
                 t.bad_count = 0
-                came_from[t.track_id] = i
-                fused.append((t, rows_of[i]))
+                fused.append((t, rows_of[i], i))
             else:
                 if t.bad_count >= self.cfg.max_coast:
                     logger.info(
@@ -284,11 +283,11 @@ class Tracker:
                     continue
                 t.state = TrackState.COASTING
                 t.bad_count += 1
-                fused.append((t, i))
+                fused.append((t, i, None))
         for n, j in enumerate(born):
             t = Track(self._next_id, TrackState.NEW, 0, observations[j])
             self._next_id += 1
-            fused.append((t, k + len(updated) + n))
+            fused.append((t, k + len(updated) + n, None))
 
         # one stable sort: on equal scores old tracks stay ahead of
         # newborns, and each list keeps its own order
@@ -310,8 +309,9 @@ class Tracker:
                 self.cfg.t_max,
                 len(merged) - self.cfg.t_max,
             )
-        kept = [t for t, _ in merged[: self.cfg.t_max]]
-        rows = [row for _, row in merged[: self.cfg.t_max]]
+        top = merged[: self.cfg.t_max]
+        kept = [t for t, _, _ in top]
+        rows = [row for _, row, _ in top]
         self.kf = kf.take(rows)
         if bbox_kf is not None:
             self.bbox_kf = bbox_kf.take(rows)
@@ -319,7 +319,7 @@ class Tracker:
         for t, f in zip(kept, compute_features(kept, self.kf)):
             t.features = f
 
-        bwlink = [came_from.get(t.track_id) for t in kept]
+        bwlink = [prev for _, _, prev in top]
         for s, p in enumerate(bwlink):
             if p is not None:
                 self.ring.latest.fwlink[p] = s

@@ -549,10 +549,24 @@ def test_track_capture_shorter_than_a_huge_group_exits_0_under_a_memory_limit(tm
 def test_parzen_kernel_may_span_the_longest_axis():
     """The bound is the longest axis, not each sigma's own axis: a
     half-width of 600 voxels passes on the default 32x32x600 grid."""
-    cfg = parse_config("sigma_x 200\nkernel_radius_factor 3\n")
+    cfg = parse_config("scheme parzen_threshold\nsigma_x 200\nkernel_radius_factor 3\n")
     assert cfg.denoise.sigmas[0] == 200.0
     with pytest.raises(ValueError, match="longest axis"):
-        parse_config("sigma_x 200.001\nkernel_radius_factor 3\n")
+        parse_config("scheme parzen_threshold\nsigma_x 200.001\nkernel_radius_factor 3\n")
+
+
+@pytest.mark.parametrize("scheme", ["threshold", "threshold_majority"])
+def test_parzen_kernel_width_is_ignored_by_the_other_schemes(workspace, scheme):
+    """A Parzen kernel too wide for the grid fails only the scheme that
+    smooths with it; under another scheme it changes nothing."""
+    tmp_path, _, config, raw = workspace
+    outs = []
+    for extra in ([], ["--set", "sigma_x=300"]):
+        out = tmp_path / f"o{len(outs)}"
+        argv = ["track", "--raw", str(raw), "--config", str(config), "--out-dir", str(out)]
+        assert main(argv + ["--set", f"scheme={scheme}"] + extra) == 0
+        outs.append((out / "tracks.csv").read_bytes())
+    assert outs[0] == outs[1]
 
 
 # error type -> (exit code, stderr) when the command's work raises

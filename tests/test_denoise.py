@@ -1,5 +1,6 @@
 """Thresholding, majority voting and Parzen smoothing."""
 import math
+import types
 import warnings
 
 import numpy as np
@@ -249,3 +250,14 @@ def test_denoise_config_validation():
             DenoiseConfig(sigmas=(1.0, 1.0, bad))
         with pytest.raises(ValueError):
             DenoiseConfig(kernel_radius_factor=bad)
+
+
+def test_package_attribute_denoise_is_the_module():
+    """``photontrack.denoise`` names the module, whose ``denoise`` is
+    the function the pipeline calls."""
+    import photontrack.denoise as module
+    from photontrack import pipeline
+
+    assert isinstance(module, types.ModuleType)
+    assert module.DenoiseConfig is DenoiseConfig
+    assert module.denoise is denoise is pipeline.denoise

@@ -6,7 +6,6 @@ The arithmetic is the same in both, so results must be equal bit for
 bit.  ``scipy.ndimage`` gives an independent check where installed.
 """
 import dataclasses
-import importlib
 import math
 import subprocess
 import sys
@@ -17,6 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frontend_reference as ref
+import photontrack.denoise as denoise_module
 from photontrack import pipeline
 from photontrack.denoise import (
     DenoiseConfig,
@@ -402,9 +402,7 @@ def test_windows_match_whole_array_passes(seed, shape, sigmas, factor, real, dat
     counts = rng.random(shape) * 5 if real else sparse_counts(rng, shape, high=9)
     kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
     windows = data.draw(st.lists(windows_in(shape), min_size=1, max_size=5))
-    got = importlib.import_module("photontrack.denoise")._smoothed_windows(
-        counts, kernels, windows
-    )
+    got = denoise_module._smoothed_windows(counts, kernels, windows)
     want = ref.parzen_smooth(counts, sigmas, factor)
     for (x, y0, y1, z0, z1), values in zip(windows, got, strict=True):
         assert_same(values, want[x, y0:y1, z0:z1])
@@ -413,7 +411,6 @@ def test_windows_match_whole_array_passes(seed, shape, sigmas, factor, real, dat
 def test_bound_leaves_empty_space_out():
     """On a sparse grid only the targets' neighbourhoods are smoothed;
     with no bound to apply (float counts) the windows are whole planes."""
-    denoise_module = importlib.import_module("photontrack.denoise")
     counts = blob_grid(12)
     cfg = DenoiseConfig()
     kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
@@ -457,9 +454,7 @@ def test_hot_windows_match_loop_reference(
     top = 1 if dtype is np.bool_ else np.iinfo(dtype).max
     counts = counts.clip(0, top).astype(dtype)
     kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
-    got = importlib.import_module("photontrack.denoise")._hot_windows(
-        ref.grid_of(counts), kernels, mode, t_prev
-    )
+    got = denoise_module._hot_windows(ref.grid_of(counts), kernels, mode, t_prev)
     assert got == ref.hot_windows(counts, kernels, mode, t_prev)
 
 
@@ -469,9 +464,7 @@ def test_hot_windows_leave_the_dense_grid_unbuilt(mode, t_prev):
     grid = ref.grid_of(blob_grid(12))
     cfg = DenoiseConfig()
     kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
-    assert importlib.import_module("photontrack.denoise")._hot_windows(
-        grid, kernels, mode, t_prev
-    )
+    assert denoise_module._hot_windows(grid, kernels, mode, t_prev)
     assert "counts" not in vars(grid)
 
 
