@@ -8,7 +8,7 @@ it is the column order of the tracks CSV and must not be reshuffled.
 """
 from __future__ import annotations
 
-import math
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -45,12 +45,6 @@ class FeatureVector(NamedTuple):
 FEATURE_NAMES = FeatureVector._fields
 
 
-def _norm(a: np.ndarray) -> float:
-    """``np.linalg.norm`` of a 1-D float array, without its dispatch:
-    numpy computes it as this same square root of ``a.dot(a)``."""
-    return math.sqrt(a.dot(a))
-
-
 def row_norms(a: np.ndarray) -> np.ndarray:
     """``np.linalg.norm`` of each row of a 2-D float array.  Each row's
     dot product is a stacked (1xd)(dx1) ``matmul``, which sums as the
@@ -59,61 +53,86 @@ def row_norms(a: np.ndarray) -> np.ndarray:
     return np.sqrt((a[:, None, :] @ a[:, :, None])[:, 0, 0])
 
 
-_EYE = np.eye(3)
+# The top two eigenvalues l1 >= l2 count as tied when (l1 - l2) / l1 is
+# at most _TIE.  Inside it, 100 steps of power iteration from the start
+# column s (tests/features_reference.py) scale its l2 part against its l1
+# part by (l2 / l1)^100 >= 0.9999, so they end within ~5e-5 of s's
+# projection onto the tied plane, the answer given there.  Outside it,
+# eigh's vector error eps * l1 / (l1 - l2) is at most 2.2e-10, far below
+# the 1e-8 to which the golden tracks.csv files are compared.
+_TIE = 1e-6
+# Only a component above _SIZABLE picks the sign: outside the tie band,
+# eigh leaves up to ~6 eps * l1 / (l1 - l2) <= 1.3e-9 (measured) in a
+# component that is exactly zero.
+_SIZABLE = 1e-8
+_EYE = np.eye(3).reshape(9, 1)
+_X = np.array([1.0, 0.0, 0.0])
+_POINT = np.zeros((1, 3))
+
+
+def covariances(clouds: list[np.ndarray]) -> np.ndarray:
+    """Coordinate covariance of each (n, 3) voxel cloud, as a (k, 3, 3)
+    array; an empty cloud has the zero covariance of one point.
+
+    All clouds' points are joined into one (3, N) array, and each
+    cloud's sums are one ``np.add.reduceat`` segment: the coordinates
+    for its mean, then the centred outer products.  Each sum runs in
+    point order, so an entry may differ from the cloud's own BLAS
+    ``c.T @ c / n`` by the rounding of two n-term dot products, at most
+    ``(n + 1) * eps * sqrt(Cii * Cjj)``.
+    """
+    if not clouds:
+        return np.zeros((0, 3, 3))
+    clouds = [v if len(v) else _POINT for v in clouds]
+    lens = [len(v) for v in clouds]
+    starts = [0, *accumulate(lens[:-1])]
+    n = np.array(lens)
+    pts = np.concatenate(clouds, dtype=np.float64).T
+    if pts.ndim != 2 or len(pts) != 3:
+        raise ValueError("voxels must be (k, 3)")
+    c = pts - np.repeat(np.add.reduceat(pts, starts, axis=1) / n, n, axis=1)
+    return (np.add.reduceat(c[:, None] * c, starts, axis=2) / n).transpose(2, 0, 1)
+
+
+def principal_axes(cov: np.ndarray) -> np.ndarray:
+    """Dominant axis of each covariance of a (k, 3, 3) stack, as the
+    rows of a (k, 3) array of unit vectors.
+
+    One ``np.linalg.eigh`` over the stack gives each matrix's top
+    eigenvector.  Where the top two eigenvalues are tied (see _TIE), no
+    axis of their plane is preferred, and the answer is where power
+    iteration converges from the start column s, the covariance column
+    of largest norm (the first on ties): s projected onto the tied
+    plane, ``V12 V12^T s`` normalized with V12 eigh's top two vectors,
+    computed as s less its part along the third.  A zero covariance (an
+    empty or one-point cloud) or a perfectly isotropic one, where no
+    direction is preferred, gives the +x unit vector.  The sign is
+    fixed by making the first component above _SIZABLE positive, since
+    an axis has no inherent direction.
+    """
+    M = cov.transpose(1, 2, 0)
+    mid = (M[0, 0] + M[1, 1] + M[2, 2]) / 3.0
+    # a zero covariance has zero spread, so it needs no test of its own
+    spread = np.abs(M.reshape(9, -1) - mid * _EYE).max(axis=0)
+    w, V = np.linalg.eigh(cov)
+    rows = np.arange(len(cov))
+    s = cov[rows, :, np.sqrt((M * M).sum(axis=0)).argmax(axis=0)]
+    low = V[:, :, 0]
+    axes = np.where(
+        (w[:, 1] >= (1 - _TIE) * w[:, 2])[:, None],
+        s - (low * s).sum(axis=1)[:, None] * low,
+        V[:, :, 2],
+    )
+    axes[spread <= 1e-12 * np.maximum(1.0, mid)] = _X
+    axes /= row_norms(axes)[:, None]
+    first = axes[rows, (np.abs(axes) > _SIZABLE).argmax(axis=1)]
+    return np.negative(axes, out=axes, where=(first < 0)[:, None])
 
 
 def principal_orientations(clouds: list[np.ndarray]) -> np.ndarray:
     """Dominant axis of each voxel cloud, as the rows of a (k, 3) array
-    of unit vectors.
-
-    Power iteration on the 3x3 coordinate covariance; cheap, and
-    accurate well past what a shape descriptor needs.  Degenerate clouds
-    (a point, or perfectly isotropic spread where no direction is
-    preferred) give the +x unit vector.  The sign is fixed by making
-    the first sizable component positive, since an axis has no inherent
-    direction.  Each covariance is its own ``c.T @ c`` and each
-    iteration its own loop on one 3x3 matrix, as for a single cloud;
-    the tests, the start vectors and the sign fix run on all clouds at
-    once.
-    """
-    C = np.zeros((len(clouds), 3, 3))
-    for c, voxels in zip(C, clouds):
-        pts = np.asarray(voxels, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError("voxels must be (k, 3)")
-        if len(pts):
-            # the sum over n rows divided by n is np.mean's arithmetic
-            centered = pts - pts.sum(axis=0) / len(pts)
-            c[...] = centered.T @ centered / len(pts)
-    axes = np.zeros((len(clouds), 3))
-    axes[:, 0] = 1.0
-    tr = C[:, 0, 0] + C[:, 1, 1] + C[:, 2, 2]
-    spread = np.abs(C - (tr / 3.0)[:, None, None] * _EYE).reshape(-1, 9).max(axis=1)
-    live = np.flatnonzero(~(tr <= 0) & ~(spread <= 1e-12 * np.maximum(1.0, tr / 3.0)))
-
-    C = C[live]
-    # the column norms as np.linalg.norm(c, axis=0) computes them
-    norms = np.sqrt((C * C).sum(axis=1))
-    start = C[np.arange(len(live)), :, norms.argmax(axis=1)]
-    start = start / row_norms(start)[:, None]
-    for i, c, v in zip(live, C, start):
-        for _ in range(100):
-            w = c @ v
-            n = _norm(w)
-            if n == 0:
-                break
-            w = w / n
-            if _norm(w - v) < 1e-10 or _norm(w + v) < 1e-10:
-                v = w
-                break
-            v = w
-        axes[i] = v
-
-    sizable = np.abs(axes) > 1e-12
-    first = axes[np.arange(len(axes)), sizable.argmax(axis=1)]
-    flip = sizable.any(axis=1) & (first < 0)
-    axes[flip] = -axes[flip]
-    return axes
+    of unit vectors: ``principal_axes`` of the clouds' ``covariances``."""
+    return principal_axes(covariances(clouds))
 
 
 def compute_features(tracks: list, kf) -> list[FeatureVector]:

@@ -1,11 +1,14 @@
 """Features one track at a time, kept as a test reference.
 
-``compute_features`` here is the per-track descriptor the library now
+``compute_features`` here is the per-track descriptor the library
 builds for all of a step's tracks in one call, reading the track's own
-filter ``track.kf``.  ``principal_orientation`` is the power iteration
-for one cloud with every norm through ``np.linalg.norm``; the library
-computes the same ``sqrt(x.dot(x))`` directly or as a stacked
-``matmul``.  Tests require equal bits.
+filter ``track.kf``; tests require equal bits in every column but the
+orientation.  ``principal_orientation`` is power iteration on one
+cloud's covariance, with every norm through ``np.linalg.norm``.  The
+library solves all clouds with one ``np.linalg.eigh`` instead, so tests
+compare orientations by accuracy: ``power_iteration`` also returns the
+steps the iteration took to meet its stopping rule, and ``covariance``
+is the one-cloud ``c.T @ c / n`` the library's batched sums are held to.
 """
 from __future__ import annotations
 
@@ -14,42 +17,55 @@ import numpy as np
 from photontrack.features import FeatureVector
 
 
-def principal_orientation(voxels: np.ndarray) -> np.ndarray:
-    """Dominant axis of a voxel cloud as a unit vector.
+def covariance(voxels: np.ndarray) -> np.ndarray:
+    """The 3x3 coordinate covariance of one non-empty (k, 3) cloud."""
+    pts = np.asarray(voxels, dtype=np.float64)
+    centered = pts - pts.mean(axis=0)
+    return centered.T @ centered / len(pts)
 
-    Power iteration on the 3x3 coordinate covariance; cheap, and
-    accurate well past what a shape descriptor needs.  Degenerate clouds
-    (a point, or perfectly isotropic spread where no direction is
-    preferred) return the +x unit vector.  The sign is fixed by making
-    the first sizable component positive, since an axis has no inherent
-    direction.
+
+def principal_orientation(voxels: np.ndarray) -> np.ndarray:
+    """Dominant axis of a voxel cloud as a unit vector."""
+    return power_iteration(voxels)[0]
+
+
+def power_iteration(voxels: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """Dominant axis of a voxel cloud as a unit vector, and the steps
+    the iteration took to meet its 1e-10 stopping rule: 0 for a
+    degenerate cloud, None if it stopped at 100 steps without meeting it.
+
+    Power iteration on the 3x3 coordinate covariance, from its column
+    of largest norm.  Degenerate clouds (a point, or perfectly isotropic
+    spread where no direction is preferred) return the +x unit vector.
+    The sign is fixed by making the first sizable component positive,
+    since an axis has no inherent direction.
     """
     pts = np.asarray(voxels, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("voxels must be (k, 3)")
     fallback = np.array([1.0, 0.0, 0.0])
     if len(pts) == 0:
-        return fallback
-    centered = pts - pts.mean(axis=0)
-    C = centered.T @ centered / len(pts)
+        return fallback, 0
+    C = covariance(pts)
     tr = float(np.trace(C))
     if tr <= 0:
-        return fallback
+        return fallback, 0
     iso = C - (tr / 3.0) * np.eye(3)
     if np.abs(iso).max() <= 1e-12 * max(1.0, tr / 3.0):
-        return fallback
+        return fallback, 0
 
     norms = np.linalg.norm(C, axis=0)
     v = C[:, int(np.argmax(norms))]
     v = v / np.linalg.norm(v)
-    for _ in range(100):
+    steps = None
+    for step in range(1, 101):
         w = C @ v
         n = np.linalg.norm(w)
         if n == 0:
             break
         w = w / n
         if np.linalg.norm(w - v) < 1e-10 or np.linalg.norm(w + v) < 1e-10:
-            v = w
+            v, steps = w, step
             break
         v = w
 
@@ -58,7 +74,7 @@ def principal_orientation(voxels: np.ndarray) -> np.ndarray:
             if c < 0:
                 v = -v
             break
-    return v
+    return v, steps
 
 
 def compute_features(track, prev: FeatureVector | None) -> FeatureVector:

@@ -26,7 +26,8 @@ and compared the same way, every number under the float rule.  A
 failure names the largest difference and where it is.
 
 When a change alters the outputs on purpose, regenerate the golden
-files and state the largest difference it made:
+files and state the largest difference it made, which the command
+prints for each table with the number of rows changed:
 
     PYTHONPATH=src python3 tests/test_reference_outputs.py
 """
@@ -119,6 +120,26 @@ def _json_diffs(got, want, where: str):
         assert got == want, f"{where}: {got!r} != golden {want!r}"
 
 
+def _table_diff(got_rows: list[list[str]], want_rows: list[list[str]]):
+    """Walk two tables of one header and length cell by cell.  Returns
+    the largest relative difference of a ``FLOAT_COLUMNS`` cell as
+    (difference, column, line), the first other cell that differs as
+    (line, column, value, golden value) or None, and how many rows
+    differ at all."""
+    header = want_rows[0]
+    worst, other, changed = (0.0, None, None), None, 0
+    for line, (g, w) in enumerate(zip(got_rows[1:], want_rows[1:]), start=2):
+        changed += g != w
+        for col, gv, wv in zip(header, g, w):
+            if col in FLOAT_COLUMNS and gv and wv:
+                diff = _rel_diff(float(gv), float(wv))
+                if diff > worst[0]:
+                    worst = (diff, col, line)
+            elif gv != wv and other is None:
+                other = (line, col, gv, wv)
+    return worst, other, changed
+
+
 def _compare(fname: str, got: bytes, want: bytes) -> None:
     """Pass on equal bytes, or on equal parsed tables (or JSON) whose
     floats agree to REL_TOL; otherwise fail naming the largest
@@ -138,20 +159,23 @@ def _compare(fname: str, got: bytes, want: bytes) -> None:
     assert len(got_rows) == len(want_rows), (
         f"{fname}: {len(got_rows) - 1} rows, golden has {len(want_rows) - 1}"
     )
-    worst = (0.0, None, None)
-    for line, (g, w) in enumerate(zip(got_rows[1:], want_rows[1:]), start=2):
-        for col, gv, wv in zip(header, g, w):
-            if col in FLOAT_COLUMNS and gv and wv:
-                diff = _rel_diff(float(gv), float(wv))
-                if diff > worst[0]:
-                    worst = (diff, col, line)
-            else:
-                assert gv == wv, f"{fname} line {line}, {col}: {gv!r} != golden {wv!r}"
-    diff, col, line = worst
+    (diff, col, line), other, _ = _table_diff(got_rows, want_rows)
+    assert other is None, "{} line {}, {}: {!r} != golden {!r}".format(fname, *other)
     assert diff <= REL_TOL, (
         f"{fname}: largest relative difference {diff:.3g} in column {col} "
         f"(line {line}) exceeds {REL_TOL:g}"
     )
+
+
+def _change(got: bytes, want: bytes) -> str:
+    """How a regenerated table differs from the golden one it replaces."""
+    got_rows, want_rows = _rows(got), _rows(want)
+    if got_rows[0] != want_rows[0] or len(got_rows) != len(want_rows):
+        return "header or row count changed"
+    (diff, col, line), other, changed = _table_diff(got_rows, want_rows)
+    text = f"{changed} of {len(want_rows) - 1} rows changed, largest relative "
+    text += f"difference {diff:.3g}" + (f" in {col} (line {line})" if col else "")
+    return text + ("" if other is None else f", and {other[1]} on line {other[0]}")
 
 
 @pytest.mark.parametrize("name", CASES)
@@ -187,5 +211,13 @@ if __name__ == "__main__":
         with tempfile.TemporaryDirectory() as tmp:
             (GOLDEN / name).mkdir(parents=True, exist_ok=True)
             for fname, data in _outputs(name, Path(tmp)).items():
-                (GOLDEN / name / fname).write_bytes(data)
-                print(f"wrote {GOLDEN / name / fname} ({len(data)} bytes)")
+                path = GOLDEN / name / fname
+                old = path.read_bytes() if path.exists() else None
+                path.write_bytes(data)
+                if old == data:
+                    change = "unchanged"
+                elif old is None or not fname.endswith(".csv"):
+                    change = "new" if old is None else "changed"
+                else:
+                    change = _change(data, old)
+                print(f"wrote {path} ({len(data)} bytes): {change}")
