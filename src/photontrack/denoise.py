@@ -32,8 +32,8 @@ just the windows where that bound exceeds the threshold:
     sum of counts.  The box sums are taken on blocks of 4 voxels in z,
     whose boxes reach the whole neighbouring blocks within ``rz``: a
     coarser box, so a looser but still valid bound, and a quarter of
-    the integer adds.  The block sums are one ``bincount`` of the
-    occupied voxels' block ids.
+    the integer adds.  The block sums are one ``reduceat`` over the
+    runs of equal block id in the sorted occupied voxels.
   * **Rounding.**  Every pass adds nonnegative products, so its computed
     value exceeds the exact one by at most a factor ``(1 + u)**taps``
     (u the unit roundoff); the bound is widened by ``(taps + 8) * eps``,
@@ -44,17 +44,29 @@ just the windows where that bound exceeds the threshold:
     blocks over the cut.  Inside it the three passes use the same taps
     in the same order as :func:`parzen_smooth`, reading zeros only
     beyond the real grid, so every value there is bit for bit the dense
-    one; no voxel outside can exceed the threshold.
+    one; no voxel outside can exceed the threshold.  Consecutive
+    windows share one y pass and one z pass over a cache-sized stack of
+    their planes (:func:`_smoothed_windows`).
   * **Peak modes.**  ``peak_fraction`` and ``moving_average`` threshold
-    at a value that grows with the peak.  Rounding is monotone and the
-    terms are nonnegative, so the smoothed value at the brightest voxel,
-    and hence the peak, is at least its centre-tap term
-    ``kz[rz]*(ky[ry]*(kx[rx]*cmax))``.  The cut uses the lower of that
-    term and the threshold it would give, so the peak voxel and every
+    at a value that grows with the peak, which is at least the smoothed
+    value at the first brightest voxel.  That value is computed from
+    the voxel's (2rx+1)(2ry+1)(2rz+1) neighbourhood of occupied voxels
+    and shrunk by the factor ``1 - (taps + 2) * eps``.  Both it and the
+    passes' own value at that voxel sum the same nonnegative terms, each
+    rounded at most ``taps`` times, so they lie within a factor
+    ``((1 + u) / (1 - u))**taps`` of each other, about
+    ``1 + taps * eps``, whatever order either sums in; the rest of the
+    margin covers the rounding of the shrink itself.  The shrunk value
+    is therefore at most the computed peak.  The cut uses the lower of
+    it and the threshold it would give, so the peak voxel and every
     voxel above the true threshold lie inside the windows, and the
     peak, ``t_used`` and the mask come out exact.
 
-Box sums are taken in int32.  Non-integer or negative counts void the
+Box sums are taken in int16 where they cannot reach 2**15, in int32
+otherwise.  Each block sum is first clipped at ``cut + 1``: a box that
+holds a clipped block exceeds the cut either way, and a box without one
+sums as before, so no verdict changes, and a low cut keeps the sums
+narrow whatever the counts.  Non-integer or negative counts void the
 bound, and so do counts whose box sums could reach 2**31 (the pipeline's
 counts are at most ``pulses_per_group``, 200 by default); their windows
 are whole planes.  A bound that covers everything (a zero threshold,
@@ -66,6 +78,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import lru_cache
 
 import numpy as np
 
@@ -209,6 +222,16 @@ def gaussian_kernel(sigma: float, radius_factor: float = 3.0) -> np.ndarray:
     return k / k.sum()
 
 
+@lru_cache(maxsize=8)
+def _kernels(sigmas: tuple[float, float, float], radius_factor: float):
+    """The x, y and z kernels of ``sigmas``, built once per argument pair
+    and read-only, since every caller shares them."""
+    kernels = tuple(gaussian_kernel(s, radius_factor) for s in sigmas)
+    for k in kernels:
+        k.flags.writeable = False
+    return kernels
+
+
 def _sum_taps(weights, sources) -> np.ndarray:
     """``(w0*s0 + w1*s1) + ...``, summed in tap order.
 
@@ -223,6 +246,29 @@ def _sum_taps(weights, sources) -> np.ndarray:
     return acc
 
 
+_STACK_CELLS = 2**15  # float64 cells (256 KiB) of one stack of windows
+
+
+def _stacks(windows, ry: int, rz: int):
+    """Split ``windows`` into consecutive runs whose planes, widened by
+    ``ry`` rows and ``rz`` columns either side and stacked at the width
+    of the widest, hold at most ``_STACK_CELLS`` cells; a run holds at
+    least one window, so a window too large for the limit has a stack of
+    its own.  Yields each stack's ``(rows, columns)`` and its
+    ``(first row, window)`` pairs."""
+    placed, rows, width = [], 0, 0
+    for window in windows:
+        _, y0, y1, z0, z1 = window
+        h, w = y1 - y0 + 2 * ry, z1 - z0 + 2 * rz
+        if placed and (rows + h) * max(width, w) > _STACK_CELLS:
+            yield (rows, width), placed
+            placed, rows, width = [], 0, 0
+        placed.append((rows, window))
+        rows, width = rows + h, max(width, w)
+    if placed:
+        yield (rows, width), placed
+
+
 def _smoothed_windows(counts: np.ndarray, kernels, windows) -> list[np.ndarray]:
     """The smoothed ``counts[x, y0:y1, z0:z1]`` of each window
     ``(x, y0, y1, z0, z1)``, one 2-D array per window.
@@ -231,11 +277,18 @@ def _smoothed_windows(counts: np.ndarray, kernels, windows) -> list[np.ndarray]:
     and ``rz`` columns either side.  The x pass fills the part of the
     plane that lies inside the grid, so the plane is zero exactly where
     the whole-grid passes read zero padding; x taps that would read
-    beyond the grid add zeros and are skipped.  The y pass sums whole
-    rows of the plane, and z tap ``k`` reads the 2-D slice of columns
-    ``k`` to ``k + w`` of those rows, so only the window's own columns
-    are summed.  Every value is the same tap-ordered sum as in the
-    whole-grid passes, bit for bit.
+    beyond the grid add zeros and are skipped.
+
+    The planes of consecutive windows are stacked, up to
+    ``_STACK_CELLS`` cells, in one zero array as wide as the widest, so
+    that one y pass and one z pass serve the whole stack.  The y pass
+    sums whole rows of the stack, and z tap ``k`` reads its columns
+    ``k`` to ``k + w``.  A window's values are the rows of its own plane
+    less the ``2 * ry`` margin rows and its first ``w`` columns, and
+    each is the same tap-ordered sum as in the whole-grid passes, bit
+    for bit; the rows that straddle two planes mix them and are dropped.
+    A stack stays small enough for cache, which a single stack of every
+    window would not.
 
     Counts are converted to float64 as the x taps read them, which is
     exact.
@@ -244,17 +297,22 @@ def _smoothed_windows(counts: np.ndarray, kernels, windows) -> list[np.ndarray]:
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
     nx, ny, nz = counts.shape
     smoothed = []
-    for x, y0, y1, z0, z1 in windows:
-        h, w = y1 - y0, z1 - z0
-        top, left = y0 - ry, z0 - rz  # the plane's first row and column
-        ya, yb = max(0, top), min(ny, y1 + ry)  # the plane's rows inside the grid
-        za, zb = max(0, left), min(nz, z1 + rz)
-        plane = np.zeros((h + 2 * ry, w + 2 * rz))
-        lo, hi = max(0, rx - x), min(len(kx), nx + rx - x)
-        x_taps = (counts[x + i - rx, ya:yb, za:zb] for i in range(lo, hi))
-        plane[ya - top : yb - top, za - left : zb - left] = _sum_taps(kx[lo:hi], x_taps)
-        rows = _sum_taps(ky, (plane[j : j + h] for j in range(len(ky))))
-        smoothed.append(_sum_taps(kz, (rows[:, k : k + w] for k in range(len(kz)))))
+    for shape, placed in _stacks(windows, ry, rz):
+        stack = np.zeros(shape)
+        for r, (x, y0, y1, z0, z1) in placed:
+            top, left = y0 - ry, z0 - rz  # the plane's first row and column
+            ya, yb = max(0, top), min(ny, y1 + ry)  # the plane's rows inside the grid
+            za, zb = max(0, left), min(nz, z1 + rz)
+            lo, hi = max(0, rx - x), min(len(kx), nx + rx - x)
+            x_taps = (counts[x + i - rx, ya:yb, za:zb] for i in range(lo, hi))
+            stack[r + ya - top : r + yb - top, za - left : zb - left] = _sum_taps(
+                kx[lo:hi], x_taps
+            )
+        h, w = len(stack) - 2 * ry, stack.shape[1] - 2 * rz
+        rows = _sum_taps(ky, (stack[j : j + h] for j in range(len(ky))))
+        out = _sum_taps(kz, (rows[:, k : k + w] for k in range(len(kz))))
+        for r, (_, y0, y1, z0, z1) in placed:
+            smoothed.append(out[r : r + y1 - y0, : z1 - z0])
     return smoothed
 
 
@@ -275,12 +333,13 @@ def parzen_smooth(
     view genuinely contains no photons.
 
     The y and z passes of an x-plane need only that plane's x-pass
-    output, so the grid is smoothed one x-plane at a time and the
-    intermediates (a 32x600 plane is 150 kB) stay in cache.  Every
-    output value is the tap-ordered sum of each pass over the
-    zero-padded input.
+    output, so the grid is smoothed in stacks of whole x-planes that
+    hold at most ``_STACK_CELLS`` cells, which is one plane of a
+    32x32x600 grid at the default kernels (a padded 38x606 plane is
+    184 kB), and the intermediates stay in cache.  Every output value
+    is the tap-ordered sum of each pass over the zero-padded input.
     """
-    kernels = tuple(gaussian_kernel(s, kernel_radius_factor) for s in sigmas)
+    kernels = _kernels(tuple(sigmas), kernel_radius_factor)
     planes = _smoothed_windows(counts, kernels, _whole_planes(counts.shape))
     # np.array, unlike np.stack, takes the empty list of a grid without voxels
     return np.array(planes, dtype=np.float64).reshape(counts.shape)
@@ -300,14 +359,40 @@ def _box_sum(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
     return out
 
 
+def _smoothed_at_brightest(grid: VoxelGrid, kernels) -> np.float64:
+    """The smoothed value at the first brightest occupied voxel.
+
+    The part of its (2rx+1)(2ry+1)(2rz+1) neighbourhood inside the grid
+    is laid into a zero box from the occupied voxels between the box's
+    first and last corner, and the x, y and z passes run over the box
+    with the taps that reach it, in the same order as
+    :func:`_smoothed_windows`.
+    """
+    radii = np.array([len(k) // 2 for k in kernels])
+    centre = np.array(np.unravel_index(grid.flat[np.argmax(grid.values)], grid.shape))
+    lo = np.maximum(centre - radii, 0)
+    hi = np.minimum(centre + radii + 1, grid.shape)
+    corners = np.ravel_multi_index(np.stack([lo, hi - 1], axis=1), grid.shape)
+    i0, i1 = np.searchsorted(grid.flat, corners + [0, 1])
+    offsets = np.array(np.unravel_index(grid.flat[i0:i1], grid.shape)) - lo[:, None]
+    inside = ((offsets >= 0) & (offsets < (hi - lo)[:, None])).all(axis=0)
+    value = np.zeros(hi - lo)
+    value[tuple(offsets[:, inside])] = grid.values[i0:i1][inside]
+    for k, first, last in zip(kernels, lo - centre + radii, hi - centre + radii):
+        value = _sum_taps(k[first:last], value)
+    return value
+
+
 def _hot_windows(grid: VoxelGrid, kernels, mode, t_prev):
     """The per-x-plane windows outside which no voxel can pass ``mode``;
     for the peak modes they also hold the peak.
 
-    The z-block sums are one ``bincount`` of the occupied voxels, and
-    box sums are taken in int32.  Returns whole planes when the bound
-    does not apply: for non-integer or negative counts, and for counts
-    so large that a box sum could reach 2**31.
+    The z-block sums are one ``reduceat`` over the runs of equal block
+    id in the sorted occupied voxels, clipped at ``cut + 1``, and the box
+    sums are taken in int16 where the clipped sums cannot reach 2**15,
+    in int32 otherwise.  Returns whole planes when the bound does not
+    apply: for non-integer or negative counts, and for counts so large
+    that a box sum could reach 2**31.
     """
     kx, ky, kz = kernels
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
@@ -319,41 +404,60 @@ def _hot_windows(grid: VoxelGrid, kernels, mode, t_prev):
     # every voxel outside grid.flat holds 0
     cmin, cmax = int(values.min(initial=0)), int(values.max(initial=0))
     rb = -(-rz // _ZBLOCK)  # neighbouring blocks within rz of a block
-    volume = (2 * rx + 1) * (2 * ry + 1) * (2 * rb + 1) * _ZBLOCK
-    if cmin < 0 or cmax * volume >= 2**31:
+    span = (2 * rx + 1) * (2 * ry + 1) * (2 * rb + 1)  # blocks in a box
+    if cmin < 0 or cmax * span * _ZBLOCK >= 2**31:
         return planes
+    if cmax == 0:
+        return []  # every smoothed value is 0, which no level passes
 
-    # the peak's smoothed value is at least the brightest voxel's
-    # centre-tap term, and every mode's threshold is nondecreasing in the
-    # peak, so the threshold that term gives is the lowest one possible
-    centre = float(kz[rz] * (ky[ry] * (kx[rx] * float(cmax))))
-    t_low = mode.level(centre, t_prev)
-    if not isinstance(mode, Fixed):
-        t_low = min(centre, t_low)  # the peak itself must be smoothed
     taps = len(kx) + len(ky) + len(kz)
-    scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * np.finfo(float).eps)
+    eps = np.finfo(float).eps
+    if isinstance(mode, Fixed):
+        t_low = mode.t
+    else:
+        # the peak is at least the smoothed value at the brightest voxel,
+        # and every mode's threshold is nondecreasing in the peak, so the
+        # threshold that value gives is the lowest one possible; the
+        # shrink covers rounding (module docstring)
+        peak_low = float(_smoothed_at_brightest(grid, kernels))
+        peak_low *= 1.0 - (taps + 2) * eps
+        # the peak itself must be smoothed
+        t_low = min(peak_low, mode.level(peak_low, t_prev))
+    scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * eps)
     # a voxel above t_low, or at t_low > 0, has box sum > q; scale < 2,
     # so a t_low above 2**32 gives q > 2**31 all the same
     q = min(t_low, 2.0**32) / scale
     # no box sum exceeds 2**31 - 1, and a cut there fits int32
     cut = math.floor(min(q, 2**31 - 1))
 
-    # float64 sums of these integers are exact, and below 2**31 by the
-    # guard above
+    # a voxel's block id is column * nb + z // _ZBLOCK: padding each
+    # column of nz voxels to nb whole blocks makes it one division of the
+    # flat index.  The ids are nondecreasing along the sorted grid.flat;
+    # int64 sums of the counts neither wrap nor, for bool counts, OR
     nb = -(-nz // _ZBLOCK)
-    column, z = np.divmod(grid.flat, nz)
-    blocks = np.bincount(
-        column * nb + z // _ZBLOCK, weights=values, minlength=nx * ny * nb
-    ).astype(np.int32).reshape(nx, ny, nb)
-    box = _box_sum(_box_sum(_box_sum(blocks, rb, 2), ry, 1), rx, 0)
-    hot = box > cut
+    flat = grid.flat
+    block = (flat + flat // nz * (nb * _ZBLOCK - nz)) // _ZBLOCK
+    first = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
+    sums = np.add.reduceat(values, first, dtype=np.int64)
+    # a box holding a block sum above cut exceeds cut whatever that sum
+    # is, and a box without one sums exactly, so clipping at cut + 1
+    # keeps every box's verdict; the clipped box sums reach at most
+    # top * span, below 2**31 by the guard above
+    top = min(int(sums.max()), cut + 1)
+    dtype = np.int16 if top * span < 2**15 else np.int32
+    blocks = np.zeros(nx * ny * nb, dtype)
+    blocks[block[first]] = np.minimum(sums, top).astype(dtype)
+    box = _box_sum(_box_sum(_box_sum(blocks.reshape(nx, ny, nb), rb, 2), ry, 1), rx, 0)
+    # a cut beyond the type's range, like its maximum, exceeds every box sum
+    hot = box > min(cut, np.iinfo(dtype).max)
     rows, cols = hot.any(axis=2), hot.any(axis=1)
-    windows = []
-    for x in np.flatnonzero(rows.any(axis=1)):
-        ys, bs = np.flatnonzero(rows[x]), np.flatnonzero(cols[x])
-        z1 = min(nz, (int(bs[-1]) + 1) * _ZBLOCK)
-        windows.append((int(x), int(ys[0]), int(ys[-1]) + 1, int(bs[0]) * _ZBLOCK, z1))
-    return windows
+    xs = np.flatnonzero(rows.any(axis=1))
+    rows, cols = rows[xs], cols[xs]
+    # each hot plane's first and one-past-last hot row and block
+    y0, b0 = rows.argmax(axis=1), cols.argmax(axis=1)
+    y1 = ny - rows[:, ::-1].argmax(axis=1)
+    z1 = np.minimum(nz, (nb - cols[:, ::-1].argmax(axis=1)) * _ZBLOCK)
+    return list(zip(*(a.tolist() for a in (xs, y0, y1, b0 * _ZBLOCK, z1))))
 
 
 def denoise(
@@ -391,7 +495,7 @@ def _parzen_mask(
     grid: VoxelGrid, cfg: DenoiseConfig, t_prev: float | None
 ) -> tuple[np.ndarray, float]:
     mode = cfg.threshold_mode
-    kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
+    kernels = _kernels(tuple(cfg.sigmas), cfg.kernel_radius_factor)
     windows = _hot_windows(grid, kernels, mode, t_prev)
     # a peak mode needs every window's values before it can threshold
     passed, t_used = _apply_threshold(

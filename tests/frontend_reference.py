@@ -5,6 +5,8 @@ Each function is the straightforward dense or per-voxel form of the
 values in the same floating-point order, so tests compare the two with
 exact equality.  ``denoise`` smooths and thresholds the whole grid,
 where the library smooths only where its threshold can be crossed.
+``smoothed_at`` is one voxel of that smoothing, from which
+``hot_windows`` seeds the peak modes' cut as the library does.
 
 The references work on dense arrays.  ``grid_of`` and ``dense_labels``
 convert at the boundary: a dense count array to the library's
@@ -105,11 +107,36 @@ def parzen_smooth(grid, sigmas, kernel_radius_factor: float = 3.0) -> np.ndarray
     return out
 
 
+def smoothed_at(counts, kernels, voxel) -> float:
+    """The smoothed value of one voxel of dense ``counts``: the x taps
+    summed over each (y, z), then the y taps over each z, then the z
+    taps, each in tap order from 0.0, with zeros beyond the grid."""
+    kx, ky, kz = kernels
+    rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
+    x0, y0, z0 = voxel
+
+    def count(x, y, z):
+        inside = all(0 <= i < n for i, n in zip((x, y, z), counts.shape))
+        return int(counts[x, y, z]) if inside else 0
+
+    total = 0.0
+    for c, wz in enumerate(kz):
+        row = 0.0
+        for b, wy in enumerate(ky):
+            column = 0.0
+            for a, wx in enumerate(kx):
+                column += float(wx) * count(x0 + a - rx, y0 + b - ry, z0 + c - rz)
+            row += float(wy) * column
+        total += float(wz) * row
+    return total
+
+
 def hot_windows(counts, kernels, mode, t_prev):
     """The Parzen bound's windows from plain loops: per x-plane, the
     bounding box of the 4-voxel z blocks whose box sum of counts exceeds
     the cut, in C order of x; whole planes where the bound does not
-    apply."""
+    apply.  Under the peak modes the cut comes from the smoothed value
+    at the first brightest voxel, shrunk by ``(taps + 2) * eps``."""
     kx, ky, kz = kernels
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
     nx, ny, nz = counts.shape
@@ -122,11 +149,14 @@ def hot_windows(counts, kernels, mode, t_prev):
     volume = (2 * rx + 1) * (2 * ry + 1) * (2 * rb + 1) * 4
     if exact.min() < 0 or cmax * volume >= 2**31:
         return planes
-    centre = float(kz[rz] * (ky[ry] * (kx[rx] * float(cmax))))
-    t_low = mode.level(centre, t_prev)
-    if not isinstance(mode, Fixed):
-        t_low = min(centre, t_low)
     taps = len(kx) + len(ky) + len(kz)
+    if isinstance(mode, Fixed):
+        t_low = mode.t
+    else:
+        brightest = np.unravel_index(np.argmax(exact), exact.shape)
+        peak_low = smoothed_at(exact, kernels, brightest)
+        peak_low *= 1.0 - (taps + 2) * np.finfo(float).eps
+        t_low = min(peak_low, mode.level(peak_low, t_prev))
     scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * np.finfo(float).eps)
     cut = math.floor(min(t_low / scale, 2**31 - 1))
     nb = math.ceil(nz / 4)

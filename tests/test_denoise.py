@@ -172,6 +172,19 @@ def test_gaussian_kernel_of_a_tiny_sigma_is_the_identity(sigma):
     assert k.tolist() == [0.0, 1.0, 0.0]
 
 
+def test_parzen_kernels_are_built_once_and_read_only():
+    """Every Parzen call with the same widths shares one set of kernels,
+    so none of them may be written."""
+    from photontrack.denoise import _kernels
+
+    sigmas = (1.0, 2.0, 0.5)
+    kernels = _kernels(sigmas, 3.0)
+    assert _kernels(sigmas, 3.0) is kernels
+    for k, sigma in zip(kernels, sigmas, strict=True):
+        assert k.tobytes() == gaussian_kernel(sigma, 3.0).tobytes()
+        assert not k.flags.writeable
+
+
 def test_parzen_threshold_near_the_float_limit_keeps_nothing():
     grid = grid_of(np.full((3, 4, 8), 5, dtype=np.uint16))
     cfg = DenoiseConfig(scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=Fixed(1e308))

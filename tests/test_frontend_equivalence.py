@@ -408,6 +408,35 @@ def test_windows_match_whole_array_passes(seed, shape, sigmas, factor, real, dat
         assert_same(values, want[x, y0:y1, z0:z1])
 
 
+@pytest.mark.parametrize("sigmas", [(1.0, 1.0, 1.0), (0.6, 2.0, 1.4)])
+def test_stacked_windows_match_whole_array_passes(sigmas):
+    """Many small windows, overlapping and on the grid's edges, fill
+    several stacks, and no two whole planes share one, even in a row;
+    every window's values equal the dense smoothing, byte for byte."""
+    shape = (32, 32, 600)
+    ny, nz = shape[1:]
+    counts = blob_grid(13)
+    kernels = tuple(gaussian_kernel(s, 3.0) for s in sigmas)
+    ry, rz = len(kernels[1]) // 2, len(kernels[2]) // 2
+    rng = np.random.default_rng(14)
+    x, y0, z0 = (rng.integers(0, n, 150).tolist() for n in shape)
+    y1 = np.minimum(ny, np.add(y0, rng.integers(1, 9, 150))).tolist()
+    z1 = np.minimum(nz, np.add(z0, rng.integers(1, 90, 150))).tolist()
+    windows = list(zip(x, y0, y1, z0, z1))
+    planes = [(p, 0, ny, 0, nz) for p in (5, 0, 31, 17)]
+    for at, plane in zip((0, 60, 61, 149), planes):
+        windows.insert(at, plane)
+    stacks = denoise_module._stacks(windows, ry, rz)
+    stacks = [[window for _, window in placed] for _, placed in stacks]
+    assert all(len(set(run) & set(planes)) <= 1 for run in stacks)
+    assert max(len(run) for run in stacks) > 10 and len(stacks) > 8
+
+    got = denoise_module._smoothed_windows(counts, kernels, windows)
+    want = ref.parzen_smooth(counts, sigmas)
+    for (x, y0, y1, z0, z1), values in zip(windows, got, strict=True):
+        assert_same(values, want[x, y0:y1, z0:z1])
+
+
 def test_bound_leaves_empty_space_out():
     """On a sparse grid only the targets' neighbourhoods are smoothed;
     with no bound to apply (float counts) the windows are whole planes."""
@@ -456,6 +485,32 @@ def test_hot_windows_match_loop_reference(
     kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
     got = denoise_module._hot_windows(ref.grid_of(counts), kernels, mode, t_prev)
     assert got == ref.hot_windows(counts, kernels, mode, t_prev)
+
+
+@pytest.mark.parametrize("clipped", [False, True], ids=["exact", "clipped"])
+@pytest.mark.parametrize("over", [0, 1], ids=["below_2**15", "at_2**15"])
+def test_hot_windows_at_the_narrow_box_sum_limit(clipped, over):
+    """A brick of blocks that each sum to ``top``, or to more and clip
+    there, gives its centre box a sum of ``top`` times the blocks in a
+    box: just below 2**15, where the box sums are int16, and at or past
+    it, where they must be int32.  The cut lies one below that sum, so
+    the centre box is hot only if its sum does not wrap."""
+    kernels = tuple(gaussian_kernel(1.0, 3.0) for _ in range(3))
+    r = len(kernels[0]) // 2
+    rb = -(-r // 4)
+    span = (2 * r + 1) ** 2 * (2 * rb + 1)
+    top = (2**15 - 1) // span + over
+    counts = np.zeros((16, 16, 64), np.int32)
+    brick = slice(4, 5 + 2 * r)
+    counts[brick, brick, 16 : 16 + 4 * (2 * rb + 1) : 4] = 1000 if clipped else top
+    cut = (top if clipped else top * span) - 1
+    taps = 3 * len(kernels[0])
+    scale = kernels[0].max() ** 3 * (1.0 + (taps + 8) * np.finfo(float).eps)
+    mode = Fixed((cut + 0.5) * scale)
+    got = denoise_module._hot_windows(ref.grid_of(counts), kernels, mode, None)
+    assert got and got == ref.hot_windows(counts, kernels, mode, None)
+    if not clipped:  # only the centre box holds the whole brick
+        assert got == [(4 + r, 4 + r, 5 + r, 16 + 4 * rb, 20 + 4 * rb)]
 
 
 @pytest.mark.parametrize("mode, t_prev", MODES)
