@@ -17,8 +17,8 @@ and, in ``level(peak, t_prev)``, its rule for the threshold.
 mask of the grid's shape.  Every threshold level is at least zero and
 empty voxels hold zero, so thresholding compares the occupied counts
 only, and the majority vote visits only the set voxels and their
-neighbours.  Parzen's bound reads the occupied voxels too; only its
-smoothing passes read the dense count array.
+neighbours.  Parzen's bound and smoothing read the occupied voxels too,
+so no scheme builds the dense count array.
 
 Parzen thresholding smooths only where the threshold can be crossed.
 The histogram is ~98.5% empty, and only the mask leaves the stage, so
@@ -45,8 +45,9 @@ just the windows where that bound exceeds the threshold:
     in the same order as :func:`parzen_smooth`, reading zeros only
     beyond the real grid, so every value there is bit for bit the dense
     one; no voxel outside can exceed the threshold.  Consecutive
-    windows share one y pass and one z pass over a cache-sized stack of
-    their planes (:func:`_smoothed_windows`).
+    windows share one pass per axis over a cache-sized stack of their
+    planes, and the x pass reads the occupied voxels
+    (:func:`_smoothed_windows`).
   * **Peak modes.**  ``peak_fraction`` and ``moving_average`` threshold
     at a value that grows with the peak, which is at least the smoothed
     value at the first brightest voxel.  That value is computed from
@@ -269,45 +270,69 @@ def _stacks(windows, ry: int, rz: int):
         yield (rows, width), placed
 
 
-def _smoothed_windows(counts: np.ndarray, kernels, windows) -> list[np.ndarray]:
-    """The smoothed ``counts[x, y0:y1, z0:z1]`` of each window
-    ``(x, y0, y1, z0, z1)``, one 2-D array per window.
+def _ranges(starts: np.ndarray, stops: np.ndarray):
+    """The ranges ``[starts[i], stops[i])`` laid end to end, and the
+    ``i`` of each of their elements."""
+    lengths = stops - starts
+    owner = np.repeat(np.arange(len(lengths)), lengths)
+    return owner, np.arange(len(owner)) + (starts - np.cumsum(lengths) + lengths)[owner]
+
+
+def _smoothed_windows(grid: VoxelGrid, kernels, windows) -> list[np.ndarray]:
+    """The smoothed histogram over each window ``(x, y0, y1, z0, z1)``,
+    ``parzen_smooth(grid.counts)[x, y0:y1, z0:z1]``, one 2-D array per
+    window, read from the occupied voxels alone.
 
     Each window is smoothed in its own zero plane, widened by ``ry`` rows
-    and ``rz`` columns either side.  The x pass fills the part of the
-    plane that lies inside the grid, so the plane is zero exactly where
-    the whole-grid passes read zero padding; x taps that would read
-    beyond the grid add zeros and are skipped.
-
-    The planes of consecutive windows are stacked, up to
-    ``_STACK_CELLS`` cells, in one zero array as wide as the widest, so
-    that one y pass and one z pass serve the whole stack.  The y pass
-    sums whole rows of the stack, and z tap ``k`` reads its columns
-    ``k`` to ``k + w``.  A window's values are the rows of its own plane
-    less the ``2 * ry`` margin rows and its first ``w`` columns, and
-    each is the same tap-ordered sum as in the whole-grid passes, bit
-    for bit; the rows that straddle two planes mix them and are dropped.
-    A stack stays small enough for cache, which a single stack of every
+    and ``rz`` columns either side.  The planes of consecutive windows
+    are stacked, up to ``_STACK_CELLS`` cells, in one zero array as wide
+    as the widest, so that one pass per axis serves the whole stack.  A
+    stack stays small enough for cache, which a single stack of every
     window would not.
 
-    Counts are converted to float64 as the x taps read them, which is
-    exact.
+    The x pass fills the part of each plane that lies inside the grid,
+    so the plane is zero exactly where the whole-grid passes read zero
+    padding; x taps that would read beyond the grid are skipped.  What
+    one x tap reads on one in-grid row of a plane, the source row
+    between the plane's in-grid columns, is one run of the sorted
+    ``grid.flat``, and one ``searchsorted`` bounds every run of the
+    stack.  The voxels add their tap products to their cells tap by tap,
+    and a cell gets at most one voxel per tap.  An empty voxel would add
+    exactly 0.0, so each cell is the dense pass's tap-ordered sum (see
+    :func:`_sum_taps` for the one sign of zero that may differ).
+
+    The y pass sums whole rows of the stack, and z tap ``k`` reads its
+    columns ``k`` to ``k + w``.  A window's values are the rows of its
+    own plane less the ``2 * ry`` margin rows and its first ``w``
+    columns, and each is the same tap-ordered sum as in the whole-grid
+    passes, bit for bit; the rows that straddle two planes mix them and
+    are dropped.
     """
     kx, ky, kz = kernels
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
-    nx, ny, nz = counts.shape
+    nx, ny, nz = grid.shape
     smoothed = []
     for shape, placed in _stacks(windows, ry, rz):
+        r, x, y0, y1, z0, z1 = np.array([(r, *w) for r, w in placed]).T
+        top, left = y0 - ry, z0 - rz  # each plane's first row and column
+        win, y = _ranges(np.maximum(top, 0), np.minimum(y1 + ry, ny))  # in-grid rows
+        za, zb = np.maximum(left, 0), np.minimum(z1 + rz, nz)  # and columns
+        # every x tap of every row whose source plane lies in the grid,
+        # tap-major, so that each cell's voxels below come in tap order
+        source = x[win] + np.arange(len(kx))[:, None] - rx
+        tap, at = np.nonzero((source >= 0) & (source < nx))
+        win, y, source = win[at], y[at], source[tap, at]
+        base = (source * ny + y) * nz  # the flat index of the row's z = 0
+        bounds = np.searchsorted(grid.flat, [base + za[win], base + zb[win]])
+        run, voxel = _ranges(*bounds)
+        # the voxel at flat index f lands in stack cell f + shift
+        shift = ((r - top)[win] + y) * shape[1] - left[win] - base
         stack = np.zeros(shape)
-        for r, (x, y0, y1, z0, z1) in placed:
-            top, left = y0 - ry, z0 - rz  # the plane's first row and column
-            ya, yb = max(0, top), min(ny, y1 + ry)  # the plane's rows inside the grid
-            za, zb = max(0, left), min(nz, z1 + rz)
-            lo, hi = max(0, rx - x), min(len(kx), nx + rx - x)
-            x_taps = (counts[x + i - rx, ya:yb, za:zb] for i in range(lo, hi))
-            stack[r + ya - top : r + yb - top, za - left : zb - left] = _sum_taps(
-                kx[lo:hi], x_taps
-            )
+        np.add.at(
+            stack.reshape(-1),
+            grid.flat[voxel] + shift[run],
+            kx[tap[run]] * grid.values[voxel],
+        )
         h, w = len(stack) - 2 * ry, stack.shape[1] - 2 * rz
         rows = _sum_taps(ky, (stack[j : j + h] for j in range(len(ky))))
         out = _sum_taps(kz, (rows[:, k : k + w] for k in range(len(kz))))
@@ -332,15 +357,20 @@ def parzen_smooth(
     z); boundaries are zero-padded because the space beyond the field of
     view genuinely contains no photons.
 
-    The y and z passes of an x-plane need only that plane's x-pass
-    output, so the grid is smoothed in stacks of whole x-planes that
-    hold at most ``_STACK_CELLS`` cells, which is one plane of a
+    The input's nonzero voxels are smoothed as a
+    :class:`~photontrack.voxelizer.VoxelGrid`, the same path as the
+    pipeline's.  The y and z passes of an x-plane need only that plane's
+    x-pass output, so the grid is smoothed in stacks of whole x-planes
+    that hold at most ``_STACK_CELLS`` cells, which is one plane of a
     32x32x600 grid at the default kernels (a padded 38x606 plane is
     184 kB), and the intermediates stay in cache.  Every output value
     is the tap-ordered sum of each pass over the zero-padded input.
     """
+    counts = np.asarray(counts)
+    flat = np.flatnonzero(counts)
+    grid = VoxelGrid(counts.shape, flat, counts.reshape(-1)[flat])
     kernels = _kernels(tuple(sigmas), kernel_radius_factor)
-    planes = _smoothed_windows(counts, kernels, _whole_planes(counts.shape))
+    planes = _smoothed_windows(grid, kernels, _whole_planes(counts.shape))
     # np.array, unlike np.stack, takes the empty list of a grid without voxels
     return np.array(planes, dtype=np.float64).reshape(counts.shape)
 
@@ -499,7 +529,7 @@ def _parzen_mask(
     windows = _hot_windows(grid, kernels, mode, t_prev)
     # a peak mode needs every window's values before it can threshold
     passed, t_used = _apply_threshold(
-        _smoothed_windows(grid.counts, kernels, windows), mode, t_prev
+        _smoothed_windows(grid, kernels, windows), mode, t_prev
     )
     mask = np.zeros(grid.shape, dtype=bool)
     for (x, y0, y1, z0, z1), window_passed in zip(windows, passed):

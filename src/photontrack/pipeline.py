@@ -77,8 +77,8 @@ def run_groups(groups, cfg: RunConfig, on_step=None) -> list[StepRecord]:
     since full histograms are large.  The copy shares the record's link
     lists, so its ``fwlink`` too is filled when the next group is
     tracked.  The histogram holds the occupied voxels; its dense
-    ``counts`` are built only if a reader asks for them (the Parzen
-    scheme does, once per group).
+    ``counts`` are built only if a reader asks for them, and no stage
+    of the run does.
     """
     tracker = Tracker(cfg.tracker)
     steps: list[StepRecord] = []

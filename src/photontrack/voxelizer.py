@@ -3,8 +3,8 @@
 The input is one group's ``(pulses, height, width)`` frame array.
 About 1.5% of a 32x32x600 histogram is occupied, so the histogram is
 held as its occupied voxels: their sorted flat (C-order) indices and
-their counts.  The dense count array is built only when a reader asks
-for it.
+their counts.  Every stage of a run reads those; the dense count array
+is built only when a reader asks for it.
 """
 from __future__ import annotations
 
@@ -33,7 +33,8 @@ class VoxelGrid:
 
     @cached_property
     def counts(self) -> np.ndarray:
-        """The dense ``(nx, ny, nz)`` count array, built on first use."""
+        """The dense ``(nx, ny, nz)`` count array, built on first use;
+        no stage of a run reads it, only callers that want the grid."""
         dense = np.zeros(self.shape, dtype=self.values.dtype)
         dense.reshape(-1)[self.flat] = self.values
         return dense

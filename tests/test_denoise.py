@@ -1,5 +1,6 @@
 """Thresholding, majority voting and Parzen smoothing."""
 import math
+import tracemalloc
 import types
 import warnings
 
@@ -19,6 +20,9 @@ from photontrack.denoise import (
     majority_rule,
     parzen_smooth,
 )
+from photontrack.raw_ingest import SensorConfig
+from photontrack.simulator import SceneSpec, TargetSpec, simulate
+from photontrack.voxelizer import build_histogram
 from frontend_reference import grid_of
 
 
@@ -192,6 +196,30 @@ def test_parzen_threshold_near_the_float_limit_keeps_nothing():
         warnings.simplefilter("error")
         mask, t = denoise(grid, cfg)
     assert t == 1e308 and not mask.any()
+
+
+def test_parzen_denoise_peak_memory_is_below_the_dense_counts():
+    """One Parzen ``denoise`` call at the default config, on a simulated
+    32x32x600 group of two targets in dark counts, allocates less at its
+    peak than one dense int32 count array of the grid."""
+    sensor = SensorConfig()
+    targets = (
+        TargetSpec((3, 3, 3), (6.0, 10.0, 160.0), 2.0),
+        TargetSpec((3, 3, 3), (25.0, 15.7, 320.0), 2.0),
+    )
+    frames, _ = simulate(SceneSpec(targets, noise_rate=50.0, seed=3), sensor)
+    warm, grid = (build_histogram(frames, sensor) for _ in range(2))
+    assert grid.shape == (32, 32, 600)
+    cfg = DenoiseConfig(scheme=Scheme.PARZEN_THRESHOLD)
+    denoise(warm, cfg)  # first-call allocations are not the step's
+    tracemalloc.start()
+    try:
+        mask, _ = denoise(grid, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert mask.any()
+    assert peak < 32 * 32 * 600 * np.dtype(np.int32).itemsize
 
 
 def test_parzen_preserves_interior_mass():

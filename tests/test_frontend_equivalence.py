@@ -402,7 +402,7 @@ def test_windows_match_whole_array_passes(seed, shape, sigmas, factor, real, dat
     counts = rng.random(shape) * 5 if real else sparse_counts(rng, shape, high=9)
     kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
     windows = data.draw(st.lists(windows_in(shape), min_size=1, max_size=5))
-    got = denoise_module._smoothed_windows(counts, kernels, windows)
+    got = denoise_module._smoothed_windows(ref.grid_of(counts), kernels, windows)
     want = ref.parzen_smooth(counts, sigmas, factor)
     for (x, y0, y1, z0, z1), values in zip(windows, got, strict=True):
         assert_same(values, want[x, y0:y1, z0:z1])
@@ -431,7 +431,23 @@ def test_stacked_windows_match_whole_array_passes(sigmas):
     assert all(len(set(run) & set(planes)) <= 1 for run in stacks)
     assert max(len(run) for run in stacks) > 10 and len(stacks) > 8
 
-    got = denoise_module._smoothed_windows(counts, kernels, windows)
+    got = denoise_module._smoothed_windows(ref.grid_of(counts), kernels, windows)
+    want = ref.parzen_smooth(counts, sigmas)
+    for (x, y0, y1, z0, z1), values in zip(windows, got, strict=True):
+        assert_same(values, want[x, y0:y1, z0:z1])
+
+
+def test_windows_sum_every_x_tap_in_tap_order():
+    """On a fully occupied grid whose x kernel spans the whole x axis,
+    every x tap of every cell reads an occupied voxel; each window's
+    values still equal the dense smoothing, byte for byte."""
+    shape = (5, 4, 9)
+    counts = np.random.default_rng(15).random(shape) + 0.5
+    sigmas = (2.0, 0.8, 1.3)
+    kernels = tuple(gaussian_kernel(s, 3.0) for s in sigmas)
+    assert len(kernels[0]) // 2 >= shape[0] - 1
+    windows = denoise_module._whole_planes(shape) + [(2, 1, 3, 2, 7), (0, 0, 1, 8, 9)]
+    got = denoise_module._smoothed_windows(ref.grid_of(counts), kernels, windows)
     want = ref.parzen_smooth(counts, sigmas)
     for (x, y0, y1, z0, z1), values in zip(windows, got, strict=True):
         assert_same(values, want[x, y0:y1, z0:z1])
@@ -520,6 +536,18 @@ def test_hot_windows_leave_the_dense_grid_unbuilt(mode, t_prev):
     cfg = DenoiseConfig()
     kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
     assert denoise_module._hot_windows(grid, kernels, mode, t_prev)
+    assert "counts" not in vars(grid)
+
+
+def test_smoothed_windows_leave_the_dense_grid_unbuilt():
+    """The smoothing reads the occupied voxels only, in hot windows and
+    in whole planes alike."""
+    grid = ref.grid_of(blob_grid(12))
+    cfg = DenoiseConfig()
+    kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
+    hot = denoise_module._hot_windows(grid, kernels, Fixed(2.0), None)
+    for windows in (hot, denoise_module._whole_planes(grid.shape)):
+        assert denoise_module._smoothed_windows(grid, kernels, windows)
     assert "counts" not in vars(grid)
 
 

@@ -97,22 +97,16 @@ def test_run_records_are_the_ring_entries_and_link_both_ways(tmp_path, monkeypat
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)
 def test_dense_grid_is_built_only_for_its_readers(scheme):
-    """The thresholding schemes never build a step's dense counts;
-    Parzen smoothing builds them, once.  Wherever they are read they
-    equal the reference histogram, and a second read returns the same
-    array."""
+    """No scheme builds a step's dense counts, Parzen smoothing
+    included.  A later read equals the reference histogram, and a
+    second read returns the same array."""
     groups = group_frames(parse_frames(churn_scene_bytes(), SENSOR), SENSOR)
     cfg = RunConfig(denoise=DenoiseConfig(scheme=scheme))
     seen = []
 
     def on_step(rec):
-        built = vars(rec.grid).get("counts")
-        if scheme is Scheme.PARZEN_THRESHOLD:
-            assert built is not None
-        else:
-            assert "counts" not in vars(rec.grid)
+        assert "counts" not in vars(rec.grid)
         counts = rec.grid.counts
-        assert built is None or counts is built
         assert rec.grid.counts is counts
         want = ref.build_histogram(groups[rec.step], SENSOR).counts
         assert counts.dtype == want.dtype
