@@ -50,18 +50,12 @@ just the windows where that bound exceeds the threshold:
     (:func:`_smoothed_windows`).
   * **Peak modes.**  ``peak_fraction`` and ``moving_average`` threshold
     at a value that grows with the peak, which is at least the smoothed
-    value at the first brightest voxel.  That value is computed from
-    the voxel's (2rx+1)(2ry+1)(2rz+1) neighbourhood of occupied voxels
-    and shrunk by the factor ``1 - (taps + 2) * eps``.  Both it and the
-    passes' own value at that voxel sum the same nonnegative terms, each
-    rounded at most ``taps`` times, so they lie within a factor
-    ``((1 + u) / (1 - u))**taps`` of each other, about
-    ``1 + taps * eps``, whatever order either sums in; the rest of the
-    margin covers the rounding of the shrink itself.  The shrunk value
-    is therefore at most the computed peak.  The cut uses the lower of
-    it and the threshold it would give, so the peak voxel and every
-    voxel above the true threshold lie inside the windows, and the
-    peak, ``t_used`` and the mask come out exact.
+    value at the first brightest voxel.  That value is smoothed first,
+    as a one-voxel window, so it is bit for bit the value that voxel
+    gets in the windows.  The cut uses the lower of it and the threshold
+    it would give, so the peak voxel and every voxel above the true
+    threshold lie inside the windows, and the peak, ``t_used`` and the
+    mask come out exact.
 
 Box sums are taken in int16 where they cannot reach 2**15, in int32
 otherwise.  Each block sum is first clipped at ``cut + 1``: a box that
@@ -389,30 +383,6 @@ def _box_sum(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
     return out
 
 
-def _smoothed_at_brightest(grid: VoxelGrid, kernels) -> np.float64:
-    """The smoothed value at the first brightest occupied voxel.
-
-    The part of its (2rx+1)(2ry+1)(2rz+1) neighbourhood inside the grid
-    is laid into a zero box from the occupied voxels between the box's
-    first and last corner, and the x, y and z passes run over the box
-    with the taps that reach it, in the same order as
-    :func:`_smoothed_windows`.
-    """
-    radii = np.array([len(k) // 2 for k in kernels])
-    centre = np.array(np.unravel_index(grid.flat[np.argmax(grid.values)], grid.shape))
-    lo = np.maximum(centre - radii, 0)
-    hi = np.minimum(centre + radii + 1, grid.shape)
-    corners = np.ravel_multi_index(np.stack([lo, hi - 1], axis=1), grid.shape)
-    i0, i1 = np.searchsorted(grid.flat, corners + [0, 1])
-    offsets = np.array(np.unravel_index(grid.flat[i0:i1], grid.shape)) - lo[:, None]
-    inside = ((offsets >= 0) & (offsets < (hi - lo)[:, None])).all(axis=0)
-    value = np.zeros(hi - lo)
-    value[tuple(offsets[:, inside])] = grid.values[i0:i1][inside]
-    for k, first, last in zip(kernels, lo - centre + radii, hi - centre + radii):
-        value = _sum_taps(k[first:last], value)
-    return value
-
-
 def _hot_windows(grid: VoxelGrid, kernels, mode, t_prev):
     """The per-x-plane windows outside which no voxel can pass ``mode``;
     for the peak modes they also hold the peak.
@@ -440,19 +410,19 @@ def _hot_windows(grid: VoxelGrid, kernels, mode, t_prev):
     if cmax == 0:
         return []  # every smoothed value is 0, which no level passes
 
-    taps = len(kx) + len(ky) + len(kz)
-    eps = np.finfo(float).eps
     if isinstance(mode, Fixed):
         t_low = mode.t
     else:
-        # the peak is at least the smoothed value at the brightest voxel,
-        # and every mode's threshold is nondecreasing in the peak, so the
-        # threshold that value gives is the lowest one possible; the
-        # shrink covers rounding (module docstring)
-        peak_low = float(_smoothed_at_brightest(grid, kernels))
-        peak_low *= 1.0 - (taps + 2) * eps
+        # the peak is at least the smoothed value at the first brightest
+        # voxel, and every mode's threshold is nondecreasing in the peak,
+        # so the threshold that value gives is the lowest one possible
+        x, y, z = np.unravel_index(grid.flat[np.argmax(values)], grid.shape)
+        (seed,) = _smoothed_windows(grid, kernels, [(x, y, y + 1, z, z + 1)])
+        peak_low = float(seed[0, 0])
         # the peak itself must be smoothed
         t_low = min(peak_low, mode.level(peak_low, t_prev))
+    taps = len(kx) + len(ky) + len(kz)
+    eps = np.finfo(float).eps
     scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * eps)
     # a voxel above t_low, or at t_low > 0, has box sum > q; scale < 2,
     # so a t_low above 2**32 gives q > 2**31 all the same
@@ -510,8 +480,8 @@ def denoise(
     exceed the lowest threshold the mode could use (see the module
     docstring for why the bound holds and why the windows are exact).
     """
-    if t_prev is not None and t_prev < 0:
-        raise ValueError("t_prev must be nonnegative")
+    if t_prev is not None and not 0 <= t_prev < math.inf:
+        raise ValueError("t_prev must be finite and nonnegative")
     if cfg.scheme is Scheme.PARZEN_THRESHOLD:
         return _parzen_mask(grid, cfg, t_prev)
     (passed,), t_used = _apply_threshold([grid.values], cfg.threshold_mode, t_prev)

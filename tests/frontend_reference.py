@@ -6,7 +6,8 @@ values in the same floating-point order, so tests compare the two with
 exact equality.  ``denoise`` smooths and thresholds the whole grid,
 where the library smooths only where its threshold can be crossed.
 ``smoothed_at`` is one voxel of that smoothing, from which
-``hot_windows`` seeds the peak modes' cut as the library does.
+``hot_windows`` seeds the peak modes' cut, as the library seeds it from
+a one-voxel window of its own smoothing.
 
 The references work on dense arrays.  ``grid_of`` and ``dense_labels``
 convert at the boundary: a dense count array to the library's
@@ -136,7 +137,7 @@ def hot_windows(counts, kernels, mode, t_prev):
     bounding box of the 4-voxel z blocks whose box sum of counts exceeds
     the cut, in C order of x; whole planes where the bound does not
     apply.  Under the peak modes the cut comes from the smoothed value
-    at the first brightest voxel, shrunk by ``(taps + 2) * eps``."""
+    at the first brightest voxel."""
     kx, ky, kz = kernels
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
     nx, ny, nz = counts.shape
@@ -155,7 +156,6 @@ def hot_windows(counts, kernels, mode, t_prev):
     else:
         brightest = np.unravel_index(np.argmax(exact), exact.shape)
         peak_low = smoothed_at(exact, kernels, brightest)
-        peak_low *= 1.0 - (taps + 2) * np.finfo(float).eps
         t_low = min(peak_low, mode.level(peak_low, t_prev))
     scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * np.finfo(float).eps)
     cut = math.floor(min(t_low / scale, 2**31 - 1))
@@ -188,8 +188,8 @@ def hot_windows(counts, kernels, mode, t_prev):
 def denoise(grid, cfg, t_prev=None):
     """Smooth the whole grid when the scheme asks for it, then threshold
     every voxel at the mode's level, each written out here."""
-    if t_prev is not None and t_prev < 0:
-        raise ValueError("t_prev must be nonnegative")
+    if t_prev is not None and not 0 <= t_prev < math.inf:
+        raise ValueError("t_prev must be finite and nonnegative")
     source = grid.counts if hasattr(grid, "counts") else np.asarray(grid)
     if cfg.scheme is Scheme.PARZEN_THRESHOLD:
         source = parzen_smooth(source, cfg.sigmas, cfg.kernel_radius_factor)

@@ -78,6 +78,18 @@ def test_negative_previous_threshold_is_rejected():
                 denoise(grid_of(a), DenoiseConfig(scheme=scheme, threshold_mode=mode), -1.0)
 
 
+@pytest.mark.parametrize("t_prev", [math.nan, math.inf])
+@pytest.mark.parametrize("scheme", [Scheme.THRESHOLD, Scheme.PARZEN_THRESHOLD])
+def test_nonfinite_previous_threshold_is_rejected(scheme, t_prev):
+    """A NaN or infinite t_prev would give a NaN threshold (inf at
+    beta = 1 as 0 * inf) that every later step inherits."""
+    a = np.ones((2, 2, 2), dtype=np.int32)
+    for mode in (MovingAverage(0.5, 0.5), MovingAverage(0.5, 1.0), Fixed(1.0)):
+        cfg = DenoiseConfig(scheme=scheme, threshold_mode=mode)
+        with pytest.raises(ValueError, match="t_prev must be finite and nonnegative"):
+            denoise(grid_of(a), cfg, t_prev)
+
+
 def test_moving_average_first_step_seeds_from_peak():
     a = np.zeros((2, 2, 2))
     a[0, 0, 0] = 10.0

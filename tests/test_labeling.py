@@ -85,6 +85,20 @@ def test_zero_photon_component_uses_uniform_centroid():
     assert obs.total_photons == 0
 
 
+def test_single_photon_component_weights_its_centroid():
+    """One photon weighs the centroid onto its voxel: a total of 1 is a
+    weighted component, not an unweighted one."""
+    mask = np.zeros((1, 1, 5), dtype=bool)
+    mask[0, 0, 1:4] = True
+    counts = np.zeros((1, 1, 5), dtype=np.int32)
+    counts[0, 0, 3] = 1
+    labels, n = label_components(mask, 26)
+    assert n == 1
+    obs = extract_observations(labels, grid_of(counts))[0]
+    assert obs.centroid.tolist() == [0.0, 0.0, 3.0]
+    assert obs.total_photons == 1
+
+
 def test_observation_geometry():
     mask = np.zeros((5, 5, 5), dtype=bool)
     mask[1:4, 2, 2] = True

@@ -10,9 +10,13 @@ box.  ``parzen_bbox_coasting`` and ``parzen_kalman_bbox_coasting``
 track parzen's capture under ``scheme=threshold``, ``threshold=1`` and
 ``t_max=12`` in the two box modes: noise tracks are born and coast
 every step (447 of the 720 rows), so the box a coasting track reports,
-and under ``bbox`` associates by, is refereed.  Each case's
-``tracks.csv`` and ``links.csv``, and crossing's ``truth.csv`` and
-``summary.json``, must equal the golden files byte for byte.
+and under ``bbox`` associates by, is refereed.
+``parzen_moving_average`` tracks parzen's capture under
+``threshold_mode=moving_average`` and ``alpha=0.2``, so every step
+seeds its smoothing windows from the brightest voxel's smoothed value
+and threads the previous step's threshold.  Each case's ``tracks.csv``
+and ``links.csv``, and crossing's ``truth.csv`` and ``summary.json``,
+must equal the golden files byte for byte.
 
 Distances and principal axes go through BLAS, so another numpy build
 may move a last printed digit.  On a byte mismatch both files are
@@ -68,6 +72,13 @@ for _mode in ("bbox", "kalman_bbox"):
             "--set", "t_max=12", "--set", f"assoc_mode={_mode}",
         ),
     )
+CASES["parzen_moving_average"] = dataclasses.replace(
+    CASES["parzen"],
+    track_args=(
+        *CASES["parzen"].track_args,
+        "--set", "threshold_mode=moving_average", "--set", "alpha=0.2",
+    ),
+)
 REL_TOL = 1e-8
 FLOAT_COLUMNS = frozenset(
     [f"centroid_{a}" for a in "xyz"]
