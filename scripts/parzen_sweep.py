@@ -1,0 +1,146 @@
+"""Check Parzen denoising's seed windows against the box-sum bound, and
+time both.
+
+    python scripts/parzen_sweep.py            # every group, with timings
+    python scripts/parzen_sweep.py --quick    # 3 groups a capture, equality only
+
+Simulates three captures with the public simulator API: the benchmark's
+demo60 (seed 1), swarm (seed 3) and clutter (seed 1) scenes, built by
+``perfbench/child.py``'s ``build_scene``.  Each capture is denoised
+under ``parzen_threshold`` at sigmas (1, 1, 1), (2, 2, 2) and
+(0.5, 1, 3), each with 8 threshold modes: 72 configurations.  Every
+group is denoised twice, once as ``denoise`` does and once with the
+windows from the box sums alone; the script fails unless the masks and
+the thresholds used are equal.  Without ``--quick`` it prints, for each
+configuration, how many groups took the seed windows and each path's
+median milliseconds a group.
+"""
+from __future__ import annotations
+
+import argparse
+import contextlib
+import dataclasses
+import importlib.util
+import statistics
+import sys
+from pathlib import Path
+from time import perf_counter
+from unittest import mock
+
+import numpy as np
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(ROOT / "src"))
+sys.path.insert(0, str(ROOT / "perfbench"))  # child.build_scene imports workloads
+
+import photontrack  # noqa: E402
+import photontrack.denoise as denoise_module  # noqa: E402
+from photontrack.denoise import (  # noqa: E402
+    DenoiseConfig,
+    Fixed,
+    MovingAverage,
+    PeakFraction,
+    Scheme,
+)
+
+CAPTURES = (("demo60", 1), ("swarm", 3), ("clutter", 1))
+SIGMAS = ((1.0, 1.0, 1.0), (2.0, 2.0, 2.0), (0.5, 1.0, 3.0))
+MODES = (
+    Fixed(0.0),
+    Fixed(0.5),
+    Fixed(1.0),
+    Fixed(2.0),
+    Fixed(3.0),
+    PeakFraction(0.5),
+    PeakFraction(0.2),
+    MovingAverage(),
+)
+QUICK_GROUPS = 3
+
+
+def build_scene(family: str, seed: int):
+    path = ROOT / "perfbench" / "child.py"
+    spec = importlib.util.spec_from_file_location("perfbench_child", path)
+    child = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(child)
+    return child.build_scene(photontrack, ROOT, family, seed)
+
+
+def capture_grids(family: str, seed: int, groups: int | None):
+    """The histogram of each group of the capture, the first ``groups``
+    only when given (and only those are simulated)."""
+    scene, sensor = build_scene(family, seed)
+    if groups is not None:
+        scene = dataclasses.replace(scene, n_groups=min(groups, scene.n_groups))
+    frames, _ = photontrack.simulate(scene, sensor)
+    return [
+        photontrack.build_histogram(group, sensor)
+        for group in photontrack.group_frames(frames, sensor)
+    ]
+
+
+def timed(cfg, grid, t_prev, box_sums: bool):
+    """``denoise``'s mask, threshold and milliseconds, with the windows
+    from the box sums alone when ``box_sums``."""
+    patch = mock.patch.object(denoise_module, "_seed_windows", lambda *args: None)
+    with patch if box_sums else contextlib.nullcontext():
+        start = perf_counter()
+        mask, t_used = denoise_module.denoise(grid, cfg, t_prev)
+        return mask, t_used, (perf_counter() - start) * 1e3
+
+
+def sweep(grids, cfg):
+    """Denoise every group on both paths, the threshold chained as in a
+    run; returns how many groups took the seed windows and each path's
+    milliseconds a group."""
+    kernels = denoise_module._kernels(cfg.sigmas, cfg.kernel_radius_factor)
+    seeded, ms = 0, {False: [], True: []}
+    t_prev = None
+    for i, grid in enumerate(grids):
+        t_low = denoise_module._lowest_level(grid, kernels, cfg.threshold_mode, t_prev)
+        seeded += denoise_module._seed_windows(grid, kernels, t_low) is not None
+        # alternate which path runs first, so neither always finds the
+        # other's arrays in cache
+        results = {}
+        for box_sums in (i % 2 == 1, i % 2 == 0):
+            *results[box_sums], t = timed(cfg, grid, t_prev, box_sums)
+            ms[box_sums].append(t)
+        (mask, t_used), (want, want_t) = results[False], results[True]
+        if not (np.array_equal(mask, want) and t_used == want_t):
+            raise SystemExit(f"{cfg}, group {i}: the seed windows change the result")
+        t_prev = t_used
+    return seeded, ms[False], ms[True]
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument(
+        "--quick",
+        action="store_true",
+        help=f"simulate {QUICK_GROUPS} groups a capture and check equality only",
+    )
+    args = parser.parse_args(argv)
+    groups = QUICK_GROUPS if args.quick else None
+    if not args.quick:
+        print(f"{'capture':<10} {'sigmas':<16} {'mode':<34} "
+              f"{'seeded':>7} {'ms':>7} {'box ms':>7} {'ratio':>6}")
+    n = 0
+    for family, seed in CAPTURES:
+        grids = capture_grids(family, seed, groups)
+        for sigmas in SIGMAS:
+            for mode in MODES:
+                cfg = DenoiseConfig(
+                    scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=mode, sigmas=sigmas
+                )
+                seeded, ms, box_ms = sweep(grids, cfg)
+                n += 1
+                if not args.quick:
+                    a, b = statistics.median(ms), statistics.median(box_ms)
+                    print(f"{family}-{seed:<3} {str(sigmas):<16} {str(mode):<34} "
+                          f"{seeded:>3}/{len(grids):<3} {a:7.2f} {b:7.2f} {a / b:6.2f}")
+    print(f"{n} configurations: masks and thresholds equal on both paths")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -22,10 +22,37 @@ so no scheme builds the dense count array.
 
 Parzen thresholding smooths only where the threshold can be crossed.
 The histogram is ~98.5% empty, and only the mask leaves the stage, so
-:func:`denoise` first bounds the smoothed value from above and smooths
-just the windows where that bound exceeds the threshold:
+:func:`denoise` first finds the lowest threshold ``t_low`` the mode
+could use, then windows outside which no smoothed value can pass it,
+and smooths just those windows:
 
-  * **The bound.**  A smoothed voxel is a sum of tap products times
+  * **Seeds.**  Each kernel's taps sum to 1, so for nonnegative counts
+    a smoothed value is at most ``1 + mu`` times the largest count in
+    the reach of its nonzero taps (``sx``, ``sy``, ``sz`` voxels per
+    axis), where ``mu = prod(fsum(k)) * (1 + 4 eps) * (1 + (taps + 8)
+    eps) - 1`` covers the sums of the taps and every pass's rounding
+    (below).  A voxel can therefore pass ``t_low`` only within the
+    reach of a count above it, a seed, or where rounding lifts a reach
+    packed with counts at ``t_low`` just past it.  In a reach without a
+    seed, any count of at most ``t_low * (1 - 2 mu / kmin)``, ``kmin``
+    the product of each axis's smallest nonzero tap, empty voxels and
+    the zeros beyond the grid included, holds the value below
+    ``t_low``, since its tap product is at least ``kmin``.  So a voxel
+    without a seed in reach passes only inside a run of counts above
+    that margin, at least ``min(sz + 1, nz)`` long, in its own z column,
+    and such runs are seeds too; where ``kmin <= 2 mu`` every count
+    above zero is a seed.  The argument covers values above ``t_low``,
+    the mask, and for ``t_low > 0`` values at it, the peak.
+  * **Seed windows.**  In each x-plane, the seeds within ``sx`` planes
+    are sorted by z and split wherever two lie more than ``2 sz + 1``
+    apart; each cluster's window is the y and z bounding box of its
+    seeds' reach, clipped to the grid.  A plane may hold several
+    windows, and none overlap.
+  * **The box-sum bound.**  When the seed windows, stacked with their
+    margins, would not fit one stack of ``_STACK_CELLS`` cells, or the
+    seeds are too many to cluster cheaply (``seeds * (2 sx + 1)`` over
+    ``_STACK_CELLS``), the windows come from box sums with the same
+    ``t_low``: a smoothed voxel is a sum of tap products times
     counts over its (2rx+1)(2ry+1)(2rz+1) box, and no tap product
     exceeds ``kx.max() * ky.max() * kz.max()``.  For nonnegative counts
     the smoothed value is therefore at most that product times the box
@@ -33,16 +60,16 @@ just the windows where that bound exceeds the threshold:
     whose boxes reach the whole neighbouring blocks within ``rz``: a
     coarser box, so a looser but still valid bound, and a quarter of
     the integer adds.  The block sums are one ``reduceat`` over the
-    runs of equal block id in the sorted occupied voxels.
+    runs of equal block id in the sorted occupied voxels, and each
+    x-plane's window is the bounding box of its blocks over the cut.
   * **Rounding.**  Every pass adds nonnegative products, so its computed
     value exceeds the exact one by at most a factor ``(1 + u)**taps``
-    (u the unit roundoff); the bound is widened by ``(taps + 8) * eps``,
-    more than all three passes and the division that turns the
+    (u the unit roundoff); both bounds are widened by ``(taps + 8) *
+    eps``, more than all three passes and the division that turns the
     threshold into an integer box-sum cut can round.  A zero box sum
     smooths to exactly zero, which no threshold of at least zero passes.
-  * **Exact windows.**  Each x-plane's window is the bounding box of its
-    blocks over the cut.  Inside it the three passes use the same taps
-    in the same order as :func:`parzen_smooth`, reading zeros only
+  * **Exact windows.**  Inside a window the three passes use the same
+    taps in the same order as :func:`parzen_smooth`, reading zeros only
     beyond the real grid, so every value there is bit for bit the dense
     one; no voxel outside can exceed the threshold.  Consecutive
     windows share one pass per axis over a cache-sized stack of their
@@ -52,7 +79,7 @@ just the windows where that bound exceeds the threshold:
     at a value that grows with the peak, which is at least the smoothed
     value at the first brightest voxel.  That value is smoothed first,
     as a one-voxel window, so it is bit for bit the value that voxel
-    gets in the windows.  The cut uses the lower of it and the threshold
+    gets in the windows.  ``t_low`` is the lower of it and the threshold
     it would give, so the peak voxel and every voxel above the true
     threshold lie inside the windows, and the peak, ``t_used`` and the
     mask come out exact.
@@ -61,12 +88,12 @@ Box sums are taken in int16 where they cannot reach 2**15, in int32
 otherwise.  Each block sum is first clipped at ``cut + 1``: a box that
 holds a clipped block exceeds the cut either way, and a box without one
 sums as before, so no verdict changes, and a low cut keeps the sums
-narrow whatever the counts.  Non-integer or negative counts void the
-bound, and so do counts whose box sums could reach 2**31 (the pipeline's
-counts are at most ``pulses_per_group``, 200 by default); their windows
-are whole planes.  A bound that covers everything (a zero threshold,
-dense clutter) yields the same whole planes, at the cost of the dense
-loop plus the bound.
+narrow whatever the counts.  Non-integer or negative counts void both
+bounds, and counts whose box sums could reach 2**31 void the box sums
+(the pipeline's counts are at most ``pulses_per_group``, 200 by
+default); their windows are whole planes unless the seed windows fit.
+A bound that covers everything (a zero threshold, dense clutter) yields
+the same whole planes, at the cost of the dense loop plus the bound.
 """
 from __future__ import annotations
 
@@ -242,6 +269,7 @@ def _sum_taps(weights, sources) -> np.ndarray:
 
 
 _STACK_CELLS = 2**15  # float64 cells (256 KiB) of one stack of windows
+_EPS = np.finfo(float).eps
 
 
 def _stacks(windows, ry: int, rz: int):
@@ -275,7 +303,9 @@ def _ranges(starts: np.ndarray, stops: np.ndarray):
 def _smoothed_windows(grid: VoxelGrid, kernels, windows) -> list[np.ndarray]:
     """The smoothed histogram over each window ``(x, y0, y1, z0, z1)``,
     ``parzen_smooth(grid.counts)[x, y0:y1, z0:z1]``, one 2-D array per
-    window, read from the occupied voxels alone.
+    window, read from the occupied voxels alone.  A plane may hold any
+    number of windows; the denoiser's are disjoint, several to a plane
+    where its seeds lie apart in z.
 
     Each window is smoothed in its own zero plane, widened by ``ry`` rows
     and ``rz`` columns either side.  The planes of consecutive windows
@@ -383,9 +413,92 @@ def _box_sum(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
     return out
 
 
-def _hot_windows(grid: VoxelGrid, kernels, mode, t_prev):
-    """The per-x-plane windows outside which no voxel can pass ``mode``;
-    for the peak modes they also hold the peak.
+def _lowest_level(grid: VoxelGrid, kernels, mode, t_prev) -> float:
+    """The lowest threshold ``mode`` can use on ``grid``; for the peak
+    modes it is also at most the peak."""
+    if isinstance(mode, Fixed):
+        return mode.t
+    if not len(grid.flat):
+        return 0.0
+    # the peak is at least the smoothed value at the first brightest
+    # voxel, and every mode's threshold is nondecreasing in the peak,
+    # so the threshold that value gives is the lowest one possible
+    x, y, z = np.unravel_index(grid.flat[np.argmax(grid.values)], grid.shape)
+    (at_brightest,) = _smoothed_windows(grid, kernels, [(x, y, y + 1, z, z + 1)])
+    peak_low = float(at_brightest[0, 0])
+    # the peak itself must be smoothed
+    return min(peak_low, mode.level(peak_low, t_prev))
+
+
+def _seed_windows(grid: VoxelGrid, kernels, t_low: float):
+    """The windows around the seeds, the voxels near which a smoothed
+    value can pass ``t_low``; ``None`` for counts that are not
+    nonnegative integers, for seeds too many to cluster cheaply, and
+    for windows that would not fit one stack."""
+    values = grid.values
+    if values.dtype.kind not in "biu" or values.min(initial=0) < 0:
+        return None
+    nx, ny, nz = grid.shape
+    ry, rz = len(kernels[1]) // 2, len(kernels[2]) // 2
+    # each axis's reach, the largest offset of a nonzero tap, and its
+    # smallest nonzero tap, at that offset: the taps are symmetric and
+    # fall off from the centre
+    sx, sy, sz = reach = [np.count_nonzero(k) // 2 for k in kernels]
+    kmin = math.prod(float(k[len(k) // 2 - s]) for k, s in zip(kernels, reach))
+    taps = sum(len(k) for k in kernels)
+    fsums = math.prod(math.fsum(k.tolist()) for k in kernels) * (1.0 + 4 * _EPS)
+    mu = fsums * (1.0 + (taps + 8) * _EPS) - 1.0
+    if kmin > 2 * mu:
+        # in a reach without a seed, a count at most `near` holds the
+        # value below t_low, so a voxel without a seed in reach passes
+        # only inside a z-run of counts above `near` at least `run` long
+        near, run = t_low * (1.0 - 2 * mu / kmin), min(sz + 1, nz)
+    else:  # an empty voxel need not hold a value below t_low
+        near, run = 0.0, 1
+    close = values > near
+    f = grid.flat[close]
+    seed = values[close] > t_low
+    # the first of each `run` consecutive close voxels of one z column
+    starts = max(len(f) - run + 1, 0)
+    at = np.flatnonzero(f[run - 1 :] - f[:starts] == run - 1)
+    at = at[f[at] % nz <= nz - run]
+    seed[(at[:, None] + np.arange(run)).reshape(-1)] = True
+    flat = f[seed]
+    if len(flat) * (2 * sx + 1) > _STACK_CELLS:
+        return None
+    if not len(flat):
+        return []
+    # each z-cluster of all the seeds meets at least sx + 1 planes, in
+    # each of which it holds a window of its own at least sy + 1 high
+    # and sz + 1 wide: too many of them cannot fit one stack either
+    z = np.sort(flat % nz)
+    clusters = 1 + np.count_nonzero(z[1:] - z[:-1] > 2 * sz + 1)
+    rows = clusters * min(sx + 1, nx) * (min(sy + 1, ny) + 2 * ry)
+    if rows * (min(sz + 1, nz) + 2 * rz) > _STACK_CELLS:
+        return None
+    # every seed in each plane within sx of it, sorted by plane and z
+    x, y, z = np.unravel_index(flat, grid.shape)
+    plane = x[:, None] + np.arange(-sx, sx + 1)
+    span = nz + 2 * sz + 2  # a plane's z positions, and a gap to the next
+    key = (plane * span + z[:, None]) * ny + y[:, None]
+    key, y = np.divmod(np.sort(key[(plane >= 0) & (plane < nx)]), ny)
+    # a new window at each z gap wider than 2sz + 1, so at each plane,
+    # and no two windows of a plane overlap
+    first = np.flatnonzero(np.diff(key, prepend=-span) > 2 * sz + 1)
+    plane, z = np.divmod(key, span)
+    y0 = np.maximum(np.minimum.reduceat(y, first) - sy, 0)
+    y1 = np.minimum(np.maximum.reduceat(y, first) + sy + 1, ny)
+    z0 = np.maximum(z[first] - sz, 0)
+    z1 = np.minimum(z[np.append(first[1:], len(z)) - 1] + sz + 1, nz)
+    # the cells of one stack of every window, as _stacks lays them out
+    if (y1 - y0 + 2 * ry).sum() * (z1 - z0 + 2 * rz).max() > _STACK_CELLS:
+        return None
+    return list(zip(*(a.tolist() for a in (plane[first], y0, y1, z0, z1))))
+
+
+def _hot_windows(grid: VoxelGrid, kernels, t_low: float):
+    """The per-x-plane windows outside which no voxel can exceed
+    ``t_low``, nor reach it when ``t_low > 0``, from box sums.
 
     The z-block sums are one ``reduceat`` over the runs of equal block
     id in the sorted occupied voxels, clipped at ``cut + 1``, and the box
@@ -410,20 +523,8 @@ def _hot_windows(grid: VoxelGrid, kernels, mode, t_prev):
     if cmax == 0:
         return []  # every smoothed value is 0, which no level passes
 
-    if isinstance(mode, Fixed):
-        t_low = mode.t
-    else:
-        # the peak is at least the smoothed value at the first brightest
-        # voxel, and every mode's threshold is nondecreasing in the peak,
-        # so the threshold that value gives is the lowest one possible
-        x, y, z = np.unravel_index(grid.flat[np.argmax(values)], grid.shape)
-        (seed,) = _smoothed_windows(grid, kernels, [(x, y, y + 1, z, z + 1)])
-        peak_low = float(seed[0, 0])
-        # the peak itself must be smoothed
-        t_low = min(peak_low, mode.level(peak_low, t_prev))
     taps = len(kx) + len(ky) + len(kz)
-    eps = np.finfo(float).eps
-    scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * eps)
+    scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * _EPS)
     # a voxel above t_low, or at t_low > 0, has box sum > q; scale < 2,
     # so a t_low above 2**32 gives q > 2**31 all the same
     q = min(t_low, 2.0**32) / scale
@@ -475,10 +576,11 @@ def denoise(
     is the largest occupied count (0.0 for an empty grid).
 
     ``parzen_threshold`` returns exactly ``parzen_smooth(counts) > t`` and
-    the same ``t`` for every threshold mode, but smooths only the
-    windows where an integer box-sum bound on the smoothed value can
-    exceed the lowest threshold the mode could use (see the module
-    docstring for why the bound holds and why the windows are exact).
+    the same ``t`` for every threshold mode, but smooths only windows
+    around the counts from which the smoothed value can pass the lowest
+    threshold the mode could use, or where they are many, the windows
+    where an integer box-sum bound can (see the module docstring for
+    why both bounds hold and why the windows are exact).
     """
     if t_prev is not None and not 0 <= t_prev < math.inf:
         raise ValueError("t_prev must be finite and nonnegative")
@@ -494,9 +596,15 @@ def denoise(
 def _parzen_mask(
     grid: VoxelGrid, cfg: DenoiseConfig, t_prev: float | None
 ) -> tuple[np.ndarray, float]:
+    """Smooth the seed windows, or the box sums' where those do not fit
+    one stack, threshold them, and write each window's verdicts into the
+    dense mask; no two windows overlap, and a plane may hold several."""
     mode = cfg.threshold_mode
     kernels = _kernels(tuple(cfg.sigmas), cfg.kernel_radius_factor)
-    windows = _hot_windows(grid, kernels, mode, t_prev)
+    t_low = _lowest_level(grid, kernels, mode, t_prev)
+    windows = _seed_windows(grid, kernels, t_low)
+    if windows is None:
+        windows = _hot_windows(grid, kernels, t_low)
     # a peak mode needs every window's values before it can threshold
     passed, t_used = _apply_threshold(
         _smoothed_windows(grid, kernels, windows), mode, t_prev

@@ -9,6 +9,8 @@ import dataclasses
 import math
 import subprocess
 import sys
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -31,7 +33,7 @@ from photontrack.denoise import (
 )
 from photontrack.labeling import extract_observations, label_components
 from photontrack.raw_ingest import SensorConfig, group_frames
-from photontrack.simulator import SceneSpec, TargetSpec, simulate
+from photontrack.simulator import SceneSpec, TargetSpec, load_scene, simulate
 from photontrack.voxelizer import build_histogram
 
 CONNECTIVITIES = (6, 18, 26)
@@ -253,6 +255,10 @@ def test_parzen_denoise_matches_dense(seed, shape, sigmas, factor, mode, t_prev)
             id="identity_kernels",
         ),
         pytest.param(
+            np.pad([[[2, 2, 2, 2]]], ((0, 0), (0, 1), (1, 2))), (1.0, 1.0, 2.0), 3.0,
+            id="fewer_voxels_than_a_z_run",
+        ),
+        pytest.param(
             np.random.default_rng(4).random((5, 6, 30)) * 4, (1.0, 1.0, 1.0), 3.0,
             id="float",
         ),
@@ -462,7 +468,7 @@ def test_bound_leaves_empty_space_out():
 
     def covered(counts):
         grid = ref.grid_of(counts)
-        windows = denoise_module._hot_windows(grid, kernels, Fixed(2.0), None)
+        windows = denoise_module._hot_windows(grid, kernels, 2.0)
         return sum((y1 - y0) * (z1 - z0) for _, y0, y1, z0, z1 in windows)
 
     assert 0 < covered(counts) < counts.size // 20
@@ -499,7 +505,9 @@ def test_hot_windows_match_loop_reference(
     top = 1 if dtype is np.bool_ else np.iinfo(dtype).max
     counts = counts.clip(0, top).astype(dtype)
     kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
-    got = denoise_module._hot_windows(ref.grid_of(counts), kernels, mode, t_prev)
+    grid = ref.grid_of(counts)
+    t_low = denoise_module._lowest_level(grid, kernels, mode, t_prev)
+    got = denoise_module._hot_windows(grid, kernels, t_low)
     assert got == ref.hot_windows(counts, kernels, mode, t_prev)
 
 
@@ -523,7 +531,7 @@ def test_hot_windows_at_the_narrow_box_sum_limit(clipped, over):
     taps = 3 * len(kernels[0])
     scale = kernels[0].max() ** 3 * (1.0 + (taps + 8) * np.finfo(float).eps)
     mode = Fixed((cut + 0.5) * scale)
-    got = denoise_module._hot_windows(ref.grid_of(counts), kernels, mode, None)
+    got = denoise_module._hot_windows(ref.grid_of(counts), kernels, mode.t)
     assert got and got == ref.hot_windows(counts, kernels, mode, None)
     if not clipped:  # only the centre box holds the whole brick
         assert got == [(4 + r, 4 + r, 5 + r, 16 + 4 * rb, 20 + 4 * rb)]
@@ -535,7 +543,8 @@ def test_hot_windows_leave_the_dense_grid_unbuilt(mode, t_prev):
     grid = ref.grid_of(blob_grid(12))
     cfg = DenoiseConfig()
     kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
-    assert denoise_module._hot_windows(grid, kernels, mode, t_prev)
+    t_low = denoise_module._lowest_level(grid, kernels, mode, t_prev)
+    assert denoise_module._hot_windows(grid, kernels, t_low)
     assert "counts" not in vars(grid)
 
 
@@ -545,10 +554,110 @@ def test_smoothed_windows_leave_the_dense_grid_unbuilt():
     grid = ref.grid_of(blob_grid(12))
     cfg = DenoiseConfig()
     kernels = tuple(gaussian_kernel(s, cfg.kernel_radius_factor) for s in cfg.sigmas)
-    hot = denoise_module._hot_windows(grid, kernels, Fixed(2.0), None)
+    hot = denoise_module._hot_windows(grid, kernels, 2.0)
     for windows in (hot, denoise_module._whole_planes(grid.shape)):
         assert denoise_module._smoothed_windows(grid, kernels, windows)
     assert "counts" not in vars(grid)
+
+
+def refuse_box_sums(*args):
+    raise AssertionError("the windows fell back to the box sums")
+
+
+def test_parzen_denoise_passes_counts_packed_at_the_threshold(monkeypatch):
+    """Counts of 3 filling an 11**3 cube smooth to 3 plus a rounding
+    excess in its core, so ``Fixed(3)`` passes voxels there although no
+    count exceeds 3: the seed windows hold them too."""
+    counts = np.zeros((15, 15, 15), np.int32)
+    counts[2:13, 2:13, 2:13] = 3
+    sigmas = (0.7, 0.7, 0.7)
+    assert (ref.parzen_smooth(counts, sigmas) > 3.0).sum() == 125
+    monkeypatch.setattr(denoise_module, "_hot_windows", refuse_box_sums)
+    assert_denoise_matches_dense(counts, sigmas, 3.0, Fixed(3.0), None)
+
+
+def test_identity_kernels_hold_a_lone_peak():
+    """Under identity kernels and ``PeakFraction(1)`` the lowest
+    threshold is the largest count itself, so no count exceeds it; the
+    lone voxel that holds it is a seed as a z-run of one, the length a
+    run needs where ``sz`` is 0."""
+    counts = sparse_counts(np.random.default_rng(3), (6, 7, 9))
+    assert (counts == counts.max()).sum() == 1
+    assert_denoise_matches_dense(counts, (1.0, 1.0, 1.0), 0.0, PeakFraction(1.0), None)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 30)),
+    packed=st.integers(1, 4),
+    face=st.sampled_from(["low", "high", "inside"]),
+    sigmas=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    factor=st.sampled_from([0.0, 0.5, 1.0, 3.0, 8.0, 40.0]),
+    level=st.sampled_from(["packed", "peak", "zero", "between"]),
+    data=st.data(),
+)
+def test_seed_windows_hold_every_voxel_that_can_pass(
+    seed, shape, packed, face, sigmas, factor, level, data
+):
+    """Every voxel whose dense smoothed value exceeds ``t_low``, or
+    reaches it when ``t_low > 0``, lies in a seed window, and the
+    windows of a plane are disjoint.  A brick of counts at exactly
+    ``packed``, against the low or high z face or inside, lies among
+    counts up to ``packed + 1``; ``t_low`` is ``packed`` itself, the
+    peak (whose voxel must then be held), zero, or between two counts.
+    Factor 0 makes identity kernels, and factors 8 and 40 taps too small
+    for the near-threshold margin (40 also taps that are 0).  The stack
+    limit is lifted, so the windows never give way to the box sums."""
+    rng = np.random.default_rng(seed)
+    nx, ny, nz = shape
+    occupied = rng.random(shape) < rng.uniform(0.0, 0.3)
+    counts = (occupied * rng.integers(1, packed + 2, shape)).astype(np.int32)
+    x0, y0 = data.draw(st.integers(0, nx - 1)), data.draw(st.integers(0, ny - 1))
+    x1, y1 = data.draw(st.integers(x0 + 1, nx)), data.draw(st.integers(y0 + 1, ny))
+    depth = data.draw(st.integers(1, nz))
+    if face == "inside":
+        z0 = data.draw(st.integers(0, nz - depth))
+    else:
+        z0 = 0 if face == "low" else nz - depth
+    counts[x0:x1, y0:y1, z0 : z0 + depth] = packed
+    want = ref.parzen_smooth(counts, sigmas, factor)
+    t_low = {
+        "packed": float(packed),
+        "peak": float(want.max()),
+        "zero": 0.0,
+        "between": packed - 0.5,
+    }[level]
+    kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
+    with mock.patch.object(denoise_module, "_STACK_CELLS", 2**62):
+        windows = denoise_module._seed_windows(ref.grid_of(counts), kernels, t_low)
+    covered = np.zeros(shape, np.int32)
+    for x, y0, y1, z0, z1 in windows:
+        covered[x, y0:y1, z0:z1] += 1
+    assert covered.max() <= 1
+    can_pass = want >= t_low if t_low > 0 else want > t_low
+    assert covered[can_pass].all()
+    if level == "peak":
+        assert covered.reshape(-1)[np.argmax(want)]
+
+
+def test_reference_config_takes_the_seed_windows(monkeypatch):
+    """On the benchmark's parzen capture (the crossing demo scene at
+    seed 1, whose first groups simulate alike whatever its group count)
+    at the paper's reference config, ``Fixed(2)`` with unit sigmas, the
+    windows come from the seeds: the box sums, patched to fail, never
+    run, and the masks equal the dense ones."""
+    root = Path(__file__).resolve().parent.parent
+    scene, sensor = load_scene(root / "scenes" / "crossing_demo.scene")
+    frames, _ = simulate(dataclasses.replace(scene, seed=1, n_groups=3), sensor)
+    cfg = DenoiseConfig(scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=Fixed(2.0))
+    monkeypatch.setattr(denoise_module, "_hot_windows", refuse_box_sums)
+    for group in group_frames(frames, sensor):
+        grid = build_histogram(group, sensor)
+        mask, t_used = denoise(grid, cfg)
+        want, want_t = ref.denoise(grid, cfg)
+        assert_same(mask, want)
+        assert want.any() and t_used == want_t == 2.0
 
 
 # -- thresholding occupied voxels ---------------------------------------------
