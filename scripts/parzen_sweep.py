@@ -3,6 +3,7 @@ time both.
 
     python scripts/parzen_sweep.py            # every group, with timings
     python scripts/parzen_sweep.py --quick    # 3 groups a capture, equality only
+    python scripts/parzen_sweep.py --against CHECKOUT [--rounds N]
 
 Simulates three captures with the public simulator API: the benchmark's
 demo60 (seed 1), swarm (seed 3) and clutter (seed 1) scenes, built by
@@ -14,6 +15,16 @@ windows from the box sums alone; the script fails unless the masks and
 the thresholds used are equal.  Without ``--quick`` it prints, for each
 configuration, how many groups took the seed windows and each path's
 median milliseconds a group.
+
+With ``--against``, every group is denoised instead by this checkout's
+``denoise`` and by the one in ``CHECKOUT/src/photontrack``, loaded under
+a module name of its own, in alternating order over ``--rounds``
+rounds; the script fails unless the masks and the thresholds used are
+equal.  It prints each side's median milliseconds a group over the
+rounds, their ratio (this checkout over the other), the rounds this
+checkout won and the other side's interquartile range, then the
+geometric mean of the ratios.  The timings are noisy; the check takes
+minutes, so it is no CI step.
 """
 from __future__ import annotations
 
@@ -112,6 +123,86 @@ def sweep(grids, cfg):
     return seeded, ms[False], ms[True]
 
 
+def load_package(checkout: Path):
+    """The ``src/photontrack`` package of another checkout, imported as
+    ``photontrack_against`` so that it sits beside this one's."""
+    package = Path(checkout).resolve() / "src" / "photontrack"
+    spec = importlib.util.spec_from_file_location(
+        "photontrack_against",
+        package / "__init__.py",
+        submodule_search_locations=[str(package)],
+    )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+def side_of(package, mode, sigmas):
+    """``package``'s ``denoise``, its config for ``mode`` and ``sigmas``
+    built from its own classes, and its ``VoxelGrid``."""
+    module = package.denoise
+    side_mode = getattr(module, type(mode).__name__)(**dataclasses.asdict(mode))
+    cfg = module.DenoiseConfig(
+        scheme=module.Scheme.PARZEN_THRESHOLD, threshold_mode=side_mode, sigmas=sigmas
+    )
+    return module.denoise, cfg, package.voxelizer.VoxelGrid
+
+
+def against(grids, sides, rounds: int, label: str):
+    """Denoise every group on both sides, the threshold chained as in a
+    run and the side that runs first alternating from round to round;
+    returns each side's milliseconds a group in each round."""
+    ms = [[], []]
+    for r in range(rounds):
+        order = (0, 1) if r % 2 == 0 else (1, 0)
+        total, t_prev = [0.0, 0.0], [None, None]
+        for i, grid in enumerate(grids):
+            results = [None, None]
+            for s in order:
+                denoise, cfg, voxel_grid = sides[s]
+                side_grid = voxel_grid(grid.shape, grid.flat, grid.values)
+                start = perf_counter()
+                results[s] = denoise(side_grid, cfg, t_prev[s])
+                total[s] += perf_counter() - start
+                t_prev[s] = results[s][1]
+            (mask, t_used), (want, want_t) = results
+            if not (np.array_equal(mask, want) and t_used == want_t):
+                raise SystemExit(f"{label}, group {i}: the two checkouts differ")
+        for s in (0, 1):
+            ms[s].append(total[s] / len(grids) * 1e3)
+    return ms
+
+
+def compare(checkout: Path, rounds: int, groups: int | None, quick: bool) -> int:
+    other = load_package(checkout)
+    if not quick:
+        print(f"{'capture':<10} {'sigmas':<16} {'mode':<34} "
+              f"{'ms':>7} {'against':>7} {'ratio':>6} {'won':>5} {'IQR':>6}")
+    n, ratios = 0, []
+    for family, seed in CAPTURES:
+        grids = capture_grids(family, seed, groups)
+        for sigmas in SIGMAS:
+            for mode in MODES:
+                label = f"{family}-{seed} {sigmas} {mode}"
+                sides = [side_of(p, mode, sigmas) for p in (photontrack, other)]
+                ms, other_ms = against(grids, sides, rounds, label)
+                n += 1
+                if quick:
+                    continue
+                a, b = statistics.median(ms), statistics.median(other_ms)
+                won = sum(x < y for x, y in zip(ms, other_ms))
+                q = statistics.quantiles(other_ms, n=4) if rounds > 1 else [b, b, b]
+                ratios.append(a / b)
+                print(f"{family}-{seed:<3} {str(sigmas):<16} {str(mode):<34} "
+                      f"{a:7.2f} {b:7.2f} {a / b:6.3f} {won:>2}/{rounds:<2} "
+                      f"{q[2] - q[0]:6.2f}")
+    if ratios:
+        print(f"geometric mean ratio {statistics.geometric_mean(ratios):.3f}")
+    print(f"{n} configurations: masks and thresholds equal on both checkouts")
+    return 0
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -119,8 +210,24 @@ def main(argv=None) -> int:
         action="store_true",
         help=f"simulate {QUICK_GROUPS} groups a capture and check equality only",
     )
+    parser.add_argument(
+        "--against",
+        type=Path,
+        metavar="CHECKOUT",
+        help="compare with the denoise of another checkout instead",
+    )
+    parser.add_argument(
+        "--rounds",
+        type=int,
+        default=8,
+        help="alternating rounds of each configuration under --against (default 8)",
+    )
     args = parser.parse_args(argv)
+    if args.rounds < 1:
+        parser.error("--rounds must be at least 1")
     groups = QUICK_GROUPS if args.quick else None
+    if args.against is not None:
+        return compare(args.against, args.rounds, groups, args.quick)
     if not args.quick:
         print(f"{'capture':<10} {'sigmas':<16} {'mode':<34} "
               f"{'seeded':>7} {'ms':>7} {'box ms':>7} {'ratio':>6}")

@@ -26,6 +26,7 @@ from enum import Enum
 
 import numpy as np
 
+from .features import row_norms
 from .labeling import TargetObservation
 
 
@@ -79,10 +80,7 @@ def build_association_matrix(
             [obs.centroid for obs in new_observations], dtype=np.float64
         ).reshape(-1, 3)
         diff = rows[:, None, :] - cols[None, :, :]
-        # a stacked (1x3)(3x1) product, like np.linalg.norm of one
-        # vector, sums through the BLAS dot (norm(axis=-1) and einsum
-        # round differently by an ulp)
-        dist = np.sqrt((diff[..., None, :] @ diff[..., :, None])[..., 0, 0])
+        dist = row_norms(diff.reshape(-1, 3)).reshape(diff.shape[:2])
         scores = np.where(dist <= cfg.gate_radius, 1.0 / (1.0 + dist), 0.0)
         return AssociationMatrix(scores=scores)
     if cfg.mode is AssocMode.BBOX_EXPANSION:

@@ -468,14 +468,6 @@ def _seed_windows(grid: VoxelGrid, kernels, t_low: float):
         return None
     if not len(flat):
         return []
-    # each z-cluster of all the seeds meets at least sx + 1 planes, in
-    # each of which it holds a window of its own at least sy + 1 high
-    # and sz + 1 wide: too many of them cannot fit one stack either
-    z = np.sort(flat % nz)
-    clusters = 1 + np.count_nonzero(z[1:] - z[:-1] > 2 * sz + 1)
-    rows = clusters * min(sx + 1, nx) * (min(sy + 1, ny) + 2 * ry)
-    if rows * (min(sz + 1, nz) + 2 * rz) > _STACK_CELLS:
-        return None
     # every seed in each plane within sx of it, sorted by plane and z
     x, y, z = np.unravel_index(flat, grid.shape)
     plane = x[:, None] + np.arange(-sx, sx + 1)

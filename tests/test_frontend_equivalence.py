@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import frontend_reference as ref
+import photontrack
 import photontrack.denoise as denoise_module
 from photontrack import pipeline
 from photontrack.denoise import (
@@ -537,6 +538,20 @@ def test_hot_windows_at_the_narrow_box_sum_limit(clipped, over):
         assert got == [(4 + r, 4 + r, 5 + r, 16 + 4 * rb, 20 + 4 * rb)]
 
 
+def test_hot_windows_at_a_box_sum_of_exactly_2_15():
+    """Under identity kernels a box is one block, so a block of 2**15
+    photons is a box sum of exactly 2**15, one past int16: summed in
+    int32 it stays above a cut of 2**15 - 1.  No wider kernel reaches
+    2**15 exactly, since the blocks in its box are an odd count."""
+    kernels = tuple(gaussian_kernel(1.0, 0.0) for _ in range(3))
+    counts = np.zeros((3, 3, 8), np.int32)
+    counts[1, 1, 5] = 2**15
+    scale = 1.0 + (3 + 8) * np.finfo(float).eps
+    mode = Fixed((2**15 - 0.5) * scale)
+    got = denoise_module._hot_windows(ref.grid_of(counts), kernels, mode.t)
+    assert got == ref.hot_windows(counts, kernels, mode, None) == [(1, 1, 2, 4, 8)]
+
+
 @pytest.mark.parametrize("mode, t_prev", MODES)
 def test_hot_windows_leave_the_dense_grid_unbuilt(mode, t_prev):
     """The bound reads the occupied voxels only."""
@@ -641,6 +656,72 @@ def test_seed_windows_hold_every_voxel_that_can_pass(
         assert covered.reshape(-1)[np.argmax(want)]
 
 
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.tuples(st.integers(1, 8), st.integers(1, 8), st.integers(1, 30)),
+    sigmas=st.tuples(*[st.floats(0.05, 2.0)] * 3),
+    factor=st.sampled_from([0.0, 0.5, 1.0, 3.0]),
+    t_low=st.sampled_from([0.0, 1.0, 2.5, 5.0]),
+    limit=st.integers(6, 12).map(lambda e: 2**e),
+)
+def test_seed_windows_refuse_only_what_one_stack_cannot_hold(
+    seed, shape, sigmas, factor, t_low, limit
+):
+    """Under a stack limit the seed windows are those found without one,
+    or a refusal: the same windows whenever every occupied voxel's
+    planes fit the seed budget and the windows fit one stack, and a
+    refusal whenever they do not fit one stack."""
+    grid = ref.grid_of(sparse_counts(np.random.default_rng(seed), shape, high=8))
+    kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
+    with mock.patch.object(denoise_module, "_STACK_CELLS", 2**62):
+        want = denoise_module._seed_windows(grid, kernels, t_low)
+    with mock.patch.object(denoise_module, "_STACK_CELLS", limit):
+        got = denoise_module._seed_windows(grid, kernels, t_low)
+    assert got is None or got == want
+    # one stack of the windows, as _stacks lays it out: the planes'
+    # heights with margins, summed, times the widest
+    ry, rz = len(kernels[1]) // 2, len(kernels[2]) // 2
+    rows = sum(y1 - y0 + 2 * ry for _, y0, y1, _, _ in want)
+    fits = rows * max((z1 - z0 + 2 * rz for *_, z0, z1 in want), default=0) <= limit
+    # the seeds are occupied voxels, so they fit the budget too
+    sx = np.count_nonzero(kernels[0]) // 2
+    if fits and len(grid.flat) * (2 * sx + 1) <= limit:
+        assert got == want
+    if not fits:
+        assert got is None
+
+
+@pytest.mark.parametrize(
+    "shape, factor, seeds, limit, fits",
+    [
+        # 64 seeds in one 64-row window of one column: both at the limit
+        ((1, 65, 1), 0.0, np.s_[:64], 64, True),
+        # one seed and one row more: past both
+        ((1, 65, 1), 0.0, np.s_[:], 64, False),
+        # two seeds 64 rows apart make one 65-row window
+        ((1, 65, 1), 0.0, np.s_[::64], 64, False),
+        # 16 seeds, each reaching 3 planes, count 48 against the budget,
+        # although their one window, 6x6 with margins, would fit
+        ((1, 4, 4), 1.0, np.s_[:], 40, False),
+        ((1, 4, 4), 1.0, np.s_[:], 48, True),
+    ],
+    ids=["at_both", "past_both", "past_one_stack", "past_the_budget", "at_the_budget"],
+)
+def test_seed_windows_at_the_stack_limit(shape, factor, seeds, limit, fits):
+    """The seed path takes windows whose seeds' planes and one stack
+    both reach the limit exactly, and refuses them past either."""
+    counts = np.zeros(shape, np.int32)
+    counts[0][seeds] = 3
+    kernels = (gaussian_kernel(1.0, factor),) * 3
+    grid = ref.grid_of(counts)
+    with mock.patch.object(denoise_module, "_STACK_CELLS", 2**62):
+        want = denoise_module._seed_windows(grid, kernels, 2.0)
+    with mock.patch.object(denoise_module, "_STACK_CELLS", limit):
+        got = denoise_module._seed_windows(grid, kernels, 2.0)
+    assert want and got == (want if fits else None)
+
+
 def test_reference_config_takes_the_seed_windows(monkeypatch):
     """On the benchmark's parzen capture (the crossing demo scene at
     seed 1, whose first groups simulate alike whatever its group count)
@@ -658,6 +739,29 @@ def test_reference_config_takes_the_seed_windows(monkeypatch):
         want, want_t = ref.denoise(grid, cfg)
         assert_same(mask, want)
         assert want.any() and t_used == want_t == 2.0
+
+
+def test_swarm_capture_takes_the_box_sums(monkeypatch):
+    """On the benchmark's swarm capture (seed 3, 40 targets) at the
+    reference config the seed windows never fit one stack, so the box
+    sums run, and the masks equal the dense ones."""
+    root = Path(__file__).resolve().parent.parent
+    # perfbench/child.py builds the scene and imports workloads by name
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import child
+
+    scene, sensor = child.build_scene(photontrack, root, "swarm", 3)
+    frames, _ = simulate(dataclasses.replace(scene, n_groups=2), sensor)
+    cfg = DenoiseConfig(scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=Fixed(2.0))
+    hot_windows = denoise_module._hot_windows
+    with mock.patch.object(denoise_module, "_hot_windows", wraps=hot_windows) as spy:
+        for group in group_frames(frames, sensor):
+            grid = build_histogram(group, sensor)
+            mask, t_used = denoise(grid, cfg)
+            want, want_t = ref.denoise(grid, cfg)
+            assert_same(mask, want)
+            assert want.any() and t_used == want_t == 2.0
+    assert spy.call_count == 2
 
 
 # -- thresholding occupied voxels ---------------------------------------------
