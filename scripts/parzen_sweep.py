@@ -1,4 +1,4 @@
-"""Check Parzen denoising's seed windows against the box-sum bound, and
+"""Check Parzen denoising's seed windows against the shaped bound, and
 time both.
 
     python scripts/parzen_sweep.py            # every group, with timings
@@ -11,7 +11,7 @@ demo60 (seed 1), swarm (seed 3) and clutter (seed 1) scenes, built by
 under ``parzen_threshold`` at sigmas (1, 1, 1), (2, 2, 2) and
 (0.5, 1, 3), each with 8 threshold modes: 72 configurations.  Every
 group is denoised twice, once as ``denoise`` does and once with the
-windows from the box sums alone; the script fails unless the masks and
+windows from the bound alone; the script fails unless the masks and
 the thresholds used are equal.  Without ``--quick`` it prints, for each
 configuration, how many groups took the seed windows and each path's
 median milliseconds a group.
@@ -90,11 +90,11 @@ def capture_grids(family: str, seed: int, groups: int | None):
     ]
 
 
-def timed(cfg, grid, t_prev, box_sums: bool):
+def timed(cfg, grid, t_prev, bound: bool):
     """``denoise``'s mask, threshold and milliseconds, with the windows
-    from the box sums alone when ``box_sums``."""
+    from the bound alone when ``bound``."""
     patch = mock.patch.object(denoise_module, "_seed_windows", lambda *args: None)
-    with patch if box_sums else contextlib.nullcontext():
+    with patch if bound else contextlib.nullcontext():
         start = perf_counter()
         mask, t_used = denoise_module.denoise(grid, cfg, t_prev)
         return mask, t_used, (perf_counter() - start) * 1e3
@@ -113,9 +113,9 @@ def sweep(grids, cfg):
         # alternate which path runs first, so neither always finds the
         # other's arrays in cache
         results = {}
-        for box_sums in (i % 2 == 1, i % 2 == 0):
-            *results[box_sums], t = timed(cfg, grid, t_prev, box_sums)
-            ms[box_sums].append(t)
+        for bound in (i % 2 == 1, i % 2 == 0):
+            *results[bound], t = timed(cfg, grid, t_prev, bound)
+            ms[bound].append(t)
         (mask, t_used), (want, want_t) = results[False], results[True]
         if not (np.array_equal(mask, want) and t_used == want_t):
             raise SystemExit(f"{cfg}, group {i}: the seed windows change the result")
@@ -230,7 +230,7 @@ def main(argv=None) -> int:
         return compare(args.against, args.rounds, groups, args.quick)
     if not args.quick:
         print(f"{'capture':<10} {'sigmas':<16} {'mode':<34} "
-              f"{'seeded':>7} {'ms':>7} {'box ms':>7} {'ratio':>6}")
+              f"{'seeded':>7} {'ms':>7} {'bound ms':>8} {'ratio':>6}")
     n = 0
     for family, seed in CAPTURES:
         grids = capture_grids(family, seed, groups)
@@ -239,12 +239,12 @@ def main(argv=None) -> int:
                 cfg = DenoiseConfig(
                     scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=mode, sigmas=sigmas
                 )
-                seeded, ms, box_ms = sweep(grids, cfg)
+                seeded, ms, bound_ms = sweep(grids, cfg)
                 n += 1
                 if not args.quick:
-                    a, b = statistics.median(ms), statistics.median(box_ms)
+                    a, b = statistics.median(ms), statistics.median(bound_ms)
                     print(f"{family}-{seed:<3} {str(sigmas):<16} {str(mode):<34} "
-                          f"{seeded:>3}/{len(grids):<3} {a:7.2f} {b:7.2f} {a / b:6.2f}")
+                          f"{seeded:>3}/{len(grids):<3} {a:7.2f} {b:8.2f} {a / b:6.2f}")
     print(f"{n} configurations: masks and thresholds equal on both paths")
     return 0
 

@@ -48,26 +48,26 @@ and smooths just those windows:
     apart; each cluster's window is the y and z bounding box of its
     seeds' reach, clipped to the grid.  A plane may hold several
     windows, and none overlap.
-  * **The box-sum bound.**  When the seed windows, stacked with their
+  * **The shaped bound.**  When the seed windows, stacked with their
     margins, would not fit one stack of ``_STACK_CELLS`` cells, or the
     seeds are too many to cluster cheaply (``seeds * (2 sx + 1)`` over
-    ``_STACK_CELLS``), the windows come from box sums with the same
-    ``t_low``: a smoothed voxel is a sum of tap products times
-    counts over its (2rx+1)(2ry+1)(2rz+1) box, and no tap product
-    exceeds ``kx.max() * ky.max() * kz.max()``.  For nonnegative counts
-    the smoothed value is therefore at most that product times the box
-    sum of counts.  The box sums are taken on blocks of 4 voxels in z,
-    whose boxes reach the whole neighbouring blocks within ``rz``: a
-    coarser box, so a looser but still valid bound, and a quarter of
-    the integer adds.  The block sums are one ``reduceat`` over the
-    runs of equal block id in the sorted occupied voxels, and each
-    x-plane's window is the bounding box of its blocks over the cut.
-  * **Rounding.**  Every pass adds nonnegative products, so its computed
-    value exceeds the exact one by at most a factor ``(1 + u)**taps``
-    (u the unit roundoff); both bounds are widened by ``(taps + 8) *
-    eps``, more than all three passes and the division that turns the
-    threshold into an integer box-sum cut can round.  A zero box sum
-    smooths to exactly zero, which no threshold of at least zero passes.
+    ``_STACK_CELLS``), the windows come from a bound in the kernel's own
+    shape with the same ``t_low``.  The counts are summed over blocks of
+    4 voxels in z, and ``kzb[d]`` is the largest z tap between a voxel
+    of a block and one of the block ``d`` away.  For nonnegative counts
+    every smoothed value in a block is therefore at most ``U``, the
+    block sums correlated with the x taps, the y taps and ``kzb`` in
+    turn.  Each pass of the smoothing adds nonnegative products, so its
+    computed value exceeds the exact one by at most a factor
+    ``(1 + u)**taps`` (u the unit roundoff); each pass of ``U``, summed
+    in whatever order, and each block sum fall short of theirs by at
+    most ``(1 - u)**n``, ``n`` their terms, and ``kzb`` has no more taps
+    than ``kz``.  So ``U * (1 + (taps + 8) eps)``
+    covers all of them and its own rounding, and adding the smallest
+    normal float covers products that underflow, whose error is
+    absolute.  Each x-plane's window is the bounding box of its blocks
+    where that is at least ``t_low``; at a ``t_low`` no larger than
+    that float every block is, and the windows are whole planes.
   * **Exact windows.**  Inside a window the three passes use the same
     taps in the same order as :func:`parzen_smooth`, reading zeros only
     beyond the real grid, so every value there is bit for bit the dense
@@ -84,16 +84,8 @@ and smooths just those windows:
     threshold lie inside the windows, and the peak, ``t_used`` and the
     mask come out exact.
 
-Box sums are taken in int16 where they cannot reach 2**15, in int32
-otherwise.  Each block sum is first clipped at ``cut + 1``: a box that
-holds a clipped block exceeds the cut either way, and a box without one
-sums as before, so no verdict changes, and a low cut keeps the sums
-narrow whatever the counts.  Non-integer or negative counts void both
-bounds, and counts whose box sums could reach 2**31 void the box sums
-(the pipeline's counts are at most ``pulses_per_group``, 200 by
-default); their windows are whole planes unless the seed windows fit.
-A bound that covers everything (a zero threshold, dense clutter) yields
-the same whole planes, at the cost of the dense loop plus the bound.
+Non-integer or negative counts void both bounds; their windows are
+whole planes.
 """
 from __future__ import annotations
 
@@ -399,18 +391,8 @@ def parzen_smooth(
     return np.array(planes, dtype=np.float64).reshape(counts.shape)
 
 
-_ZBLOCK = 4  # z voxels per block of the box-sum bound
-
-
-def _box_sum(a: np.ndarray, radius: int, axis: int) -> np.ndarray:
-    """Sum of ``a`` over ``[i - radius, i + radius]`` along ``axis``,
-    zero beyond the ends."""
-    out = a.copy()
-    lead = (slice(None),) * axis
-    for d in range(1, min(radius, a.shape[axis] - 1) + 1):
-        out[lead + (slice(d, None),)] += a[lead + (slice(None, -d),)]
-        out[lead + (slice(None, -d),)] += a[lead + (slice(d, None),)]
-    return out
+_ZBLOCK = 4  # z voxels per block of the bound
+_TINY = np.finfo(float).tiny  # the smallest normal float
 
 
 def _lowest_level(grid: VoxelGrid, kernels, mode, t_prev) -> float:
@@ -490,59 +472,46 @@ def _seed_windows(grid: VoxelGrid, kernels, t_low: float):
 
 def _hot_windows(grid: VoxelGrid, kernels, t_low: float):
     """The per-x-plane windows outside which no voxel can exceed
-    ``t_low``, nor reach it when ``t_low > 0``, from box sums.
+    ``t_low``, nor reach it when ``t_low > 0``, from the kernel-shaped
+    bound on 4-voxel z-blocks; whole planes for counts that are not
+    nonnegative integers.
 
-    The z-block sums are one ``reduceat`` over the runs of equal block
-    id in the sorted occupied voxels, clipped at ``cut + 1``, and the box
-    sums are taken in int16 where the clipped sums cannot reach 2**15,
-    in int32 otherwise.  Returns whole planes when the bound does not
-    apply: for non-integer or negative counts, and for counts so large
-    that a box sum could reach 2**31.
+    The block sums are one ``bincount`` of the occupied voxels' block
+    ids, and the bound correlates them with the x taps, the y taps and
+    ``kzb`` in turn.
     """
     kx, ky, kz = kernels
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
     nx, ny, nz = grid.shape
     planes = _whole_planes(grid.shape)
     values = grid.values
-    if not planes or values.dtype.kind not in "biu":
+    if not planes or values.dtype.kind not in "biu" or values.min(initial=0) < 0:
         return planes
-    # every voxel outside grid.flat holds 0
-    cmin, cmax = int(values.min(initial=0)), int(values.max(initial=0))
-    rb = -(-rz // _ZBLOCK)  # neighbouring blocks within rz of a block
-    span = (2 * rx + 1) * (2 * ry + 1) * (2 * rb + 1)  # blocks in a box
-    if cmin < 0 or cmax * span * _ZBLOCK >= 2**31:
+    if t_low <= _TINY:  # U * margin + tiny >= t_low at every block
         return planes
-    if cmax == 0:
-        return []  # every smoothed value is 0, which no level passes
-
-    taps = len(kx) + len(ky) + len(kz)
-    scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * _EPS)
-    # a voxel above t_low, or at t_low > 0, has box sum > q; scale < 2,
-    # so a t_low above 2**32 gives q > 2**31 all the same
-    q = min(t_low, 2.0**32) / scale
-    # no box sum exceeds 2**31 - 1, and a cut there fits int32
-    cut = math.floor(min(q, 2**31 - 1))
-
+    # kzb[rb + d]: the largest z tap between a voxel of a block and one
+    # of the block d away, at offsets 4d - 3 to 4d + 3
+    rb = -(-rz // _ZBLOCK)
+    windows = np.lib.stride_tricks.sliding_window_view
+    kzb = windows(np.pad(kz, _ZBLOCK * (rb + 1) - 1 - rz), 2 * _ZBLOCK - 1)
+    kzb = kzb[::_ZBLOCK].max(axis=1)
     # a voxel's block id is column * nb + z // _ZBLOCK: padding each
     # column of nz voxels to nb whole blocks makes it one division of the
-    # flat index.  The ids are nondecreasing along the sorted grid.flat;
-    # int64 sums of the counts neither wrap nor, for bool counts, OR
+    # flat index.  float64 sums of the counts neither wrap nor, for bool
+    # counts, OR
     nb = -(-nz // _ZBLOCK)
     flat = grid.flat
     block = (flat + flat // nz * (nb * _ZBLOCK - nz)) // _ZBLOCK
-    first = np.flatnonzero(np.concatenate(([True], block[1:] != block[:-1])))
-    sums = np.add.reduceat(values, first, dtype=np.int64)
-    # a box holding a block sum above cut exceeds cut whatever that sum
-    # is, and a box without one sums exactly, so clipping at cut + 1
-    # keeps every box's verdict; the clipped box sums reach at most
-    # top * span, below 2**31 by the guard above
-    top = min(int(sums.max()), cut + 1)
-    dtype = np.int16 if top * span < 2**15 else np.int32
-    blocks = np.zeros(nx * ny * nb, dtype)
-    blocks[block[first]] = np.minimum(sums, top).astype(dtype)
-    box = _box_sum(_box_sum(_box_sum(blocks.reshape(nx, ny, nb), rb, 2), ry, 1), rx, 0)
-    # a cut beyond the type's range, like its maximum, exceeds every box sum
-    hot = box > min(cut, np.iinfo(dtype).max)
+    bound = np.bincount(block, weights=values, minlength=nx * ny * nb)
+    # the block sums, zero-padded, correlated with the x taps, the y taps
+    # and kzb in turn: the margin covers any summation order, so each
+    # pass is one product with the taps, not a tap-ordered sum
+    bound = np.pad(bound.reshape(nx, ny, nb), [(rx, rx), (ry, ry), (rb, rb)])
+    bound = windows(bound, len(kx), axis=0) @ kx
+    bound = windows(bound, len(ky), axis=1) @ ky
+    bound = windows(bound, len(kzb), axis=2) @ kzb
+    margin = 1.0 + (len(kx) + len(ky) + len(kz) + 8) * _EPS
+    hot = bound * margin + _TINY >= t_low
     rows, cols = hot.any(axis=2), hot.any(axis=1)
     xs = np.flatnonzero(rows.any(axis=1))
     rows, cols = rows[xs], cols[xs]
@@ -571,8 +540,8 @@ def denoise(
     the same ``t`` for every threshold mode, but smooths only windows
     around the counts from which the smoothed value can pass the lowest
     threshold the mode could use, or where they are many, the windows
-    where an integer box-sum bound can (see the module docstring for
-    why both bounds hold and why the windows are exact).
+    where a bound in the kernel's shape can (see the module docstring
+    for why both bounds hold and why the windows are exact).
     """
     if t_prev is not None and not 0 <= t_prev < math.inf:
         raise ValueError("t_prev must be finite and nonnegative")
@@ -588,8 +557,8 @@ def denoise(
 def _parzen_mask(
     grid: VoxelGrid, cfg: DenoiseConfig, t_prev: float | None
 ) -> tuple[np.ndarray, float]:
-    """Smooth the seed windows, or the box sums' where those do not fit
-    one stack, threshold them, and write each window's verdicts into the
+    """Smooth the seed windows, or the shaped bound's where those do not
+    fit one stack, threshold them, and write each window's verdicts into the
     dense mask; no two windows overlap, and a plane may hold several."""
     mode = cfg.threshold_mode
     kernels = _kernels(tuple(cfg.sigmas), cfg.kernel_radius_factor)

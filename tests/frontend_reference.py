@@ -6,8 +6,8 @@ values in the same floating-point order, so tests compare the two with
 exact equality.  ``denoise`` smooths and thresholds the whole grid,
 where the library smooths only where its threshold can be crossed.
 ``smoothed_at`` is one voxel of that smoothing, from which
-``hot_windows`` seeds the peak modes' cut, as the library seeds it from
-a one-voxel window of its own smoothing.
+``lowest_level`` finds the peak modes' lowest threshold, as the library
+finds it from a one-voxel window of its own smoothing.
 
 The references work on dense arrays.  ``grid_of`` and ``dense_labels``
 convert at the boundary: a dense count array to the library's
@@ -132,52 +132,58 @@ def smoothed_at(counts, kernels, voxel) -> float:
     return total
 
 
-def hot_windows(counts, kernels, mode, t_prev):
-    """The Parzen bound's windows from plain loops: per x-plane, the
-    bounding box of the 4-voxel z blocks whose box sum of counts exceeds
-    the cut, in C order of x; whole planes where the bound does not
-    apply.  Under the peak modes the cut comes from the smoothed value
-    at the first brightest voxel."""
+def lowest_level(counts, kernels, mode, t_prev) -> float:
+    """The lowest threshold ``mode`` can use on dense ``counts``: under
+    the peak modes, from the smoothed value at the first brightest
+    voxel."""
+    if isinstance(mode, Fixed):
+        return mode.t
+    if not counts.any():
+        return 0.0
+    brightest = np.unravel_index(np.argmax(counts), counts.shape)
+    peak_low = smoothed_at(counts, kernels, brightest)
+    return min(peak_low, mode.level(peak_low, t_prev))
+
+
+def hot_windows(counts, kernels, t):
+    """The kernel-shaped bound's windows from plain loops: per x-plane,
+    the bounding box of the 4-voxel z blocks whose bound is at least
+    ``t``, in C order of x; whole planes for counts that are not
+    nonnegative integers.  A block's bound sums, with ``math.fsum``,
+    the x tap times the y tap times the largest z tap between the two
+    blocks times the count sum of every block in reach."""
     kx, ky, kz = kernels
     rx, ry, rz = len(kx) // 2, len(ky) // 2, len(kz) // 2
     nx, ny, nz = counts.shape
     planes = [(x, 0, ny, 0, nz) for x in range(nx)] if ny and nz else []
-    if not planes or counts.dtype.kind not in "biu":
+    if not planes or counts.dtype.kind not in "biu" or counts.min() < 0:
         return planes
-    exact = counts.astype(np.int64)
-    cmax = int(exact.max())
-    rb = math.ceil(rz / 4)
-    volume = (2 * rx + 1) * (2 * ry + 1) * (2 * rb + 1) * 4
-    if exact.min() < 0 or cmax * volume >= 2**31:
-        return planes
-    taps = len(kx) + len(ky) + len(kz)
-    if isinstance(mode, Fixed):
-        t_low = mode.t
-    else:
-        brightest = np.unravel_index(np.argmax(exact), exact.shape)
-        peak_low = smoothed_at(exact, kernels, brightest)
-        t_low = min(peak_low, mode.level(peak_low, t_prev))
-    scale = kx.max() * ky.max() * kz.max() * (1.0 + (taps + 8) * np.finfo(float).eps)
-    cut = math.floor(min(t_low / scale, 2**31 - 1))
     nb = math.ceil(nz / 4)
-    blocks = np.zeros((nx, ny, nb), dtype=np.int64)
+    rb = math.ceil(rz / 4)
+    blocks = {}
     for x in range(nx):
         for y in range(ny):
             for b in range(nb):
-                blocks[x, y, b] = exact[x, y, 4 * b : 4 * b + 4].sum()
+                total = sum(int(c) for c in counts[x, y, 4 * b : 4 * b + 4])
+                if total:
+                    blocks[x, y, b] = total
+
+    def kzb(d):
+        offsets = range(4 * d - 3, 4 * d + 4)
+        return max((float(kz[o + rz]) for o in offsets if abs(o) <= rz), default=0.0)
+
     windows = []
     for x in range(nx):
-        hot = [
-            (y, b)
-            for y in range(ny)
-            for b in range(nb)
-            if blocks[
-                max(0, x - rx) : x + rx + 1,
-                max(0, y - ry) : y + ry + 1,
-                max(0, b - rb) : b + rb + 1,
-            ].sum()
-            > cut
-        ]
+        hot = []
+        for y in range(ny):
+            for b in range(nb):
+                bound = math.fsum(
+                    float(kx[x1 - x + rx] * ky[y1 - y + ry]) * kzb(b1 - b) * total
+                    for (x1, y1, b1), total in blocks.items()
+                    if abs(x1 - x) <= rx and abs(y1 - y) <= ry and abs(b1 - b) <= rb
+                )
+                if bound >= t:
+                    hot.append((y, b))
         if hot:
             ys, bs = [y for y, _ in hot], [b for _, b in hot]
             z1 = min(nz, 4 * (max(bs) + 1))

@@ -293,14 +293,16 @@ def test_parzen_denoise_edge_cases(counts, sigmas, factor, mode, t_prev):
 
 
 @pytest.mark.parametrize("mode", [Fixed(0.99 * 2**24), PeakFraction(0.99)])
-def test_parzen_denoise_box_sums_beyond_int32(mode):
-    """Only the interior passes, where the box sums reach 5.8e11."""
+def test_parzen_denoise_sums_beyond_int32(mode):
+    """Only the interior passes, where the counts in a kernel's reach sum
+    to 5.8e11."""
     counts = np.full((36, 36, 44), 2**24, np.int32)
     assert_denoise_matches_dense(counts, (5.0, 5.0, 5.0), 3.0, mode, None)
 
 
 def z_pair(count, dtype):
-    """Two equal counts at z = 0 and 1, which share a box-sum block."""
+    """Two equal counts at z = 0 and 1, which share a block of the
+    bound."""
     counts = np.zeros((5, 5, 12), dtype)
     counts[2, 2, :2] = count
     return counts
@@ -316,9 +318,9 @@ def z_pair(count, dtype):
     ],
 )
 def test_parzen_denoise_block_sums_do_not_wrap(counts, t):
-    """Block sums are taken in the bound's integer type, not the
-    counts' own: a pair of counts that wraps or ORs in that type still
-    passes a threshold below its smoothed value."""
+    """Block sums are taken in float64, not the counts' own type: a pair
+    of counts that wraps or ORs in that type still passes a threshold
+    below its smoothed value."""
     assert_denoise_matches_dense(counts, (1.0, 1.0, 1.0), 3.0, Fixed(t), None)
     mask, _ = denoise(
         ref.grid_of(counts),
@@ -335,9 +337,8 @@ def test_parzen_denoise_block_sums_do_not_wrap(counts, t):
             (1.0, 1.0, 1.0),
             id="sparse",
         ),
-        # lone voxels: the smoothed peak is the box-sum bound itself, up
-        # to rounding; with the first three sigmas a step below it lies
-        # above the unwidened bound, so only the margin keeps the voxel
+        # lone voxels: the smoothed peak is the centre taps' product
+        # times the count, up to rounding
         *(
             pytest.param(np.pad([[[c]]], 8), sigmas, id=f"lone_{c}")
             for c, sigmas in (
@@ -474,10 +475,18 @@ def test_bound_leaves_empty_space_out():
 
     assert 0 < covered(counts) < counts.size // 20
     assert covered(counts.astype(np.float64)) == counts.size
-    # no voxel counts more than pulses_per_group photons, and at that
-    # count the default box sums still fit int32, so the bound applies
+    # no voxel counts more than pulses_per_group photons
     counts[16, 16, 450] = SensorConfig().pulses_per_group
     assert 0 < covered(counts) < counts.size // 20
+
+
+def window_cover(windows, shape) -> np.ndarray:
+    """The voxels of ``shape`` that ``windows`` hold, each counted once
+    per window that holds it."""
+    covered = np.zeros(shape, np.int32)
+    for x, y0, y1, z0, z1 in windows:
+        covered[x, y0:y1, z0:z1] += 1
+    return covered
 
 
 @settings(max_examples=200, deadline=None)
@@ -498,58 +507,101 @@ def test_bound_leaves_empty_space_out():
 def test_hot_windows_match_loop_reference(
     seed, shape, dtype, high, sigmas, factor, mode, t_prev
 ):
-    """The bound's windows are exactly those of the plain-loop bound:
-    mask equality alone would also pass a looser bound.  Counts run up
-    to the dtype's limit and past the int32 guard; an occupancy of zero
-    gives the empty grid."""
+    """The bound's windows hold the plain-loop bound's windows at
+    ``t_low`` and lie inside them at ``t_low`` less the smallest normal
+    float, shrunk by the margin twice: mask equality alone would also
+    pass a looser bound.  Counts run up to the dtype's limit; an
+    occupancy of zero gives the empty grid."""
     counts = sparse_counts(np.random.default_rng(seed), shape, high=high)
     top = 1 if dtype is np.bool_ else np.iinfo(dtype).max
     counts = counts.clip(0, top).astype(dtype)
     kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
     grid = ref.grid_of(counts)
     t_low = denoise_module._lowest_level(grid, kernels, mode, t_prev)
-    got = denoise_module._hot_windows(grid, kernels, t_low)
-    assert got == ref.hot_windows(counts, kernels, mode, t_prev)
+    assert t_low == ref.lowest_level(counts, kernels, mode, t_prev)
+    got = window_cover(denoise_module._hot_windows(grid, kernels, t_low), shape)
+    margin = 1.0 + (sum(len(k) for k in kernels) + 8) * np.finfo(float).eps
+    inner = ref.hot_windows(counts, kernels, t_low)
+    outer = ref.hot_windows(
+        counts, kernels, (t_low - np.finfo(float).tiny) / margin**2
+    )
+    assert got.max(initial=0) <= 1
+    assert (got >= window_cover(inner, shape)).all()
+    assert (got <= window_cover(outer, shape)).all()
 
 
-@pytest.mark.parametrize("clipped", [False, True], ids=["exact", "clipped"])
-@pytest.mark.parametrize("over", [0, 1], ids=["below_2**15", "at_2**15"])
-def test_hot_windows_at_the_narrow_box_sum_limit(clipped, over):
-    """A brick of blocks that each sum to ``top``, or to more and clip
-    there, gives its centre box a sum of ``top`` times the blocks in a
-    box: just below 2**15, where the box sums are int16, and at or past
-    it, where they must be int32.  The cut lies one below that sum, so
-    the centre box is hot only if its sum does not wrap."""
-    kernels = tuple(gaussian_kernel(1.0, 3.0) for _ in range(3))
-    r = len(kernels[0]) // 2
-    rb = -(-r // 4)
-    span = (2 * r + 1) ** 2 * (2 * rb + 1)
-    top = (2**15 - 1) // span + over
-    counts = np.zeros((16, 16, 64), np.int32)
-    brick = slice(4, 5 + 2 * r)
-    counts[brick, brick, 16 : 16 + 4 * (2 * rb + 1) : 4] = 1000 if clipped else top
-    cut = (top if clipped else top * span) - 1
-    taps = 3 * len(kernels[0])
-    scale = kernels[0].max() ** 3 * (1.0 + (taps + 8) * np.finfo(float).eps)
-    mode = Fixed((cut + 0.5) * scale)
-    got = denoise_module._hot_windows(ref.grid_of(counts), kernels, mode.t)
-    assert got and got == ref.hot_windows(counts, kernels, mode, None)
-    if not clipped:  # only the centre box holds the whole brick
-        assert got == [(4 + r, 4 + r, 5 + r, 16 + 4 * rb, 20 + 4 * rb)]
+@settings(max_examples=200, deadline=None)
+@given(
+    seed=st.integers(0, 2**31 - 1),
+    shape=st.tuples(st.integers(1, 9), st.integers(1, 9), st.integers(1, 30)),
+    dtype=st.sampled_from([np.uint8, np.uint16, np.int32, np.bool_]),
+    high=st.sampled_from([2, 30, 2**8, 2**16, 2**26]),
+    sigmas=st.tuples(*[st.floats(0.05, 3.0)] * 3),
+    factor=st.sampled_from([0.0, 0.5, 1.0, 3.0, 40.0]),
+    level=st.sampled_from(["zero", "count", "peak", "between"]),
+    data=st.data(),
+)
+def test_hot_windows_hold_every_voxel_that_can_pass(
+    seed, shape, dtype, high, sigmas, factor, level, data
+):
+    """Every voxel whose dense smoothed value exceeds ``t_low``, or
+    reaches it when ``t_low > 0``, lies in a window of the bound.
+    ``t_low`` is zero, where every voxel with a value above it must be
+    held, a count, the peak, or halfway between two counts (zero among
+    the counts).  Factor 0 makes identity kernels, and factor 40
+    taps that are tiny or 0."""
+    counts = sparse_counts(np.random.default_rng(seed), shape, high=high)
+    top = 1 if dtype is np.bool_ else np.iinfo(dtype).max
+    counts = counts.clip(0, top).astype(dtype)
+    want = ref.parzen_smooth(counts, sigmas, factor)
+    levels = np.unique(np.append(counts.astype(np.float64), 0.0))
+    if level == "count":
+        t_low = data.draw(st.sampled_from(levels.tolist()))
+    elif level == "between" and len(levels) > 1:
+        i = data.draw(st.integers(0, len(levels) - 2))
+        t_low = (levels[i] + levels[i + 1]) / 2
+    else:
+        t_low = float(want.max()) if level == "peak" else 0.0
+    kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
+    windows = denoise_module._hot_windows(ref.grid_of(counts), kernels, t_low)
+    can_pass = want >= t_low if t_low > 0 else want > t_low
+    assert window_cover(windows, shape)[can_pass].all()
 
 
-def test_hot_windows_at_a_box_sum_of_exactly_2_15():
-    """Under identity kernels a box is one block, so a block of 2**15
-    photons is a box sum of exactly 2**15, one past int16: summed in
-    int32 it stays above a cut of 2**15 - 1.  No wider kernel reaches
-    2**15 exactly, since the blocks in its box are an odd count."""
-    kernels = tuple(gaussian_kernel(1.0, 0.0) for _ in range(3))
-    counts = np.zeros((3, 3, 8), np.int32)
-    counts[1, 1, 5] = 2**15
-    scale = 1.0 + (3 + 8) * np.finfo(float).eps
-    mode = Fixed((2**15 - 0.5) * scale)
-    got = denoise_module._hot_windows(ref.grid_of(counts), kernels, mode.t)
-    assert got == ref.hot_windows(counts, kernels, mode, None) == [(1, 1, 2, 4, 8)]
+@pytest.mark.parametrize(
+    "shape, voxels, count, sigmas, factor, t_low",
+    [
+        # three z taps of 1/3 (sigma 1e9 at a reach of one voxel) make
+        # the one block's bound the smoothed value summed in another
+        # order: 1/3 * 7 rounds below 1/3 * 1 + 1/3 * 6, the peak
+        pytest.param(
+            (1, 1, 2), np.s_[0, 0], [1, 6], (0.01, 0.01, 1e9), 1e-9, None, id="margin"
+        ),
+        # x taps of 5e-324 carry the counts at z = 4 to 7 into the next
+        # plane, where z = 3 smooths to four products of a little over
+        # 0.5 * 5e-324, each rounded up; the bound, one product of their
+        # block's sum, rounds to 2 * 5e-324, and only a threshold below
+        # the smallest normal float marks every block hot
+        pytest.param(
+            (3, 1, 12), np.s_[0, 0, 4:8], 14, (1 / 38.59, 0.01, 10.0), 40.0,
+            1.5e-323, id="underflow",
+        ),
+    ],
+)
+def test_hot_windows_hold_the_voxels_at_their_rounding_edge(
+    shape, voxels, count, sigmas, factor, t_low
+):
+    """Where the bound is tight, only the margin, and where its products
+    underflow, only the smallest normal float keep the windows holding
+    every voxel that reaches ``t_low`` (the peak where not given)."""
+    counts = np.zeros(shape, np.int32)
+    counts[voxels] = count
+    want = ref.parzen_smooth(counts, sigmas, factor)
+    t_low = float(want.max()) if t_low is None else t_low
+    assert (want >= t_low).any()
+    kernels = tuple(gaussian_kernel(s, factor) for s in sigmas)
+    windows = denoise_module._hot_windows(ref.grid_of(counts), kernels, t_low)
+    assert window_cover(windows, shape)[want >= t_low].all()
 
 
 @pytest.mark.parametrize("mode, t_prev", MODES)
@@ -575,8 +627,8 @@ def test_smoothed_windows_leave_the_dense_grid_unbuilt():
     assert "counts" not in vars(grid)
 
 
-def refuse_box_sums(*args):
-    raise AssertionError("the windows fell back to the box sums")
+def refuse_the_bound(*args):
+    raise AssertionError("the windows fell back to the bound")
 
 
 def test_parzen_denoise_passes_counts_packed_at_the_threshold(monkeypatch):
@@ -587,7 +639,7 @@ def test_parzen_denoise_passes_counts_packed_at_the_threshold(monkeypatch):
     counts[2:13, 2:13, 2:13] = 3
     sigmas = (0.7, 0.7, 0.7)
     assert (ref.parzen_smooth(counts, sigmas) > 3.0).sum() == 125
-    monkeypatch.setattr(denoise_module, "_hot_windows", refuse_box_sums)
+    monkeypatch.setattr(denoise_module, "_hot_windows", refuse_the_bound)
     assert_denoise_matches_dense(counts, sigmas, 3.0, Fixed(3.0), None)
 
 
@@ -623,7 +675,7 @@ def test_seed_windows_hold_every_voxel_that_can_pass(
     peak (whose voxel must then be held), zero, or between two counts.
     Factor 0 makes identity kernels, and factors 8 and 40 taps too small
     for the near-threshold margin (40 also taps that are 0).  The stack
-    limit is lifted, so the windows never give way to the box sums."""
+    limit is lifted, so the windows never give way to the bound."""
     rng = np.random.default_rng(seed)
     nx, ny, nz = shape
     occupied = rng.random(shape) < rng.uniform(0.0, 0.3)
@@ -726,13 +778,13 @@ def test_reference_config_takes_the_seed_windows(monkeypatch):
     """On the benchmark's parzen capture (the crossing demo scene at
     seed 1, whose first groups simulate alike whatever its group count)
     at the paper's reference config, ``Fixed(2)`` with unit sigmas, the
-    windows come from the seeds: the box sums, patched to fail, never
-    run, and the masks equal the dense ones."""
+    windows come from the seeds: the bound, patched to fail, never
+    runs, and the masks equal the dense ones."""
     root = Path(__file__).resolve().parent.parent
     scene, sensor = load_scene(root / "scenes" / "crossing_demo.scene")
     frames, _ = simulate(dataclasses.replace(scene, seed=1, n_groups=3), sensor)
     cfg = DenoiseConfig(scheme=Scheme.PARZEN_THRESHOLD, threshold_mode=Fixed(2.0))
-    monkeypatch.setattr(denoise_module, "_hot_windows", refuse_box_sums)
+    monkeypatch.setattr(denoise_module, "_hot_windows", refuse_the_bound)
     for group in group_frames(frames, sensor):
         grid = build_histogram(group, sensor)
         mask, t_used = denoise(grid, cfg)
@@ -741,10 +793,10 @@ def test_reference_config_takes_the_seed_windows(monkeypatch):
         assert want.any() and t_used == want_t == 2.0
 
 
-def test_swarm_capture_takes_the_box_sums(monkeypatch):
+def test_swarm_capture_takes_the_shaped_bound(monkeypatch):
     """On the benchmark's swarm capture (seed 3, 40 targets) at the
-    reference config the seed windows never fit one stack, so the box
-    sums run, and the masks equal the dense ones."""
+    reference config the seed windows never fit one stack, so the bound
+    runs, and the masks equal the dense ones."""
     root = Path(__file__).resolve().parent.parent
     # perfbench/child.py builds the scene and imports workloads by name
     monkeypatch.syspath_prepend(str(root / "perfbench"))
@@ -762,6 +814,25 @@ def test_swarm_capture_takes_the_box_sums(monkeypatch):
             assert_same(mask, want)
             assert want.any() and t_used == want_t == 2.0
     assert spy.call_count == 2
+
+
+@pytest.mark.parametrize("family, seed", [("clutter", 1), ("demo60", 1)])
+def test_shaped_bound_covers_under_1_percent(monkeypatch, family, seed):
+    """On the first group of the benchmark's clutter and demo60
+    captures at unit sigmas under ``Fixed(1)``, the windows the bound
+    gives cover under 1% of the grid: a flat kernel's bound covered
+    100% and about 70%."""
+    root = Path(__file__).resolve().parent.parent
+    monkeypatch.syspath_prepend(str(root / "perfbench"))
+    import child
+
+    scene, sensor = child.build_scene(photontrack, root, family, seed)
+    frames, _ = simulate(dataclasses.replace(scene, n_groups=1), sensor)
+    (group,) = group_frames(frames, sensor)
+    grid = build_histogram(group, sensor)
+    kernels = tuple(gaussian_kernel(1.0, 3.0) for _ in range(3))
+    windows = denoise_module._hot_windows(grid, kernels, 1.0)
+    assert 0 < window_cover(windows, grid.shape).sum() < 0.01 * math.prod(grid.shape)
 
 
 # -- thresholding occupied voxels ---------------------------------------------
