@@ -15,8 +15,10 @@ one of three modes:
     filter over the six box faces.
 
 Every mode is one whole-array distance gate between the rows' faces or
-centroids and the columns'.  Conflicts are resolved greedily on the
-score matrix, guaranteeing a one-to-one pairing.
+centroids and the columns'.  Conflicts are resolved greedily, giving a
+one-to-one pairing: the positive scores are sorted in descending order
+(ties by row, then column) and scanned once, and each pair whose row
+and column are both still free is taken.
 """
 from __future__ import annotations
 
@@ -106,20 +108,19 @@ class MatchSet:
 def resolve_matches(matrix: AssociationMatrix) -> MatchSet:
     """Greedy conflict resolution.
 
-    Repeatedly take the largest positive score, pair that row and
-    column, and disable both.  Ties go to the smallest row index, then
-    the smallest column index, which is exactly the first flat argmax in
-    C order.
+    The positive pairs, in C order, are sorted by descending score with
+    a stable sort, so ties go to the smallest row index, then the
+    smallest column index.  One scan of that order pairs a row with a
+    column whenever both are still free, which is the same pairing as
+    repeatedly taking the largest remaining positive score.
     """
-    scores = matrix.scores.astype(np.float64)  # a copy, disabled in place
+    scores = np.asarray(matrix.scores, dtype=np.float64)
+    rows, cols = np.nonzero(scores > 0)
+    order = np.argsort(-scores[rows, cols], kind="stable")
     fw: dict[int, int] = {}
-    if scores.size == 0:
-        return MatchSet(fw=fw)
-    n_cols = scores.shape[1]
-    while True:
-        i, j = divmod(int(np.argmax(scores)), n_cols)
-        if scores[i, j] <= 0:
-            return MatchSet(fw=fw)
-        fw[i] = j
-        scores[i, :] = -np.inf
-        scores[:, j] = -np.inf
+    taken: set[int] = set()
+    for i, j in zip(rows[order].tolist(), cols[order].tolist()):
+        if i not in fw and j not in taken:
+            fw[i] = j
+            taken.add(j)
+    return MatchSet(fw=fw)

@@ -1,9 +1,9 @@
 """Disk formats for run results: CSV tables, a JSON summary and PGM
 projection images.
 
-All text is written with LF line endings regardless of platform, and
-floats use the shortest round-trippable-ish %.9g form so diffs between
-runs stay meaningful.
+All text is written with LF line endings regardless of platform.  Each
+CSV table is written with one ``%`` format per row, whose floats use
+the %.9g form so diffs between runs stay meaningful.
 """
 from __future__ import annotations
 
@@ -17,31 +17,24 @@ from .voxelizer import VoxelGrid
 
 TRACKS_HEADER = ("step", "track_id", "state", "bad_count") + FEATURE_NAMES
 LINKS_HEADER = ("step", "old_slot", "new_slot")
+TRACKS_FMT = "%d,%d,%s,%d" + ",%.9g" * len(FEATURE_NAMES)
 
 
-def _fmt(v) -> str:
-    if isinstance(v, float):
-        return format(v, ".9g")
-    return str(v)
-
-
-def _write_rows(path, header, rows) -> None:
+def _write_rows(path, header, fmt, rows) -> None:
     lines = [",".join(header)]
-    lines.extend(",".join(_fmt(c) for c in row) for row in rows)
+    lines.extend(fmt % row for row in rows)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write("\n".join(lines) + "\n")
 
 
 def write_tracks_csv(steps: list[StepRecord], path) -> None:
     """One row per maintained track per step, in slot order."""
-    rows = []
-    for rec in steps:
-        for snap in rec.tracks:
-            rows.append(
-                (rec.step, snap.track_id, snap.state.value, snap.bad_count)
-                + snap.features
-            )
-    _write_rows(path, TRACKS_HEADER, rows)
+    rows = [
+        (rec.step, snap.track_id, snap.state.value, snap.bad_count) + snap.features
+        for rec in steps
+        for snap in rec.tracks
+    ]
+    _write_rows(path, TRACKS_HEADER, TRACKS_FMT, rows)
 
 
 def write_links_csv(steps: list[StepRecord], path) -> None:
@@ -57,7 +50,7 @@ def write_links_csv(steps: list[StepRecord], path) -> None:
         for new_slot, old_slot in enumerate(rec.bwlink)
         if old_slot is not None
     ]
-    _write_rows(path, LINKS_HEADER, rows)
+    _write_rows(path, LINKS_HEADER, "%d,%d,%d", rows)
 
 
 def write_summary_json(steps: list[StepRecord], path) -> None:
@@ -136,4 +129,5 @@ def write_truth_csv(truth: tuple, path) -> None:
         for step, step_records in enumerate(truth)
         for target, rec in enumerate(step_records)
     ]
-    _write_rows(path, ("step", "target", "alive") + FEATURE_NAMES[:9], rows)
+    header = ("step", "target", "alive") + FEATURE_NAMES[:9]
+    _write_rows(path, header, "%d,%d,%d,%.9g,%.9g,%.9g" + ",%s" * 6, rows)

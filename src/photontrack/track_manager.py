@@ -149,8 +149,13 @@ def _follow(
     ring: HistoryRing, start_step: int, slot: int, links: str, step: int
 ) -> list[tuple[int, int]]:
     """The chain from (start_step, slot) along each entry's ``links``
-    list (``"fwlink"`` or ``"bwlink"``), ``step`` steps at a time."""
+    list (``"fwlink"`` or ``"bwlink"``), ``step`` steps at a time.
+
+    Raises IndexError when ``slot`` is not one of the start step's
+    tracks."""
     entry = ring.entry(start_step)
+    if slot not in range(n := len(entry.tracks)):
+        raise IndexError(f"no slot {slot}: step {entry.step} has {n} tracks")
     chain = [(entry.step, slot)]
     while (nxt := getattr(entry, links)[slot]) is not None:
         try:
@@ -168,7 +173,8 @@ def reconstruct_forward(
     """Follow forward links from (start_step, slot) to the chain's end.
 
     Raises EntryEvictedError when the starting step has already left the
-    ring; a chain cut short by eviction at its far end just stops there.
+    ring, and IndexError when ``slot`` is not a track of that step; a
+    chain cut short by eviction at its far end just stops there.
     """
     return _follow(ring, start_step, slot, "fwlink", 1)
 

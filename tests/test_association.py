@@ -235,19 +235,27 @@ def greedy_oracle(scores):
             row[j] = -1.0
 
 
-@settings(max_examples=200, deadline=None)
+TIED_SCORES = np.array([-1.0, 0.0, 0.25, 1 / 3, 0.5, 1.0])
+
+
+@settings(max_examples=300, deadline=None)
 @given(
-    n=st.integers(0, 5),
-    m=st.integers(0, 5),
+    n=st.integers(0, 12),
+    m=st.integers(0, 12),
+    tied=st.booleans(),
     seed=st.integers(0, 2**31 - 1),
 )
-def test_greedy_resolution_matches_oracle(n, m, seed):
+def test_greedy_resolution_matches_oracle(n, m, tied, seed):
     rng = np.random.default_rng(seed)
-    # quantized scores force plenty of ties
-    scores = rng.integers(0, 4, (n, m)).astype(float) / 2.0
+    if tied:
+        # a few distinct values, zero and negative included, force ties
+        scores = rng.choice(TIED_SCORES, (n, m))
+    else:
+        scores = rng.uniform(-1.0, 1.0, (n, m))
     got = resolve_matches(AssociationMatrix(scores=scores))
     fw, bw = greedy_oracle(scores)
-    assert got.fw == fw
+    # the tracker's bank rows follow the pairing's insertion order
+    assert list(got.fw.items()) == list(fw.items())
     assert {j: i for i, j in got.fw.items()} == bw
 
 
@@ -255,6 +263,13 @@ def test_greedy_tie_breaks_by_row_then_column():
     scores = np.array([[1.0, 1.0], [1.0, 1.0]])
     got = resolve_matches(AssociationMatrix(scores=scores))
     assert got.fw == {0: 0, 1: 1}
+
+
+def test_resolution_accepts_bool_and_integer_scores():
+    gate = np.array([[True, True], [True, False]])
+    want = {0: 0}
+    for scores in (gate, gate.astype(np.int64), gate.astype(np.float32)):
+        assert resolve_matches(AssociationMatrix(scores=scores)).fw == want
 
 
 def test_resolution_is_one_to_one():

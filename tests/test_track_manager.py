@@ -182,6 +182,17 @@ def test_reconstruction_round_trip():
     assert list(reversed(bwd)) == fwd
 
 
+@pytest.mark.parametrize("slot", [-1, -2, 2])
+def test_reconstruction_of_a_missing_slot_raises(slot):
+    tracker = Tracker(TrackerConfig())
+    pair = [make_obs([5, 5, 50]), make_obs([20, 20, 300])]
+    run_script(tracker, [pair, pair])
+    assert reconstruct_forward(tracker.ring, 0, 1) == [(0, 1), (1, 1)]
+    for follow, step in ((reconstruct_forward, 0), (reconstruct_backward, 1)):
+        with pytest.raises(IndexError, match=f"step {step} has 2 tracks"):
+            follow(tracker.ring, step, slot)
+
+
 def test_reconstruction_of_evicted_step_raises():
     ring = HistoryRing()
     for step in range(HISTORY_LEN + 1):
