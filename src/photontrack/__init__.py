@@ -12,8 +12,8 @@ from .errors import PhotontrackError
 from .kalman import KalmanParams
 from .labeling import (
     BoundingBox,
+    Candidates,
     ImportanceConfig,
-    TargetObservation,
     label_components,
 )
 from .pipeline import RunConfig, run_tracking
@@ -28,6 +28,7 @@ __all__ = [
     "AssocMode",
     "AssociationConfig",
     "BoundingBox",
+    "Candidates",
     "DenoiseConfig",
     "Fixed",
     "ImportanceConfig",
@@ -40,7 +41,6 @@ __all__ = [
     "Scheme",
     "SensorConfig",
     "StepRecord",
-    "TargetObservation",
     "TargetSpec",
     "Tracker",
     "TrackerConfig",

@@ -1,10 +1,10 @@
 """Frame-to-frame target association.
 
-Old tracks (rows) are scored against new observations (columns) under
+Old tracks (rows) are scored against new candidates (columns) under
 one of three modes:
 
   * bounding-box expansion: a track's last reported box (the box
-    columns of its feature row) and an observation's box match when
+    columns of its feature row) and a candidate's box match when
     every one of their six faces lies within e voxels of the matching
     face.  This is symmetric containment under expansion (each box
     sits inside the other's box grown by e), so a huge new cluster
@@ -29,7 +29,7 @@ from enum import Enum
 import numpy as np
 
 from .features import row_norms
-from .labeling import TargetObservation
+from .labeling import Candidates
 
 
 class AssocMode(Enum):
@@ -53,7 +53,7 @@ class AssociationConfig:
 
 @dataclass(frozen=True)
 class AssociationMatrix:
-    """Scores with old targets as rows and new observations as columns;
+    """Scores with old targets as rows and new candidates as columns;
     nonpositive means incompatible."""
 
     scores: np.ndarray
@@ -61,7 +61,7 @@ class AssociationMatrix:
 
 def build_association_matrix(
     rows: np.ndarray | list,
-    new_observations: list[TargetObservation],
+    candidates: Candidates,
     cfg: AssociationConfig,
 ) -> AssociationMatrix:
     """Score every (old, new) pair at once.
@@ -71,17 +71,14 @@ def build_association_matrix(
     (the box columns ``features[3:9]`` of its last feature row, moved
     with its prediction while it coasts), in ``kalman_centroid`` mode
     its predicted centroid, and in ``kalman_bbox`` mode its predicted
-    faces.  Columns need ``bbox`` and ``centroid``.  In ``kalman_bbox``
-    mode the predicted faces round to the nearest voxel, halves to even
-    (``np.rint``, like Python's ``round``), and a max face that rounds
-    below its min face is raised to it.
+    faces.  The columns are the candidates' faces or centroids.  In
+    ``kalman_bbox`` mode the predicted faces round to the nearest voxel,
+    halves to even (``np.rint``, like Python's ``round``), and a max face
+    that rounds below its min face is raised to it.
     """
     if cfg.mode is AssocMode.KALMAN_CENTROID:
         rows = np.asarray(rows, dtype=np.float64).reshape(-1, 3)
-        cols = np.array(
-            [obs.centroid for obs in new_observations], dtype=np.float64
-        ).reshape(-1, 3)
-        diff = rows[:, None, :] - cols[None, :, :]
+        diff = rows[:, None, :] - candidates.centroid[None, :, :]
         dist = row_norms(diff.reshape(-1, 3)).reshape(diff.shape[:2])
         scores = np.where(dist <= cfg.gate_radius, 1.0 / (1.0 + dist), 0.0)
         return AssociationMatrix(scores=scores)
@@ -92,8 +89,7 @@ def build_association_matrix(
         np.maximum(rows[:, 3:], rows[:, :3], out=rows[:, 3:])
     else:
         raise ValueError(f"unknown association mode {cfg.mode!r}")
-    cols = np.array([obs.bbox.faces for obs in new_observations]).reshape(-1, 6)
-    gap = np.abs(rows[:, None, :] - cols[None, :, :]).max(axis=2)
+    gap = np.abs(rows[:, None, :] - candidates.faces[None, :, :]).max(axis=2)
     return AssociationMatrix(scores=(gap <= cfg.expansion_e).astype(np.float64))
 
 

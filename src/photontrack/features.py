@@ -135,29 +135,30 @@ def principal_orientations(clouds: list[np.ndarray]) -> np.ndarray:
     return principal_axes(covariances(clouds))
 
 
-def compute_features(tracks: list, kf) -> list[FeatureVector]:
+def compute_features(
+    tracks: list, kf, obs: np.ndarray, clouds: list[np.ndarray]
+) -> list[FeatureVector]:
     """Refresh every track's descriptor from its filter and cluster.
 
-    Row i of the filter bank ``kf`` is ``tracks[i]``'s filter, and
-    ``tracks[i].features`` its previous row (None on its first step).
+    Row i of the filter bank ``kf`` is ``tracks[i]``'s filter, row i of
+    the ``(k, 12)`` array ``obs`` the first twelve columns of the
+    candidate row it last matched (``Candidates.rows``), ``clouds[i]``
+    that candidate's voxels, and ``tracks[i].features`` its previous
+    row (None on its first step).
     Acceleration is the first difference of the filter velocity between
     consecutive steps (zero on the first step), and age counts the steps
     the track has lived (1 on the first, ``prev.age + 1`` after that).
-    A detected track is reported at its observation's centroid and box.
+    A detected track is reported at its candidate's centroid and box.
     A coasting track (``bad_count > 0``) is reported at its predicted
     position ``kf.position``, not the stale last detection, and its box
     is the last observed one moved by the whole voxels,
-    ``rint(kf.position - obs.centroid)``, that the centroid has moved
+    ``rint(kf.position - centroid)``, that the centroid has moved
     since.
     """
     if not tracks:
         return []
-    obs = [t.obs for t in tracks]
     rows = np.empty((len(tracks), 23))
-    rows[:, :3] = [o.centroid for o in obs]
-    rows[:, 3:12] = [
-        (*o.bbox.faces, o.volume, o.total_photons, o.peak_photons) for o in obs
-    ]
+    rows[:, :12] = obs
     coast = [i for i, t in enumerate(tracks) if t.bad_count]
     if coast:
         moved = kf.position[coast]
@@ -171,6 +172,6 @@ def compute_features(tracks: list, kf) -> list[FeatureVector]:
     rows[:, 15] = row_norms(kf.velocity)
     rows[:, 16:19] = kf.velocity - prev[:, :3]
     rows[[i for i, t in enumerate(tracks) if t.features is None], 16:19] = 0.0
-    rows[:, 19:22] = principal_orientations([o.voxels for o in obs])
+    rows[:, 19:22] = principal_orientations(clouds)
     rows[:, 22] = prev[:, 3] + 1.0
     return [FeatureVector(*row) for row in rows.tolist()]

@@ -12,7 +12,7 @@ dense 2d x 2d matrix on request.
 
 Two usages share this module: a 3D filter per track centroid, and a
 6D filter for the six faces of a bounding box, min xyz then max xyz
-(``BoundingBox.faces``).  The face filters are the centroid filters
+(``Candidates.faces``).  The face filters are the centroid filters
 over six axes, under their own ``bbox_kf_*`` names so that a profiler
 can time the two kinds apart.  A tracker holds each kind as one bank,
 a ``KalmanState`` whose rows are its tracks' filters, and advances all

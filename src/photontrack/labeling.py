@@ -7,7 +7,9 @@ component encountered when scanning voxels in C order, so repeated runs
 over the same mask always agree.
 
 Labels are held for the set voxels only (:class:`Labels`), and every
-component is summarized from them in a few whole-array reductions.
+component is summarized from them in a few whole-array reductions, as
+one row of a :class:`Candidates` table.  Ranking and truncation reorder
+and cut that table's rows.
 """
 from __future__ import annotations
 
@@ -124,21 +126,64 @@ def label_components(mask: np.ndarray, connectivity: int = 26) -> tuple[Labels, 
     return Labels(flat, np.cumsum(is_root)[root]), int(is_root.sum())
 
 
-@dataclass(frozen=True)
-class TargetObservation:
-    """One labeled cluster with its summary geometry and photon stats."""
+@dataclass(frozen=True, eq=False)
+class Candidates:
+    """Candidate targets, one row each, in one table.
 
-    label: int
+    ``rows`` is a ``(k, 14)`` float64 array.  Its columns 0-11 are
+    ``FeatureVector``'s first twelve fields: the centroid, the six box
+    faces (min xyz, then max xyz), the volume, and the total and peak
+    photons.  Column 12 is the component's label and column 13 where
+    its voxels start in ``voxels``, the ``(m, 3)`` coordinates of every
+    labeled voxel sorted by component, which all rows share.  Labels,
+    counts and coordinates are integers below 2**53, so float64 holds
+    them exactly.
+    """
+
+    rows: np.ndarray
     voxels: np.ndarray
-    volume: int
-    bbox: BoundingBox
-    centroid: np.ndarray
-    total_photons: int
-    peak_photons: int
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @property
+    def centroid(self) -> np.ndarray:
+        return self.rows[:, 0:3]
+
+    @property
+    def faces(self) -> np.ndarray:
+        return self.rows[:, 3:9]
+
+    @property
+    def volume(self) -> np.ndarray:
+        return self.rows[:, 9]
+
+    @property
+    def total_photons(self) -> np.ndarray:
+        return self.rows[:, 10]
+
+    @property
+    def peak_photons(self) -> np.ndarray:
+        return self.rows[:, 11]
+
+    @property
+    def label(self) -> np.ndarray:
+        return self.rows[:, 12]
+
+    def cloud(self, i: int) -> np.ndarray:
+        """The voxels of row ``i``, a view of ``voxels``."""
+        start, volume = int(self.rows[i, 13]), int(self.rows[i, 9])
+        return self.voxels[start : start + volume]
+
+    def take(self, rows) -> Candidates:
+        """The table of rows ``rows`` (an index array or a slice), in
+        that order; the voxels are shared, not gathered."""
+        return Candidates(self.rows[rows], self.voxels)
 
 
-def extract_observations(labels: Labels, grid: VoxelGrid) -> list[TargetObservation]:
-    """Summarize every component of a labeling of ``grid``'s voxels.
+def extract_observations(labels: Labels, grid: VoxelGrid) -> Candidates:
+    """Summarize every component of a labeling of ``grid``'s voxels, one
+    row per component in label order.
 
     Centroids are photon-weighted and fall back to the unweighted voxel
     mean if a component holds no photons at all (possible after
@@ -149,8 +194,6 @@ def extract_observations(labels: Labels, grid: VoxelGrid) -> list[TargetObservat
     and coordinates are integers, so every sum is exact (below 2**53)
     and each centroid is one rounding of the exact quotient.
     """
-    if len(labels.flat) == 0:
-        return []
     order = np.argsort(labels.component, kind="stable")
     flat, component = labels.flat[order], labels.component[order]
     voxels = np.column_stack(np.unravel_index(flat, grid.shape))
@@ -160,9 +203,8 @@ def extract_observations(labels: Labels, grid: VoxelGrid) -> list[TargetObservat
         found = grid.flat[pos] == flat
         weights[found] = grid.values[pos[found]]
     starts = np.flatnonzero(np.diff(component, prepend=0))
-    ends = np.append(starts[1:], len(flat))
+    volume = np.diff(starts, append=len(flat))
     total = np.add.reduceat(weights, starts)
-    peak = np.maximum.reduceat(weights, starts)
     weighted = total > 0
     # a weighted mean where the component holds photons, else the plain one
     num = np.where(
@@ -170,30 +212,16 @@ def extract_observations(labels: Labels, grid: VoxelGrid) -> list[TargetObservat
         np.add.reduceat(voxels * weights[:, None], starts),
         np.add.reduceat(voxels, starts),
     )
-    centroids = num / np.where(weighted, total, ends - starts)[:, None]
-    lows = np.minimum.reduceat(voxels, starts).tolist()
-    highs = np.maximum.reduceat(voxels, starts).tolist()
-    return [
-        TargetObservation(
-            label=lab,
-            voxels=voxels[a:b],
-            volume=b - a,
-            bbox=BoundingBox(tuple(lo), tuple(hi)),
-            centroid=centroid,
-            total_photons=tot,
-            peak_photons=pk,
-        )
-        for lab, a, b, centroid, lo, hi, tot, pk in zip(
-            component[starts].tolist(),
-            starts.tolist(),
-            ends.tolist(),
-            centroids,
-            lows,
-            highs,
-            total.tolist(),
-            peak.tolist(),
-        )
-    ]
+    rows = np.empty((len(starts), 14))
+    rows[:, 0:3] = num / np.where(weighted, total, volume)[:, None]
+    rows[:, 3:6] = np.minimum.reduceat(voxels, starts)
+    rows[:, 6:9] = np.maximum.reduceat(voxels, starts)
+    rows[:, 9] = volume
+    rows[:, 10] = total
+    rows[:, 11] = np.maximum.reduceat(weights, starts)
+    rows[:, 12] = component[starts]
+    rows[:, 13] = starts
+    return Candidates(rows, voxels)
 
 
 _IMPORTANCE_KEYS = ("volume", "speed", "total_photons")
@@ -219,32 +247,35 @@ class ImportanceConfig:
             raise ValueError("at least one importance weight must be positive")
 
 
-def observation_score(
-    obs: TargetObservation, cfg: ImportanceConfig, speed: float = 0.0
-) -> float:
-    values = {
-        "volume": float(obs.volume),
-        "speed": float(speed),
-        "total_photons": float(obs.total_photons),
-    }
-    return sum(w * values[k] for k, w in cfg.weights.items())
+def scores(rows: np.ndarray, cfg: ImportanceConfig, speed=0.0) -> np.ndarray:
+    """The importance of each row of a ``(k, >=12)`` array laid out as
+    ``Candidates.rows``, at speeds ``speed`` (a scalar or one per row).
+
+    The terms ``w * value`` are added to 0 one weight at a time, in the
+    weights' order.  A term too large for float64 is infinite, as in
+    Python float arithmetic, and opposite infinite terms give NaN, all
+    without a warning.
+    """
+    values = {"volume": rows[:, 9], "speed": speed, "total_photons": rows[:, 10]}
+    total = np.zeros(len(rows))
+    with np.errstate(over="ignore", invalid="ignore"):
+        for key, w in cfg.weights.items():
+            total = total + w * values[key]
+    return total
 
 
-def importance_sort(
-    observations: list[TargetObservation],
-    cfg: ImportanceConfig,
-) -> list[TargetObservation]:
-    """Sort descending by importance; equal scores keep label order."""
-    return sorted(observations, key=lambda o: -observation_score(o, cfg))
+def importance_sort(candidates: Candidates, cfg: ImportanceConfig) -> Candidates:
+    """Sort descending by importance; equal scores keep label order and
+    a NaN score sorts last."""
+    order = np.argsort(-scores(candidates.rows, cfg), kind="stable")
+    return candidates.take(order)
 
 
-def truncate_targets(
-    sorted_observations: list[TargetObservation], t_max: int
-) -> list[TargetObservation]:
+def truncate_targets(sorted_candidates: Candidates, t_max: int) -> Candidates:
     """Keep the ``t_max`` most important candidates."""
     if t_max < 1:
         raise ValueError("t_max must be positive")
-    dropped = len(sorted_observations) - t_max
+    dropped = len(sorted_candidates) - t_max
     if dropped > 0:
         logger.info("capacity %d: dropping %d low-importance candidates", t_max, dropped)
-    return sorted_observations[:t_max]
+    return sorted_candidates.take(slice(0, t_max))

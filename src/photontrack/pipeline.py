@@ -2,8 +2,8 @@
 
 A pulse group is a plain ``(pulses, height, width)`` frame array.
 Groups are handled strictly in order by one loop on the calling
-thread: reduce the group to ranked observations, advance the tracker,
-emit the step's record.  That record is the tracker's own
+thread: reduce the group to a ranked table of candidates, advance the
+tracker, emit the step's record.  That record is the tracker's own
 ``StepRecord``, the entry its history ring holds: a run's result is
 the list of its StepRecords, ``StepRecord.step`` is the index of the
 group it came from, and each record's ``fwlink`` is filled when the
@@ -57,14 +57,14 @@ class RunConfig:
 
 def _reduce_group(frames, cfg: RunConfig, t_prev):
     """Histogram, denoise, label, extract and rank one group's frames;
-    returns (grid, observations, threshold used)."""
+    returns (grid, candidates, threshold used)."""
     grid = build_histogram(frames, cfg.sensor)
     mask, t_used = denoise(grid, cfg.denoise, t_prev)
     labels, _ = label_components(mask, cfg.connectivity)
-    observations = extract_observations(labels, grid)
-    observations = importance_sort(observations, cfg.tracker.importance)
-    observations = truncate_targets(observations, cfg.tracker.t_max)
-    return grid, observations, t_used
+    candidates = extract_observations(labels, grid)
+    candidates = importance_sort(candidates, cfg.tracker.importance)
+    candidates = truncate_targets(candidates, cfg.tracker.t_max)
+    return grid, candidates, t_used
 
 
 def run_groups(groups, cfg: RunConfig, on_step=None) -> list[StepRecord]:
@@ -84,8 +84,8 @@ def run_groups(groups, cfg: RunConfig, on_step=None) -> list[StepRecord]:
     steps: list[StepRecord] = []
     t_prev = None
     for group in groups:
-        grid, observations, t_prev = _reduce_group(group, cfg, t_prev)
-        tracker.step(observations)
+        grid, candidates, t_prev = _reduce_group(group, cfg, t_prev)
+        tracker.step(candidates)
         record = tracker.ring.latest
         if on_step is not None:
             on_step(replace(record, grid=grid))

@@ -1,7 +1,7 @@
 """Track lifecycle, fusion of old and new target lists, and history.
 
-A track is born from an unassociated observation, is refreshed whenever
-an observation associates with it, coasts on predictions while missed,
+A track is born from an unassociated candidate, is refreshed whenever
+a candidate associates with it, coasts on predictions while missed,
 and dies after too many consecutive misses.  Each step the surviving old
 tracks and the newly born ones are fused by one stable importance sort
 (old tracks first on ties) and truncated to the configured capacity.
@@ -39,7 +39,7 @@ from .kalman import (
     kf_predict,
     kf_update,
 )
-from .labeling import ImportanceConfig, TargetObservation, observation_score
+from .labeling import Candidates, ImportanceConfig, scores
 from .voxelizer import VoxelGrid
 
 logger = logging.getLogger(__name__)
@@ -78,12 +78,12 @@ class TrackerConfig:
 
 @dataclass
 class Track:
-    """A live track; its filters are its row of the tracker's banks."""
+    """A live track; its filters, candidate row and voxel cloud are its
+    row of the tracker's banks."""
 
     track_id: int
     state: TrackState
     bad_count: int
-    obs: TargetObservation
     features: FeatureVector | None = None
 
 
@@ -189,11 +189,13 @@ def reconstruct_backward(
 class Tracker:
     """Runs the per-step associate / update / fuse / record cycle.
 
-    The live tracks' filters are held as banks: row i of ``kf`` (the
-    centroids) and, under ``kalman_bbox``, of ``bbox_kf`` (the box
-    faces) belongs to ``tracks[i]``, and each step advances every row
-    with one predict, one update of the matched rows and one init of
-    the newborns per bank.
+    The live tracks are held as banks: row i of ``kf`` (the centroid
+    filters), under ``kalman_bbox`` of ``bbox_kf`` (the box face
+    filters), of ``obs`` (the first twelve columns of the candidate row
+    it last matched) and of ``clouds`` (that candidate's voxels, a copy)
+    belongs to ``tracks[i]``.  Each step advances every filter row with
+    one predict, one update of the matched rows and one init of the
+    newborns per bank.
     """
 
     def __init__(self, cfg: TrackerConfig):
@@ -205,6 +207,8 @@ class Tracker:
             if cfg.assoc.mode is AssocMode.KALMAN_BBOX
             else None
         )
+        self.obs = np.empty((0, 12))
+        self.clouds: list[np.ndarray] = []
         self.ring = HistoryRing()
         self._next_id = 1
         self._step = 0
@@ -222,7 +226,6 @@ class Tracker:
         """A predicted bank's rows, then its rows ``updated`` updated with
         measurements ``cols``, then rows started at the measurements
         ``born``; update and init run only when they have rows."""
-        measured = np.array(measured, dtype=np.float64).reshape(-1, bank.dim)
         banks = [bank]
         if updated:
             banks.append(update(bank.take(updated), measured[cols]))
@@ -230,41 +233,46 @@ class Tracker:
             banks.append(init(measured[born], self.cfg.kalman))
         return kf_concat(banks)
 
-    def step(self, observations: list[TargetObservation]) -> list[Track]:
+    def step(self, candidates: Candidates) -> list[Track]:
         """Advance one frame group.
 
-        ``observations`` must already be importance-sorted and truncated
-        to at most t_max entries; more than that means the upstream
-        stage skipped truncation, which is a configuration fault.
+        ``candidates`` must already be importance-sorted and truncated
+        to at most t_max rows; more than that means the upstream stage
+        skipped truncation, which is a configuration fault.
         """
-        if len(observations) > self.cfg.t_max:
+        if len(candidates) > self.cfg.t_max:
             raise ConfigViolationError(
-                f"{len(observations)} observations exceed capacity {self.cfg.t_max}"
+                f"{len(candidates)} candidates exceed capacity {self.cfg.t_max}"
             )
 
         kf = kf_predict(self.kf)
         bbox_kf = None if self.bbox_kf is None else bbox_kf_predict(self.bbox_kf)
         matches = resolve_matches(
             build_association_matrix(
-                self._gate_rows(kf, bbox_kf), observations, self.cfg.assoc
+                self._gate_rows(kf, bbox_kf), candidates, self.cfg.assoc
             )
         )
 
         # bank rows: the predicted rows, then the matched rows updated,
-        # then the newborns in observation order
+        # then the newborns in candidate order
         k = len(self.tracks)
         updated, cols = list(matches.fw), list(matches.fw.values())
-        born = sorted(set(range(len(observations))) - set(cols))
+        born = sorted(set(range(len(candidates))) - set(cols))
         rows_of = {i: k + n for n, i in enumerate(updated)}
         kf = self._advance(
-            kf, kf_update, kf_init, [obs.centroid for obs in observations],
-            updated, cols, born,
+            kf, kf_update, kf_init, candidates.centroid, updated, cols, born
         )
         if bbox_kf is not None:
             bbox_kf = self._advance(
-                bbox_kf, bbox_kf_update, bbox_kf_init,
-                [obs.bbox.faces for obs in observations], updated, cols, born,
+                bbox_kf, bbox_kf_update, bbox_kf_init, candidates.faces,
+                updated, cols, born,
             )
+        # the same row order for the candidate rows and the clouds; a
+        # cloud entering the bank is copied, so that no track keeps a
+        # whole step's voxels alive
+        entering = cols + born
+        obs = np.concatenate([self.obs, candidates.rows[entering, :12]])
+        clouds = self.clouds + [candidates.cloud(j).copy() for j in entering]
 
         # (track, bank row, previous slot if matched)
         fused: list[tuple[Track, int, int | None]] = []
@@ -276,7 +284,6 @@ class Tracker:
                     if t.state is TrackState.COASTING
                     else TrackState.MATCHED
                 )
-                t.obs = observations[j]
                 t.bad_count = 0
                 fused.append((t, rows_of[i], i))
             else:
@@ -291,38 +298,36 @@ class Tracker:
                 t.bad_count += 1
                 fused.append((t, i, None))
         for n, j in enumerate(born):
-            t = Track(self._next_id, TrackState.NEW, 0, observations[j])
+            t = Track(self._next_id, TrackState.NEW, 0)
             self._next_id += 1
             fused.append((t, k + len(updated) + n, None))
 
-        # one stable sort: on equal scores old tracks stay ahead of
-        # newborns, and each list keeps its own order
-        speeds = row_norms(kf.velocity)
-        merged = sorted(
-            fused,
-            key=lambda tr: observation_score(
-                tr[0].obs, self.cfg.importance, speeds[tr[1]]
-            ),
-            reverse=True,
-        )
-        if len(merged) > 2 * self.cfg.t_max:
+        if len(fused) > 2 * self.cfg.t_max:
             raise ConfigViolationError(
-                f"{len(merged)} fused tracks exceed twice the capacity {self.cfg.t_max}"
+                f"{len(fused)} fused tracks exceed twice the capacity {self.cfg.t_max}"
             )
-        if len(merged) > self.cfg.t_max:
+        if len(fused) > self.cfg.t_max:
             logger.info(
                 "capacity %d: dropping %d fused tracks",
                 self.cfg.t_max,
-                len(merged) - self.cfg.t_max,
+                len(fused) - self.cfg.t_max,
             )
-        top = merged[: self.cfg.t_max]
+        # one stable sort: on equal scores old tracks stay ahead of
+        # newborns, and each list keeps its own order
+        at = np.array([row for _, row, _ in fused], dtype=np.intp)
+        speeds = row_norms(kf.velocity)[at]
+        score = scores(obs[at], self.cfg.importance, speeds)
+        order = np.argsort(-score, kind="stable")[: self.cfg.t_max]
+        top = [fused[n] for n in order.tolist()]
         kept = [t for t, _, _ in top]
-        rows = [row for _, row, _ in top]
+        rows = at[order]
         self.kf = kf.take(rows)
         if bbox_kf is not None:
             self.bbox_kf = bbox_kf.take(rows)
+        self.obs = obs[rows]
+        self.clouds = [clouds[r] for r in rows.tolist()]
 
-        for t, f in zip(kept, compute_features(kept, self.kf)):
+        for t, f in zip(kept, compute_features(kept, self.kf, self.obs, self.clouds)):
             t.features = f
 
         bwlink = [prev for _, _, prev in top]

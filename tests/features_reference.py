@@ -78,27 +78,28 @@ def power_iteration(voxels: np.ndarray) -> tuple[np.ndarray, int | None]:
 
 
 def compute_features(track, prev: FeatureVector | None) -> FeatureVector:
-    """One track's descriptor from its filter ``track.kf``, cluster
-    ``track.obs`` and miss count ``track.bad_count``."""
+    """One track's descriptor from its filter ``track.kf``, candidate row
+    ``track.row`` (centroid, six faces, volume, total and peak photons),
+    voxel cloud ``track.cloud`` and miss count ``track.bad_count``."""
     velocity = np.asarray(track.kf.velocity, dtype=np.float64)
     if prev is None:
         accel, age = np.zeros(3), 1.0
     else:
         accel = velocity - (prev.velocity_x, prev.velocity_y, prev.velocity_z)
         age = prev.age + 1.0
-    obs = track.obs
-    centroid, faces = obs.centroid, obs.bbox.faces
+    row = track.row
+    centroid, faces = row[0:3], row[3:9]
     if track.bad_count:
         centroid = track.kf.position
-        shift = np.rint(centroid - obs.centroid).astype(int)
+        shift = np.rint(centroid - row[0:3]).astype(int)
         faces = np.add(faces, np.tile(shift, 2))
     return FeatureVector(
         *map(float, centroid),
         *map(float, faces),
-        float(obs.volume), float(obs.total_photons), float(obs.peak_photons),
+        *map(float, row[9:12]),
         *map(float, velocity),
         float(np.linalg.norm(velocity)),
         *map(float, accel),
-        *map(float, principal_orientation(obs.voxels)),
+        *map(float, principal_orientation(track.cloud)),
         age,
     )

@@ -12,11 +12,14 @@ finds it from a one-voxel window of its own smoothing.
 The references work on dense arrays.  ``grid_of`` and ``dense_labels``
 convert at the boundary: a dense count array to the library's
 occupied-voxel histogram, and the library's per-voxel labels to a
-dense label grid.
+dense label grid.  ``observations`` summarizes each component as one
+``Observation`` object, and ``candidates`` packs such objects into the
+library's ``Candidates`` table.
 """
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -27,11 +30,7 @@ from photontrack.denoise import (
     Scheme,
     gaussian_kernel,
 )
-from photontrack.labeling import (
-    BoundingBox,
-    TargetObservation,
-    neighbor_offsets,
-)
+from photontrack.labeling import BoundingBox, Candidates, neighbor_offsets
 from photontrack.voxelizer import VoxelGrid
 
 
@@ -250,7 +249,48 @@ def label_components(mask: np.ndarray, connectivity: int = 26):
     return labels, len(label_of_root)
 
 
-def extract_observations(labels: np.ndarray, grid) -> list[TargetObservation]:
+@dataclass(frozen=True)
+class Observation:
+    """One labeled cluster with its summary geometry and photon stats."""
+
+    label: int
+    voxels: np.ndarray
+    volume: int
+    bbox: BoundingBox
+    centroid: np.ndarray
+    total_photons: int
+    peak_photons: int
+
+
+def candidates(observations) -> Candidates:
+    """The library's table of ``observations``, one row each in order,
+    with their voxels end to end."""
+    rows, voxels, start = [], [np.zeros((0, 3), dtype=np.int64)], 0
+    for o in observations:
+        rows.append((*o.centroid, *o.bbox.faces, o.volume, o.total_photons,
+                     o.peak_photons, o.label, start))
+        voxels.append(np.asarray(o.voxels).reshape(-1, 3))
+        start += len(voxels[-1])
+    return Candidates(np.array(rows, dtype=np.float64).reshape(-1, 14),
+                      np.concatenate(voxels))
+
+
+def observation_score(obs: Observation, cfg, speed: float = 0.0) -> float:
+    """One observation's importance under ``cfg``, a Python float sum."""
+    values = {
+        "volume": float(obs.volume),
+        "speed": float(speed),
+        "total_photons": float(obs.total_photons),
+    }
+    return sum(w * values[k] for k, w in cfg.weights.items())
+
+
+def extract_observations(labels: np.ndarray, grid) -> Candidates:
+    """The table of ``observations``."""
+    return candidates(observations(labels, grid))
+
+
+def observations(labels: np.ndarray, grid) -> list[Observation]:
     """Component summaries from an ``argwhere`` scan of the labels."""
     counts = grid.counts if hasattr(grid, "counts") else np.asarray(grid)
     coords = np.argwhere(labels > 0)
@@ -261,7 +301,7 @@ def extract_observations(labels: np.ndarray, grid) -> list[TargetObservation]:
     coords = coords[order]
     vals = vals[order]
     bounds = np.searchsorted(vals, np.arange(1, vals[-1] + 2))
-    observations = []
+    out = []
     for lab, (a, b) in enumerate(zip(bounds[:-1], bounds[1:]), start=1):
         vox = coords[a:b]
         if len(vox) == 0:
@@ -272,8 +312,8 @@ def extract_observations(labels: np.ndarray, grid) -> list[TargetObservation]:
             centroid = (vox * w[:, None]).sum(axis=0) / total
         else:
             centroid = vox.mean(axis=0)
-        observations.append(
-            TargetObservation(
+        out.append(
+            Observation(
                 label=lab,
                 voxels=vox,
                 volume=len(vox),
@@ -286,4 +326,4 @@ def extract_observations(labels: np.ndarray, grid) -> list[TargetObservation]:
                 peak_photons=int(w.max()),
             )
         )
-    return observations
+    return out

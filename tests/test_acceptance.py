@@ -13,13 +13,13 @@ from collections import Counter, deque
 import numpy as np
 import pytest
 
-from frontend_reference import dense_labels
+from frontend_reference import Observation, candidates, dense_labels
 from photontrack.association import AssociationConfig
 from photontrack.cli import main
 from photontrack.denoise import DenoiseConfig, Fixed, Scheme, majority_rule, parzen_smooth
 from photontrack.errors import EntryEvictedError
 from photontrack.kalman import KalmanParams, KalmanState, kf_init, kf_predict, kf_update
-from photontrack.labeling import BoundingBox, TargetObservation, label_components
+from photontrack.labeling import BoundingBox, label_components
 from photontrack.pipeline import RunConfig, run_groups
 from photontrack.raw_ingest import SensorConfig, group_frames, parse_frames
 from photontrack.simulator import SceneSpec, TargetSpec, simulate, write_raw
@@ -356,7 +356,7 @@ def reference_automaton(script, max_coast):
 
 def _single_obs():
     vox = np.array([[x, y, z] for x in (4, 5, 6) for y in (4, 5, 6) for z in (49, 50, 51)])
-    return TargetObservation(
+    return Observation(
         label=1,
         voxels=vox,
         volume=27,
@@ -384,7 +384,7 @@ def test_acceptance_07_state_machine(report):
             tracker = Tracker(TrackerConfig(max_coast=max_coast))
             got = []
             for hit in script:
-                tracker.step([obs] if hit else [])
+                tracker.step(candidates([obs] if hit else []))
                 snaps = tracker.ring.latest.tracks
                 if snaps:
                     s = snaps[0]
@@ -438,7 +438,7 @@ def _random_stream(rng, n_steps=30):
                 ]
             )
             obs.append(
-                TargetObservation(
+                Observation(
                     label=len(obs) + 1,
                     voxels=vox,
                     volume=27,
@@ -492,7 +492,7 @@ def test_acceptance_08_link_consistency(report):
         rng = np.random.default_rng([901, run])
         tracker = Tracker(TrackerConfig())
         for obs in _random_stream(rng):
-            tracker.step(obs)
+            tracker.step(candidates(obs))
             problem = _check_ring(tracker.ring)
             if problem:
                 break

@@ -15,6 +15,7 @@ from photontrack.association import (
     resolve_matches,
 )
 from photontrack.labeling import BoundingBox
+from frontend_reference import Observation, candidates
 
 
 box_strategy = st.builds(
@@ -53,11 +54,19 @@ def _build(old, new, cfg):
         AssocMode.KALMAN_CENTROID: lambda r: r.kf.position,
         AssocMode.KALMAN_BBOX: lambda r: r.bbox_kf.position,
     }[cfg.mode]
-    return build_association_matrix([gate(r) for r in old], new, cfg)
+    return build_association_matrix([gate(r) for r in old], candidates(new), cfg)
 
 
 def _obs(bbox, centroid=(0.0, 0.0, 0.0)):
-    return SimpleNamespace(bbox=bbox, centroid=np.asarray(centroid, float))
+    return Observation(
+        label=1,
+        voxels=np.zeros((0, 3), dtype=int),
+        volume=0,
+        bbox=bbox,
+        centroid=np.asarray(centroid, float),
+        total_photons=0,
+        peak_photons=0,
+    )
 
 
 def _matches(a, b, e):

@@ -20,12 +20,13 @@ from photontrack.features import (
     principal_orientations,
 )
 from photontrack.kalman import KalmanParams, kf_init, kf_predict, kf_update
-from photontrack.labeling import BoundingBox, TargetObservation
+from photontrack.labeling import BoundingBox
 from photontrack.outputs import write_tracks_csv
 from photontrack.pipeline import run_tracking
 from photontrack.raw_ingest import SensorConfig
 from photontrack.simulator import SceneSpec, TargetSpec, simulate, write_raw
 from photontrack.track_manager import Track, Tracker, TrackerConfig, TrackState
+from frontend_reference import Observation, candidates
 from test_reference_outputs import REL_TOL
 
 EPS = np.finfo(np.float64).eps
@@ -130,7 +131,7 @@ def test_orientation_dominant_axis():
 
 def _obs(voxels, centroid=None, photons=40):
     voxels = np.asarray(voxels)
-    return TargetObservation(
+    return Observation(
         label=1,
         voxels=voxels,
         volume=len(voxels),
@@ -144,14 +145,20 @@ def _obs(voxels, centroid=None, photons=40):
     )
 
 
+def _bank(observations):
+    """The tracker's candidate rows and voxel clouds of ``observations``."""
+    table = candidates(observations)
+    return table.rows[:, :12], [table.cloud(i) for i in range(len(table))]
+
+
 def _features(centroid, velocity, voxels, prev=None):
     """One matched track's descriptor, from a bank of one filter."""
     kf = replace(
         kf_init(np.array([centroid], float), KalmanParams()),
         velocity=np.array([velocity], float),
     )
-    t = Track(1, TrackState.MATCHED, 0, _obs(voxels, centroid), prev)
-    return compute_features([t], kf)[0]
+    t = Track(1, TrackState.MATCHED, 0, prev)
+    return compute_features([t], kf, *_bank([_obs(voxels, centroid)]))[0]
 
 
 def test_compute_features_first_step_has_zero_accel():
@@ -352,12 +359,12 @@ def _filter_row(kf, i):
     return SimpleNamespace(position=kf.position[i], velocity=kf.velocity[i])
 
 
-def _same_but_orientation(got, want, obs):
+def _same_but_orientation(got, want, cloud):
     """Bit-equal to the one-track descriptor in every column but the
     orientation, which is the cloud's own ``principal_orientations``
     row (refereed against power iteration above)."""
     return _same_bits(got[:19] + got[22:], want[:19] + want[22:]) and _same_bits(
-        got[19:22], principal_orientation(obs.voxels)
+        got[19:22], principal_orientation(cloud)
     )
 
 
@@ -371,22 +378,26 @@ def test_compute_features_equals_one_track_reference():
         kf_init(rng.normal(10, 8, (k, 3)), KalmanParams()),
         velocity=rng.normal(0, 1, (k, 3)) * (rng.random((k, 1)) < 0.8),
     )
-    tracks = []
+    tracks, observations = [], []
     for i, vox in enumerate(clouds):
         vox = np.rint(vox * 3).astype(int) + 10
         prev = None
         if i % 3:
             prev = FeatureVector(*rng.normal(0, 5, 22), float(rng.integers(1, 9)))
-        tracks.append(Track(i, TrackState.MATCHED, i % 4 // 2, _obs(vox), prev))
-    got = compute_features(tracks, kf)
+        tracks.append(Track(i, TrackState.MATCHED, i % 4 // 2, prev))
+        observations.append(_obs(vox))
+    obs, bank = _bank(observations)
+    got = compute_features(tracks, kf, obs, bank)
     assert len(got) == k and {t.bad_count for t in tracks} == {0, 1}
     for i, (t, f) in enumerate(zip(tracks, got)):
         want = ref.compute_features(
-            SimpleNamespace(obs=t.obs, bad_count=t.bad_count, kf=_filter_row(kf, i)),
+            SimpleNamespace(
+                row=obs[i], cloud=bank[i], bad_count=t.bad_count, kf=_filter_row(kf, i)
+            ),
             t.features,
         )
-        assert type(f) is FeatureVector and _same_but_orientation(f, want, t.obs)
-    assert compute_features([], kf.take([])) == []
+        assert type(f) is FeatureVector and _same_but_orientation(f, want, bank[i])
+    assert compute_features([], kf.take([]), obs[:0], []) == []
 
 
 def test_tracker_features_equal_reference_under_kalman_bbox(monkeypatch):
@@ -396,11 +407,14 @@ def test_tracker_features_equal_reference_under_kalman_bbox(monkeypatch):
     batched = track_manager.compute_features
     seen = {"rows": 0, "coasting": 0}
 
-    def checked(tracks, kf):
-        got = batched(tracks, kf)
+    def checked(tracks, kf, obs, clouds):
+        got = batched(tracks, kf, obs, clouds)
         for i, (t, f) in enumerate(zip(tracks, got)):
-            row = SimpleNamespace(obs=t.obs, bad_count=t.bad_count, kf=_filter_row(kf, i))
-            assert _same_but_orientation(f, ref.compute_features(row, t.features), t.obs)
+            row = SimpleNamespace(
+                row=obs[i], cloud=clouds[i], bad_count=t.bad_count, kf=_filter_row(kf, i)
+            )
+            want = ref.compute_features(row, t.features)
+            assert _same_but_orientation(f, want, clouds[i])
             seen["rows"] += 1
             seen["coasting"] += t.bad_count > 0
         return got
@@ -420,5 +434,5 @@ def test_tracker_features_equal_reference_under_kalman_bbox(monkeypatch):
                 continue
             vox = np.rint(start + step * v + rng.normal(0, 1.2, (12, 3))).astype(int)
             obs.append(_obs(vox, photons=int(rng.integers(20, 80))))
-        tracker.step(obs)
+        tracker.step(candidates(obs))
     assert seen["rows"] > 100 and seen["coasting"] > 10

@@ -876,12 +876,8 @@ def assert_same_labels(mask, connectivity):
 def assert_same_observations(labels, counts):
     got = extract_observations(labels, ref.grid_of(counts))
     want = ref.extract_observations(ref.dense_labels(labels, counts.shape), counts)
-    assert len(got) == len(want)
-    for a, b in zip(got, want):
-        assert_same(a.voxels, b.voxels)
-        assert_same(a.centroid, b.centroid)
-        assert (a.label, a.volume, a.bbox) == (b.label, b.volume, b.bbox)
-        assert (a.total_photons, a.peak_photons) == (b.total_photons, b.peak_photons)
+    assert_same(got.rows, want.rows)
+    assert_same(got.voxels, want.voxels)
 
 
 @pytest.mark.parametrize("connectivity", CONNECTIVITIES)

@@ -53,3 +53,6 @@ def test_traced_child_calls_every_entry_point(tmp_path):
     # features call per step
     assert layers["kalman.calls"] <= 6
     assert layers["features.calls"] == 1
+    # the kept candidates are counted with len(), so a candidate table's
+    # length must be its row count, never more than the components
+    assert 0 < layers["labeling.kept_ratio"] <= 1

@@ -4,14 +4,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from photontrack import pipeline
 from photontrack.association import AssocMode, AssociationConfig
 from photontrack.errors import ConfigViolationError, EntryEvictedError
-from photontrack.labeling import (
-    BoundingBox,
-    ImportanceConfig,
-    TargetObservation,
-    importance_sort,
-)
+from photontrack.labeling import BoundingBox, ImportanceConfig, importance_sort
+from photontrack.raw_ingest import SensorConfig, group_frames
+from photontrack.simulator import SceneSpec, TargetSpec, simulate
 from photontrack.track_manager import (
     HISTORY_LEN,
     HistoryRing,
@@ -22,6 +20,7 @@ from photontrack.track_manager import (
     reconstruct_backward,
     reconstruct_forward,
 )
+from frontend_reference import Observation, candidates
 
 
 def make_obs(center, size=3, photons=50, label=1):
@@ -37,7 +36,7 @@ def make_obs(center, size=3, photons=50, label=1):
             for z in range(anchor[2] - h, anchor[2] + h + 1)
         ]
     )
-    return TargetObservation(
+    return Observation(
         label=label,
         voxels=vox,
         volume=len(vox),
@@ -53,7 +52,7 @@ def run_script(tracker, script):
     snapshots (live Track objects mutate, snapshots do not)."""
     out = []
     for obs in script:
-        tracker.step(obs)
+        tracker.step(candidates(obs))
         out.append(tracker.ring.latest.tracks)
     return out
 
@@ -113,25 +112,27 @@ def test_too_many_observations_rejected():
     tracker = Tracker(TrackerConfig(t_max=2))
     obs = [make_obs([5 + 8 * i, 5, 50], label=i + 1) for i in range(3)]
     with pytest.raises(ConfigViolationError):
-        tracker.step(obs)
+        tracker.step(candidates(obs))
 
 
 def test_fused_list_over_twice_capacity_rejected():
     tracker = Tracker(TrackerConfig(t_max=2))
-    tracker.step([make_obs([5, 5, 50], label=1), make_obs([25, 25, 500], label=2)])
+    tracker.step(
+        candidates([make_obs([5, 5, 50], label=1), make_obs([25, 25, 500], label=2)])
+    )
     # two live tracks against a capacity of one: two coasting plus one
     # newborn exceed 2 * t_max, which must raise even under python -O
     tracker.cfg = TrackerConfig(t_max=1)
     with pytest.raises(ConfigViolationError):
-        tracker.step([make_obs([15, 15, 300])])
+        tracker.step(candidates([make_obs([15, 15, 300])]))
 
 
 def test_capacity_prefers_high_importance():
     tracker = Tracker(TrackerConfig(t_max=2, importance=ImportanceConfig()))
     small = [make_obs([5, 5, 50], size=3), make_obs([25, 25, 500], size=3)]
     big = [make_obs([5, 20, 300], size=5), make_obs([25, 8, 200], size=5)]
-    tracker.step(small)
-    kept = tracker.step(big)  # far from the old pair: no matches
+    tracker.step(candidates(small))
+    kept = tracker.step(candidates(big))  # far from the old pair: no matches
     assert len(kept) == 2
     assert sorted(t.track_id for t in kept) == [3, 4]
     assert all(t.state is TrackState.NEW for t in kept)
@@ -139,10 +140,14 @@ def test_capacity_prefers_high_importance():
 
 def test_capacity_tie_keeps_the_old_track():
     tracker = Tracker(TrackerConfig(t_max=2))
-    tracker.step([make_obs([20, 20, 300], size=5), make_obs([5, 5, 50])])
+    tracker.step(
+        candidates([make_obs([20, 20, 300], size=5), make_obs([5, 5, 50])])
+    )
     # the small track misses and coasts while a newborn of the same
     # volume appears far away: both score 27 at the cut
-    kept = tracker.step([make_obs([20, 20, 301], size=5), make_obs([25, 5, 500])])
+    kept = tracker.step(
+        candidates([make_obs([20, 20, 301], size=5), make_obs([25, 5, 500])])
+    )
     assert [(t.track_id, t.state) for t in kept] == [
         (1, TrackState.MATCHED),
         (2, TrackState.COASTING),
@@ -204,8 +209,8 @@ def test_reconstruction_of_evicted_step_raises():
 def test_coasting_carries_the_box_along():
     tracker = Tracker(TrackerConfig())
     for step in range(5):
-        tracker.step([make_obs([5 + 2 * step, 5, 50])])
-    kept = tracker.step([])
+        tracker.step(candidates([make_obs([5 + 2 * step, 5, 50])]))
+    kept = tracker.step(candidates([]))
     t = kept[0]
     assert t.state is TrackState.COASTING
     # a coasting track is reported at its prediction; the filter has
@@ -213,12 +218,14 @@ def test_coasting_carries_the_box_along():
     # the last detection
     f = t.features
     assert (f.centroid_x, f.centroid_y, f.centroid_z) == tuple(tracker.kf.position[0])
-    shift = int(np.rint(f.centroid_x - t.obs.centroid[0]))
+    # the track's row of the candidate bank: centroid, then box faces
+    centroid, lo, hi = np.split(tracker.obs[0, :9], 3)
+    shift = int(np.rint(f.centroid_x - centroid[0]))
     assert shift >= 1
-    assert f.bbox_min_x == t.obs.bbox.min[0] + shift
-    assert f.bbox_max_x == t.obs.bbox.max[0] + shift
-    assert (f.bbox_min_y, f.bbox_min_z) == t.obs.bbox.min[1:]
-    assert (f.bbox_max_y, f.bbox_max_z) == t.obs.bbox.max[1:]
+    assert f.bbox_min_x == lo[0] + shift
+    assert f.bbox_max_x == hi[0] + shift
+    assert (f.bbox_min_y, f.bbox_min_z) == tuple(lo[1:])
+    assert (f.bbox_max_y, f.bbox_max_z) == tuple(hi[1:])
 
 
 def test_two_targets_keep_their_ids():
@@ -228,7 +235,7 @@ def test_two_targets_keep_their_ids():
             make_obs([5 + step * 0.5, 5, 50], label=1),
             make_obs([25 - step * 0.5, 20, 400], label=2),
         ]
-        tracker.step(obs)
+        tracker.step(candidates(obs))
     ids = {t.track_id for t in tracker.tracks}
     assert ids == {1, 2}
     assert all(t.state is TrackState.MATCHED for t in tracker.tracks)
@@ -244,7 +251,7 @@ def test_tracker_is_deterministic():
                 make_obs([5 + rng.normal(0, 0.3), 5, 50], label=1),
                 make_obs([25 + rng.normal(0, 0.3), 20, 400], label=2),
             ]
-            tracker.step(obs)
+            tracker.step(candidates(obs))
             out.append(
                 [
                     (s.track_id, s.state, s.bad_count, s.features[:3])
@@ -301,12 +308,13 @@ def test_tracker_invariants_over_random_streams(run, mode):
     tracker = Tracker(cfg)
     prev = None
     for observations in steps:
-        tracker.step(importance_sort(observations, cfg.importance))
+        tracker.step(importance_sort(candidates(observations), cfg.importance))
         entry = tracker.ring.latest
         ids = [s.track_id for s in entry.tracks]
         assert len(set(ids)) == len(ids) <= t_max
         assert all(0 <= s.bad_count <= max_coast for s in entry.tracks)
         assert len(entry.fwlink) == len(entry.bwlink) == len(ids)
+        assert len(tracker.obs) == len(tracker.clouds) == len(ids)
         if prev is None:
             assert entry.bwlink == [None] * len(ids)
         else:
@@ -317,3 +325,34 @@ def test_tracker_invariants_over_random_streams(run, mode):
                 assert p is None or prev.tracks[p].track_id == ids[s]
         assert entry.fwlink == [None] * len(ids)
         prev = entry
+
+
+def test_bank_clouds_own_their_memory(monkeypatch):
+    """Over a swarm of targets, more than ``t_max``, each live track's
+    voxel cloud is its own array, not a view of the voxels of the step
+    it was matched in, and the banks stay row-aligned with the tracks."""
+    steps = []
+
+    class Checked(Tracker):
+        def step(self, candidates):
+            kept = super().step(candidates)
+            assert len(self.obs) == len(self.clouds) == len(kept)
+            for cloud, row in zip(self.clouds, self.obs):
+                assert cloud.base is None and len(cloud) == row[9]
+            steps.append(len(kept))
+            return kept
+
+    monkeypatch.setattr(pipeline, "Tracker", Checked)
+    drift = ((0, (0.02, -0.01, 0.0)),)
+    targets = tuple(
+        TargetSpec((3, 3, 3), (4.0 + 6 * (k % 5), 5.0 + 7 * (k // 5), 60.0 + 40 * k),
+                   2.0, drift)
+        for k in range(12)
+    )
+    sensor = SensorConfig()
+    scene = SceneSpec(targets, noise_rate=50.0, n_groups=6, seed=3)
+    frames, _ = simulate(scene, sensor)
+    assoc = AssociationConfig(mode=AssocMode.KALMAN_BBOX)
+    cfg = pipeline.RunConfig(tracker=TrackerConfig(t_max=8, assoc=assoc))
+    pipeline.run_groups(group_frames(frames, sensor), cfg)
+    assert steps == [8] * 6
