@@ -46,6 +46,7 @@ sys.path.insert(0, str(ROOT / "perfbench"))  # child.build_scene imports workloa
 
 import photontrack  # noqa: E402
 import photontrack.denoise as denoise_module  # noqa: E402
+from _checkout import load_package  # noqa: E402
 from photontrack.denoise import (  # noqa: E402
     DenoiseConfig,
     Fixed,
@@ -121,21 +122,6 @@ def sweep(grids, cfg):
             raise SystemExit(f"{cfg}, group {i}: the seed windows change the result")
         t_prev = t_used
     return seeded, ms[False], ms[True]
-
-
-def load_package(checkout: Path):
-    """The ``src/photontrack`` package of another checkout, imported as
-    ``photontrack_against`` so that it sits beside this one's."""
-    package = Path(checkout).resolve() / "src" / "photontrack"
-    spec = importlib.util.spec_from_file_location(
-        "photontrack_against",
-        package / "__init__.py",
-        submodule_search_locations=[str(package)],
-    )
-    module = importlib.util.module_from_spec(spec)
-    sys.modules[spec.name] = module
-    spec.loader.exec_module(module)
-    return module
 
 
 def side_of(package, mode, sigmas):

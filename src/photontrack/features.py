@@ -5,10 +5,12 @@ step: position (3), bounding box (6), size and photon statistics (3),
 velocity and speed (4), acceleration (3), principal orientation (3) and
 age (1).  The field order of ``FeatureVector`` is the on-disk contract:
 it is the column order of the tracks CSV and must not be reshuffled.
+A track's first twelve fields and its orientation come from the
+candidate row it last matched (``labeling.Candidates``): the
+orientation is the principal axis of that row's voxel covariance.
 """
 from __future__ import annotations
 
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -67,31 +69,6 @@ _TIE = 1e-6
 _SIZABLE = 1e-8
 _EYE = np.eye(3).reshape(9, 1)
 _X = np.array([1.0, 0.0, 0.0])
-_POINT = np.zeros((1, 3))
-
-
-def covariances(clouds: list[np.ndarray]) -> np.ndarray:
-    """Coordinate covariance of each (n, 3) voxel cloud, as a (k, 3, 3)
-    array; an empty cloud has the zero covariance of one point.
-
-    All clouds' points are joined into one (3, N) array, and each
-    cloud's sums are one ``np.add.reduceat`` segment: the coordinates
-    for its mean, then the centred outer products.  Each sum runs in
-    point order, so an entry may differ from the cloud's own BLAS
-    ``c.T @ c / n`` by the rounding of two n-term dot products, at most
-    ``(n + 1) * eps * sqrt(Cii * Cjj)``.
-    """
-    if not clouds:
-        return np.zeros((0, 3, 3))
-    clouds = [v if len(v) else _POINT for v in clouds]
-    lens = [len(v) for v in clouds]
-    starts = [0, *accumulate(lens[:-1])]
-    n = np.array(lens)
-    pts = np.concatenate(clouds, dtype=np.float64).T
-    if pts.ndim != 2 or len(pts) != 3:
-        raise ValueError("voxels must be (k, 3)")
-    c = pts - np.repeat(np.add.reduceat(pts, starts, axis=1) / n, n, axis=1)
-    return (np.add.reduceat(c[:, None] * c, starts, axis=2) / n).transpose(2, 0, 1)
 
 
 def principal_axes(cov: np.ndarray) -> np.ndarray:
@@ -104,11 +81,11 @@ def principal_axes(cov: np.ndarray) -> np.ndarray:
     iteration converges from the start column s, the covariance column
     of largest norm (the first on ties): s projected onto the tied
     plane, ``V12 V12^T s`` normalized with V12 eigh's top two vectors,
-    computed as s less its part along the third.  A zero covariance (an
-    empty or one-point cloud) or a perfectly isotropic one, where no
-    direction is preferred, gives the +x unit vector.  The sign is
-    fixed by making the first component above _SIZABLE positive, since
-    an axis has no inherent direction.
+    computed as s less its part along the third.  A zero covariance (a
+    one-point cloud) or a perfectly isotropic one, where no direction is
+    preferred, gives the +x unit vector.  The sign is fixed by making
+    the first component above _SIZABLE positive, since an axis has no
+    inherent direction.
     """
     M = cov.transpose(1, 2, 0)
     mid = (M[0, 0] + M[1, 1] + M[2, 2]) / 3.0
@@ -129,22 +106,13 @@ def principal_axes(cov: np.ndarray) -> np.ndarray:
     return np.negative(axes, out=axes, where=(first < 0)[:, None])
 
 
-def principal_orientations(clouds: list[np.ndarray]) -> np.ndarray:
-    """Dominant axis of each voxel cloud, as the rows of a (k, 3) array
-    of unit vectors: ``principal_axes`` of the clouds' ``covariances``."""
-    return principal_axes(covariances(clouds))
-
-
-def compute_features(
-    tracks: list, kf, obs: np.ndarray, clouds: list[np.ndarray]
-) -> list[FeatureVector]:
+def compute_features(tracks: list, kf, obs) -> list[FeatureVector]:
     """Refresh every track's descriptor from its filter and cluster.
 
     Row i of the filter bank ``kf`` is ``tracks[i]``'s filter, row i of
-    the ``(k, 12)`` array ``obs`` the first twelve columns of the
-    candidate row it last matched (``Candidates.rows``), ``clouds[i]``
-    that candidate's voxels, and ``tracks[i].features`` its previous
-    row (None on its first step).
+    the ``Candidates`` table ``obs`` the candidate row it last matched,
+    and ``tracks[i].features`` its previous row (None on its first
+    step).
     Acceleration is the first difference of the filter velocity between
     consecutive steps (zero on the first step), and age counts the steps
     the track has lived (1 on the first, ``prev.age + 1`` after that).
@@ -158,7 +126,7 @@ def compute_features(
     if not tracks:
         return []
     rows = np.empty((len(tracks), 23))
-    rows[:, :12] = obs
+    rows[:, :12] = obs.rows[:, :12]
     coast = [i for i, t in enumerate(tracks) if t.bad_count]
     if coast:
         moved = kf.position[coast]
@@ -172,6 +140,6 @@ def compute_features(
     rows[:, 15] = row_norms(kf.velocity)
     rows[:, 16:19] = kf.velocity - prev[:, :3]
     rows[[i for i, t in enumerate(tracks) if t.features is None], 16:19] = 0.0
-    rows[:, 19:22] = principal_orientations(clouds)
+    rows[:, 19:22] = principal_axes(obs.covariance)
     rows[:, 22] = prev[:, 3] + 1.0
     return [FeatureVector(*row) for row in rows.tolist()]

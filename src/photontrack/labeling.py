@@ -8,8 +8,11 @@ over the same mask always agree.
 
 Labels are held for the set voxels only (:class:`Labels`), and every
 component is summarized from them in a few whole-array reductions, as
-one row of a :class:`Candidates` table.  Ranking and truncation reorder
-and cut that table's rows.
+one row of a :class:`Candidates` table: its geometry, its photons and
+its voxels' coordinate covariance, from which a track's orientation is
+taken.  Ranking and truncation reorder and cut that table's rows, and
+the tracker keeps the rows its tracks last matched; no stage after
+extraction reads a voxel.
 """
 from __future__ import annotations
 
@@ -130,18 +133,16 @@ def label_components(mask: np.ndarray, connectivity: int = 26) -> tuple[Labels, 
 class Candidates:
     """Candidate targets, one row each, in one table.
 
-    ``rows`` is a ``(k, 14)`` float64 array.  Its columns 0-11 are
+    ``rows`` is a ``(k, 22)`` float64 array.  Its columns 0-11 are
     ``FeatureVector``'s first twelve fields: the centroid, the six box
     faces (min xyz, then max xyz), the volume, and the total and peak
-    photons.  Column 12 is the component's label and column 13 where
-    its voxels start in ``voxels``, the ``(m, 3)`` coordinates of every
-    labeled voxel sorted by component, which all rows share.  Labels,
+    photons.  Columns 12-20 are the 3x3 coordinate covariance of the
+    component's voxels, row-major, and column 21 is its label.  Labels,
     counts and coordinates are integers below 2**53, so float64 holds
     them exactly.
     """
 
     rows: np.ndarray
-    voxels: np.ndarray
 
     def __len__(self) -> int:
         return len(self.rows)
@@ -167,18 +168,37 @@ class Candidates:
         return self.rows[:, 11]
 
     @property
-    def label(self) -> np.ndarray:
-        return self.rows[:, 12]
+    def covariance(self) -> np.ndarray:
+        """The ``(k, 3, 3)`` covariances, a view of ``rows``."""
+        return self.rows[:, 12:21].reshape(-1, 3, 3)
 
-    def cloud(self, i: int) -> np.ndarray:
-        """The voxels of row ``i``, a view of ``voxels``."""
-        start, volume = int(self.rows[i, 13]), int(self.rows[i, 9])
-        return self.voxels[start : start + volume]
+    @property
+    def label(self) -> np.ndarray:
+        return self.rows[:, 21]
 
     def take(self, rows) -> Candidates:
         """The table of rows ``rows`` (an index array or a slice), in
-        that order; the voxels are shared, not gathered."""
-        return Candidates(self.rows[rows], self.voxels)
+        that order."""
+        return Candidates(self.rows[rows])
+
+
+def covariances(voxels: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Coordinate covariance of each run of an ``(m, 3)`` voxel array,
+    as a ``(k, 3, 3)`` array; run i is ``voxels[starts[i]:starts[i + 1]]``
+    (the last runs to the end), and no run is empty.
+
+    Each run's sums are one ``np.add.reduceat`` segment over the float64
+    ``(3, m)`` points: the coordinates for its mean, then the centred
+    outer products.  Each sum runs in point order, so a run's entries
+    are the ones it gives alone (``starts=[0]``), and may differ from
+    its own BLAS ``c.T @ c / n`` by the rounding of two n-term dot
+    products, at most ``(n + 1) * eps * sqrt(Cii * Cjj)``.
+    """
+    pts = np.asarray(voxels, dtype=np.float64).T
+    starts = np.asarray(starts, dtype=np.intp)
+    n = np.concatenate((starts[1:], [pts.shape[1]])) - starts
+    c = pts - np.repeat(np.add.reduceat(pts, starts, axis=1) / n, n, axis=1)
+    return (np.add.reduceat(c[:, None] * c, starts, axis=2) / n).transpose(2, 0, 1)
 
 
 def extract_observations(labels: Labels, grid: VoxelGrid) -> Candidates:
@@ -192,7 +212,8 @@ def extract_observations(labels: Labels, grid: VoxelGrid) -> Candidates:
     component keeps C order within each component, and each component's
     sums, minima and maxima are one ``reduceat`` per quantity.  Counts
     and coordinates are integers, so every sum is exact (below 2**53)
-    and each centroid is one rounding of the exact quotient.
+    and each centroid is one rounding of the exact quotient.  The
+    covariances are unweighted, from ``covariances``.
     """
     order = np.argsort(labels.component, kind="stable")
     flat, component = labels.flat[order], labels.component[order]
@@ -212,16 +233,16 @@ def extract_observations(labels: Labels, grid: VoxelGrid) -> Candidates:
         np.add.reduceat(voxels * weights[:, None], starts),
         np.add.reduceat(voxels, starts),
     )
-    rows = np.empty((len(starts), 14))
+    rows = np.empty((len(starts), 22))
     rows[:, 0:3] = num / np.where(weighted, total, volume)[:, None]
     rows[:, 3:6] = np.minimum.reduceat(voxels, starts)
     rows[:, 6:9] = np.maximum.reduceat(voxels, starts)
     rows[:, 9] = volume
     rows[:, 10] = total
     rows[:, 11] = np.maximum.reduceat(weights, starts)
-    rows[:, 12] = component[starts]
-    rows[:, 13] = starts
-    return Candidates(rows, voxels)
+    rows[:, 12:21] = covariances(voxels, starts).reshape(-1, 9)
+    rows[:, 21] = component[starts]
+    return Candidates(rows)
 
 
 _IMPORTANCE_KEYS = ("volume", "speed", "total_photons")

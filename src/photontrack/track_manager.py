@@ -78,8 +78,8 @@ class TrackerConfig:
 
 @dataclass
 class Track:
-    """A live track; its filters, candidate row and voxel cloud are its
-    row of the tracker's banks."""
+    """A live track; its filters and candidate row are its row of the
+    tracker's banks."""
 
     track_id: int
     state: TrackState
@@ -191,10 +191,10 @@ class Tracker:
 
     The live tracks are held as banks: row i of ``kf`` (the centroid
     filters), under ``kalman_bbox`` of ``bbox_kf`` (the box face
-    filters), of ``obs`` (the first twelve columns of the candidate row
-    it last matched) and of ``clouds`` (that candidate's voxels, a copy)
-    belongs to ``tracks[i]``.  Each step advances every filter row with
-    one predict, one update of the matched rows and one init of the
+    filters) and of ``obs`` (a ``Candidates`` table of the candidate
+    rows they last matched, covariance columns included) belongs to
+    ``tracks[i]``.  Each step advances every filter row with one
+    predict, one update of the matched rows and one init of the
     newborns per bank.
     """
 
@@ -207,8 +207,7 @@ class Tracker:
             if cfg.assoc.mode is AssocMode.KALMAN_BBOX
             else None
         )
-        self.obs = np.empty((0, 12))
-        self.clouds: list[np.ndarray] = []
+        self.obs = Candidates(np.empty((0, 22)))
         self.ring = HistoryRing()
         self._next_id = 1
         self._step = 0
@@ -267,12 +266,9 @@ class Tracker:
                 bbox_kf, bbox_kf_update, bbox_kf_init, candidates.faces,
                 updated, cols, born,
             )
-        # the same row order for the candidate rows and the clouds; a
-        # cloud entering the bank is copied, so that no track keeps a
-        # whole step's voxels alive
-        entering = cols + born
-        obs = np.concatenate([self.obs, candidates.rows[entering, :12]])
-        clouds = self.clouds + [candidates.cloud(j).copy() for j in entering]
+        # the candidate rows in the same order: the old rows, then the
+        # matched and the newborn candidates' rows
+        obs = Candidates(np.concatenate([self.obs.rows, candidates.rows[cols + born]]))
 
         # (track, bank row, previous slot if matched)
         fused: list[tuple[Track, int, int | None]] = []
@@ -316,7 +312,7 @@ class Tracker:
         # newborns, and each list keeps its own order
         at = np.array([row for _, row, _ in fused], dtype=np.intp)
         speeds = row_norms(kf.velocity)[at]
-        score = scores(obs[at], self.cfg.importance, speeds)
+        score = scores(obs.rows[at], self.cfg.importance, speeds)
         order = np.argsort(-score, kind="stable")[: self.cfg.t_max]
         top = [fused[n] for n in order.tolist()]
         kept = [t for t, _, _ in top]
@@ -324,10 +320,9 @@ class Tracker:
         self.kf = kf.take(rows)
         if bbox_kf is not None:
             self.bbox_kf = bbox_kf.take(rows)
-        self.obs = obs[rows]
-        self.clouds = [clouds[r] for r in rows.tolist()]
+        self.obs = obs.take(rows)
 
-        for t, f in zip(kept, compute_features(kept, self.kf, self.obs, self.clouds)):
+        for t, f in zip(kept, compute_features(kept, self.kf, self.obs)):
             t.features = f
 
         bwlink = [prev for _, _, prev in top]

@@ -4,11 +4,12 @@
 builds for all of a step's tracks in one call, reading the track's own
 filter ``track.kf``; tests require equal bits in every column but the
 orientation.  ``principal_orientation`` is power iteration on one
-cloud's covariance, with every norm through ``np.linalg.norm``.  The
-library solves all clouds with one ``np.linalg.eigh`` instead, so tests
-compare orientations by accuracy: ``power_iteration`` also returns the
-steps the iteration took to meet its stopping rule, and ``covariance``
-is the one-cloud ``c.T @ c / n`` the library's batched sums are held to.
+cloud's covariance, with every norm through ``np.linalg.norm``, and
+``iterate`` the same on a given covariance.  The library solves all
+covariances with one ``np.linalg.eigh`` instead, so tests compare
+orientations by accuracy: ``power_iteration`` also returns the steps the
+iteration took to meet its stopping rule, and ``covariance`` is the
+one-cloud ``c.T @ c / n`` the library's batched sums are held to.
 """
 from __future__ import annotations
 
@@ -43,10 +44,14 @@ def power_iteration(voxels: np.ndarray) -> tuple[np.ndarray, int | None]:
     pts = np.asarray(voxels, dtype=np.float64)
     if pts.ndim != 2 or pts.shape[1] != 3:
         raise ValueError("voxels must be (k, 3)")
-    fallback = np.array([1.0, 0.0, 0.0])
     if len(pts) == 0:
-        return fallback, 0
-    C = covariance(pts)
+        return np.array([1.0, 0.0, 0.0]), 0
+    return iterate(covariance(pts))
+
+
+def iterate(C: np.ndarray) -> tuple[np.ndarray, int | None]:
+    """``power_iteration`` on the 3x3 covariance ``C``."""
+    fallback = np.array([1.0, 0.0, 0.0])
     tr = float(np.trace(C))
     if tr <= 0:
         return fallback, 0
@@ -79,8 +84,9 @@ def power_iteration(voxels: np.ndarray) -> tuple[np.ndarray, int | None]:
 
 def compute_features(track, prev: FeatureVector | None) -> FeatureVector:
     """One track's descriptor from its filter ``track.kf``, candidate row
-    ``track.row`` (centroid, six faces, volume, total and peak photons),
-    voxel cloud ``track.cloud`` and miss count ``track.bad_count``."""
+    ``track.row`` (centroid, six faces, volume, total and peak photons,
+    then the covariance, row-major, as in ``Candidates.rows``) and miss
+    count ``track.bad_count``."""
     velocity = np.asarray(track.kf.velocity, dtype=np.float64)
     if prev is None:
         accel, age = np.zeros(3), 1.0
@@ -100,6 +106,6 @@ def compute_features(track, prev: FeatureVector | None) -> FeatureVector:
         *map(float, velocity),
         float(np.linalg.norm(velocity)),
         *map(float, accel),
-        *map(float, principal_orientation(track.cloud)),
+        *map(float, iterate(row[12:21].reshape(3, 3))[0]),
         age,
     )

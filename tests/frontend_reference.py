@@ -14,7 +14,10 @@ convert at the boundary: a dense count array to the library's
 occupied-voxel histogram, and the library's per-voxel labels to a
 dense label grid.  ``observations`` summarizes each component as one
 ``Observation`` object, and ``candidates`` packs such objects into the
-library's ``Candidates`` table.
+library's ``Candidates`` table.  The table's covariance columns come
+from one BLAS product per cloud, where the library sums in point order,
+so ``assert_same_rows`` holds them to the rounding bound of those sums
+and every other column to equal bytes.
 """
 from __future__ import annotations
 
@@ -32,6 +35,7 @@ from photontrack.denoise import (
 )
 from photontrack.labeling import BoundingBox, Candidates, neighbor_offsets
 from photontrack.voxelizer import VoxelGrid
+from features_reference import covariance
 
 
 def grid_of(counts) -> VoxelGrid:
@@ -263,16 +267,31 @@ class Observation:
 
 
 def candidates(observations) -> Candidates:
-    """The library's table of ``observations``, one row each in order,
-    with their voxels end to end."""
-    rows, voxels, start = [], [np.zeros((0, 3), dtype=np.int64)], 0
+    """The library's table of ``observations``, one row each in order.
+    A row's covariance columns are its cloud's one-cloud ``c.T @ c / n``
+    (``features_reference.covariance``), zero for an empty cloud."""
+    rows = []
     for o in observations:
+        voxels = np.asarray(o.voxels).reshape(-1, 3)
+        cov = covariance(voxels) if len(voxels) else np.zeros((3, 3))
         rows.append((*o.centroid, *o.bbox.faces, o.volume, o.total_photons,
-                     o.peak_photons, o.label, start))
-        voxels.append(np.asarray(o.voxels).reshape(-1, 3))
-        start += len(voxels[-1])
-    return Candidates(np.array(rows, dtype=np.float64).reshape(-1, 14),
-                      np.concatenate(voxels))
+                     o.peak_photons, *cov.ravel(), o.label))
+    return Candidates(np.array(rows, dtype=np.float64).reshape(-1, 22))
+
+
+def assert_same_rows(got: np.ndarray, want: np.ndarray) -> None:
+    """Two ``Candidates.rows`` arrays: every column equal as bytes but
+    the covariances, each entry of which lies within (n + 1) eps
+    sqrt(Cii Cjj) of the other's, n the row's volume, the bound on the
+    rounding of either n-term dot product."""
+    assert got.dtype == want.dtype and got.shape == want.shape
+    cov = slice(12, 21)
+    rest = [np.delete(rows, cov, axis=1).tobytes() for rows in (got, want)]
+    assert rest[0] == rest[1]
+    diag = want[:, [12, 16, 20]]
+    scale = np.sqrt(diag[:, :, None] * diag[:, None, :]).reshape(-1, 9)
+    bound = (want[:, 9:10] + 1) * np.finfo(np.float64).eps * scale
+    assert (np.abs(got[:, cov] - want[:, cov]) <= bound).all()
 
 
 def observation_score(obs: Observation, cfg, speed: float = 0.0) -> float:

@@ -6,6 +6,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import features_reference as ref
 from photontrack import features, track_manager
@@ -15,12 +17,10 @@ from photontrack.features import (
     FEATURE_NAMES,
     FeatureVector,
     compute_features,
-    covariances,
     principal_axes,
-    principal_orientations,
 )
 from photontrack.kalman import KalmanParams, kf_init, kf_predict, kf_update
-from photontrack.labeling import BoundingBox
+from photontrack.labeling import BoundingBox, covariances
 from photontrack.outputs import write_tracks_csv
 from photontrack.pipeline import run_tracking
 from photontrack.raw_ingest import SensorConfig
@@ -32,9 +32,20 @@ from test_reference_outputs import REL_TOL
 EPS = np.finfo(np.float64).eps
 
 
+def _joined(clouds):
+    """Non-empty clouds as runs of one voxel array, and the runs' starts."""
+    return np.concatenate(clouds), np.cumsum([0] + [len(c) for c in clouds[:-1]])
+
+
+def orientations(clouds):
+    """The orientations of non-empty clouds, from one batch: the
+    principal axes of their covariances as runs of one voxel array."""
+    return principal_axes(covariances(*_joined(clouds)))
+
+
 def principal_orientation(voxels):
     """The orientation of one cloud, from a batch of one."""
-    return principal_orientations([voxels])[0]
+    return orientations([voxels])[0]
 
 
 def test_feature_name_contract():
@@ -112,7 +123,7 @@ def test_orientation_is_translation_invariant():
 
 
 def test_orientation_degenerate_fallbacks():
-    np.testing.assert_array_equal(principal_orientation(np.zeros((0, 3))), [1, 0, 0])
+    np.testing.assert_array_equal(principal_axes(np.zeros((1, 3, 3)))[0], [1, 0, 0])
     np.testing.assert_array_equal(
         principal_orientation(np.array([[4, 5, 6]])), [1, 0, 0]
     )
@@ -145,12 +156,6 @@ def _obs(voxels, centroid=None, photons=40):
     )
 
 
-def _bank(observations):
-    """The tracker's candidate rows and voxel clouds of ``observations``."""
-    table = candidates(observations)
-    return table.rows[:, :12], [table.cloud(i) for i in range(len(table))]
-
-
 def _features(centroid, velocity, voxels, prev=None):
     """One matched track's descriptor, from a bank of one filter."""
     kf = replace(
@@ -158,7 +163,7 @@ def _features(centroid, velocity, voxels, prev=None):
         velocity=np.array([velocity], float),
     )
     t = Track(1, TrackState.MATCHED, 0, prev)
-    return compute_features([t], kf, *_bank([_obs(voxels, centroid)]))[0]
+    return compute_features([t], kf, candidates([_obs(voxels, centroid)]))[0]
 
 
 def test_compute_features_first_step_has_zero_accel():
@@ -249,7 +254,7 @@ def _assert_accurate(axis, voxels):
     if steps == 0:  # a degenerate cloud
         assert _same_bits(axis, vref)
         return
-    C = covariances([voxels])[0]
+    C = covariances(voxels, [0])[0]
     l3, l2, l1 = np.linalg.eigvalsh(C)
     tied = l1 - l2 <= features._TIE * l1
     slack = 4 * EPS * l1 + (l1 - l2) * tied
@@ -271,7 +276,7 @@ def test_orientation_agrees_with_power_iteration_reference():
     to sign: the reference may pick its sign by a component its own
     stopping error leaves."""
     clouds = list(_orientation_clouds())
-    got = principal_orientations(clouds)
+    got = orientations(clouds)
     assert got.shape == (len(clouds), 3)
     capped = 0
     for row, vox in zip(got, clouds):
@@ -281,37 +286,43 @@ def test_orientation_agrees_with_power_iteration_reference():
 
 
 def test_orientation_batch_mixes_degenerate_and_capped_clouds():
-    """Fallback clouds (empty, one point, an isotropic cube) between
-    near-tied clouds leave every other row as the one-cloud call gives
-    it, bit for bit, and each row accurate."""
+    """Fallback clouds (one point, an isotropic cube) between near-tied
+    clouds leave every other row as the one-cloud call gives it, bit
+    for bit, and each row accurate."""
     capped = list(_orientation_clouds())[-3:]
-    degenerate = [np.zeros((0, 3)), np.array([[4, 5, 6]]), _box(3, 3, 3)]
+    degenerate = [np.array([[4, 5, 6]]), _box(3, 3, 3), np.array([[0, 9, 1]])]
     clouds = [c for pair in zip(degenerate, capped) for c in pair]
-    clouds += [capped[0], np.zeros((0, 3)), capped[0]]
-    got = principal_orientations(clouds)
+    clouds += [capped[0], np.array([[7, 0, 2]]), capped[0]]
+    got = orientations(clouds)
     for row, vox in zip(got, clouds):
         assert _same_bits(row, principal_orientation(vox))
         _assert_accurate(row, vox)
     np.testing.assert_array_equal(got[[0, 2, 4, 7]], [[1, 0, 0]] * 4)
-    assert principal_orientations([]).shape == (0, 3)
+    assert principal_axes(np.zeros((0, 3, 3))).shape == (0, 3)
+
+
+def _runs(rng, most):
+    """1 to ``most`` integer voxel runs of 1-299 voxels each."""
+    return [
+        rng.integers(0, rng.integers(2, 40), (rng.integers(1, 300), 3))
+        + rng.integers(0, 400, 3)
+        for _ in range(rng.integers(1, most + 1))
+    ]
 
 
 def test_covariances_are_each_clouds_own_product_to_rounding():
-    """On random integer clouds of 1-299 voxels, mixed with empty and
-    one-point clouds, every batched entry is within (n + 1) eps
-    sqrt(Cii Cjj) of the cloud's own BLAS ``c.T @ c / n``, the bound on
-    either n-term dot product's rounding; the degenerate clouds have
-    zero covariance and give exactly the +x axis."""
+    """On random integer clouds of 1-299 voxels, mixed with one-point
+    clouds, every batched entry is within (n + 1) eps sqrt(Cii Cjj) of
+    the cloud's own BLAS ``c.T @ c / n``, the bound on either n-term dot
+    product's rounding; a one-point cloud has zero covariance and gives
+    exactly the +x axis."""
     rng = np.random.default_rng(37)
     for _ in range(150):
-        clouds = [
-            rng.integers(0, rng.integers(2, 40), (rng.integers(1, 300), 3))
-            + rng.integers(0, 400, 3)
-            for _ in range(rng.integers(1, 10))
-        ]
-        for vox in (np.zeros((0, 3), int), rng.integers(0, 400, (1, 3))):
-            clouds.insert(rng.integers(0, len(clouds) + 1), vox)
-        got = covariances(clouds)
+        clouds = _runs(rng, 9)
+        for _ in range(2):
+            at = rng.integers(0, len(clouds) + 1)
+            clouds.insert(at, rng.integers(0, 400, (1, 3)))
+        got = covariances(*_joined(clouds))
         for C, vox in zip(got, clouds):
             if len(vox) < 2:
                 assert _same_bits(C, np.zeros((3, 3)))
@@ -321,8 +332,23 @@ def test_covariances_are_each_clouds_own_product_to_rounding():
             assert (np.abs(C - want) <= (len(vox) + 1) * EPS * scale).all()
         few = [i for i, vox in enumerate(clouds) if len(vox) < 2]
         np.testing.assert_array_equal(
-            principal_orientations(clouds)[few], [[1.0, 0.0, 0.0]] * len(few)
+            principal_axes(got)[few], [[1.0, 0.0, 0.0]] * len(few)
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_covariance_of_a_run_is_the_run_alone(seed):
+    """Each run's covariance, among 1-12 runs of 1-299 integer voxels,
+    equals bit for bit the run's covariance computed alone, so a
+    covariance stored when a component is extracted is the one its
+    cloud would give in any later batch.  Runs longer than 8 voxels are
+    where numpy's pairwise summation takes effect."""
+    clouds = _runs(np.random.default_rng(seed), 12)
+    got = covariances(*_joined(clouds))
+    assert got.shape == (len(clouds), 3, 3)
+    for C, vox in zip(got, clouds):
+        assert _same_bits(C, covariances(vox, [0])[0])
 
 
 def test_orientation_is_stable_under_rounding():
@@ -359,12 +385,12 @@ def _filter_row(kf, i):
     return SimpleNamespace(position=kf.position[i], velocity=kf.velocity[i])
 
 
-def _same_but_orientation(got, want, cloud):
+def _same_but_orientation(got, want, row):
     """Bit-equal to the one-track descriptor in every column but the
-    orientation, which is the cloud's own ``principal_orientations``
-    row (refereed against power iteration above)."""
+    orientation, which is the candidate row's own one-row
+    ``principal_axes`` (refereed against power iteration above)."""
     return _same_bits(got[:19] + got[22:], want[:19] + want[22:]) and _same_bits(
-        got[19:22], principal_orientation(cloud)
+        got[19:22], principal_axes(row[12:21].reshape(1, 3, 3))[0]
     )
 
 
@@ -386,18 +412,17 @@ def test_compute_features_equals_one_track_reference():
             prev = FeatureVector(*rng.normal(0, 5, 22), float(rng.integers(1, 9)))
         tracks.append(Track(i, TrackState.MATCHED, i % 4 // 2, prev))
         observations.append(_obs(vox))
-    obs, bank = _bank(observations)
-    got = compute_features(tracks, kf, obs, bank)
+    obs = candidates(observations)
+    got = compute_features(tracks, kf, obs)
     assert len(got) == k and {t.bad_count for t in tracks} == {0, 1}
     for i, (t, f) in enumerate(zip(tracks, got)):
+        row = obs.rows[i]
         want = ref.compute_features(
-            SimpleNamespace(
-                row=obs[i], cloud=bank[i], bad_count=t.bad_count, kf=_filter_row(kf, i)
-            ),
+            SimpleNamespace(row=row, bad_count=t.bad_count, kf=_filter_row(kf, i)),
             t.features,
         )
-        assert type(f) is FeatureVector and _same_but_orientation(f, want, bank[i])
-    assert compute_features([], kf.take([]), obs[:0], []) == []
+        assert type(f) is FeatureVector and _same_but_orientation(f, want, row)
+    assert compute_features([], kf.take([]), obs.take([])) == []
 
 
 def test_tracker_features_equal_reference_under_kalman_bbox(monkeypatch):
@@ -407,14 +432,13 @@ def test_tracker_features_equal_reference_under_kalman_bbox(monkeypatch):
     batched = track_manager.compute_features
     seen = {"rows": 0, "coasting": 0}
 
-    def checked(tracks, kf, obs, clouds):
-        got = batched(tracks, kf, obs, clouds)
+    def checked(tracks, kf, obs):
+        got = batched(tracks, kf, obs)
         for i, (t, f) in enumerate(zip(tracks, got)):
-            row = SimpleNamespace(
-                row=obs[i], cloud=clouds[i], bad_count=t.bad_count, kf=_filter_row(kf, i)
-            )
-            want = ref.compute_features(row, t.features)
-            assert _same_but_orientation(f, want, clouds[i])
+            row = obs.rows[i]
+            track = SimpleNamespace(row=row, bad_count=t.bad_count, kf=_filter_row(kf, i))
+            want = ref.compute_features(track, t.features)
+            assert _same_but_orientation(f, want, row)
             seen["rows"] += 1
             seen["coasting"] += t.bad_count > 0
         return got

@@ -107,7 +107,10 @@ def test_observation_geometry():
     labels, _ = label_components(mask, 26)
     obs = extract_observations(labels, grid_of(grid))
     assert tuple(obs.faces[0]) == BoundingBox((1, 2, 2), (3, 2, 2)).faces
-    assert obs.cloud(0).shape == (3, 3)
+    # x is 1, 2, 3: a variance of 2/3 along x and none across
+    np.testing.assert_array_equal(
+        obs.covariance[0], [[2 / 3, 0, 0], [0, 0, 0], [0, 0, 0]]
+    )
 
 
 def test_bounding_box_validation():
@@ -169,7 +172,8 @@ def test_score_overflow_is_quiet_and_nan_sorts_last():
 def test_ranking_equals_reference_objects_sorted_and_sliced():
     """The kept rows are the reference's objects sorted by descending
     Python-summed score, ties in label order, and cut to ``t_max``:
-    every column, in order, and the voxel clouds."""
+    every column, in order, the covariances to the rounding of the
+    reference's one-cloud products."""
     rng = np.random.default_rng(5)
     counts = rng.integers(1, 4, (14, 14, 14)) * (rng.random((14, 14, 14)) < 0.12)
     labels, n = label_components(counts > 0, 6)
@@ -190,8 +194,7 @@ def test_ranking_equals_reference_objects_sorted_and_sliced():
     assert got.volume.tolist() == [o.volume for o in want]
     assert got.total_photons.tolist() == [o.total_photons for o in want]
     assert got.peak_photons.tolist() == [o.peak_photons for o in want]
-    for i, o in enumerate(want):
-        np.testing.assert_array_equal(got.cloud(i), o.voxels)
+    ref.assert_same_rows(got.rows, candidates(want).rows)
 
 
 def test_importance_config_validation():

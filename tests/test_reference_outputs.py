@@ -34,6 +34,10 @@ files and state the largest difference it made, which the command
 prints for each table with the number of rows changed:
 
     PYTHONPATH=src python3 tests/test_reference_outputs.py
+
+With ``--check`` it writes nothing under ``tests/golden``: it runs every
+case in a temporary directory, prints ``identical`` or the difference
+for each table, and exits 1 on any byte difference, however small.
 """
 from __future__ import annotations
 
@@ -215,20 +219,50 @@ def test_compare_reads_json_numbers_under_the_float_rule():
         _compare("s.json", b'{"n": 3, "p": [[0, 1.5, 0.0]]}', want)
 
 
-if __name__ == "__main__":
+def _report(fname: str, got: bytes, want: bytes) -> str:
+    """``identical``, or how ``got`` differs from the golden ``want``."""
+    if got == want:
+        return "identical"
+    if not fname.endswith(".json"):
+        return _change(got, want)
+    try:
+        diffs = _json_diffs(json.loads(got), json.loads(want), fname)
+        diff, where = max(diffs, default=(0.0, None))
+    except AssertionError as exc:
+        return f"changed: {exc}"
+    return f"largest relative difference {diff:.3g} at {where}"
+
+
+def main(argv=None) -> int:
+    import argparse
     import tempfile
 
+    parser = argparse.ArgumentParser(
+        description="Regenerate the golden files, or compare with them."
+    )
+    parser.add_argument(
+        "--check",
+        action="store_true",
+        help="write nothing; print each table's difference from its golden "
+        "file and exit 1 unless every byte is equal",
+    )
+    args = parser.parse_args(argv)
+    rc = 0
     for name in CASES:
         with tempfile.TemporaryDirectory() as tmp:
-            (GOLDEN / name).mkdir(parents=True, exist_ok=True)
             for fname, data in _outputs(name, Path(tmp)).items():
                 path = GOLDEN / name / fname
                 old = path.read_bytes() if path.exists() else None
+                change = "no golden file" if old is None else _report(fname, data, old)
+                if args.check:
+                    rc |= data != old
+                    print(f"{name}/{fname}: {change}")
+                    continue
+                path.parent.mkdir(parents=True, exist_ok=True)
                 path.write_bytes(data)
-                if old == data:
-                    change = "unchanged"
-                elif old is None or not fname.endswith(".csv"):
-                    change = "new" if old is None else "changed"
-                else:
-                    change = _change(data, old)
                 print(f"wrote {path} ({len(data)} bytes): {change}")
+    return rc
+
+
+if __name__ == "__main__":
+    sys.exit(main())

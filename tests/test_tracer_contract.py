@@ -6,13 +6,17 @@ it times.
 required one is missing or never called.  This runs one traced child,
 as ``perfbench/run.py --trace 1`` does, on a small capture under
 ``kalman_bbox`` with projections, which needs the face filters' and
-the projections' entry points too.
+the projections' entry points too.  Its three targets give three
+components in every group, of which ``t_max=2`` keeps two, so the
+tracer's component and kept counts are pinned.
 """
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+import pytest
 
 from photontrack.raw_ingest import SensorConfig
 from photontrack.simulator import SceneSpec, TargetSpec, simulate, write_raw
@@ -25,6 +29,7 @@ def test_traced_child_calls_every_entry_point(tmp_path):
         targets=(
             TargetSpec((3, 3, 3), (8.0, 8.0, 150.0), 2.0, ((0, (0.4, 0.2, 0.0)),)),
             TargetSpec((3, 3, 3), (24.0, 20.0, 330.0), 2.0, ((0, (-0.4, 0.0, 0.0)),)),
+            TargetSpec((3, 3, 3), (16.0, 26.0, 480.0), 2.0, ((0, (0.0, -0.3, 0.0)),)),
         ),
         noise_rate=30.0,
         n_groups=6,
@@ -39,7 +44,7 @@ def test_traced_child_calls_every_entry_point(tmp_path):
         "track", "--raw", str(tmp_path / "capture.raw"),
         "--config", str(ROOT / "configs" / "default.cfg"),
         "--out-dir", str(tmp_path / "out"),
-        "--set", "assoc_mode=kalman_bbox", "--projections",
+        "--set", "assoc_mode=kalman_bbox", "--set", "t_max=2", "--projections",
     ]
     env = {**os.environ, "PYTHONDONTWRITEBYTECODE": "1"}
     proc = subprocess.run(
@@ -54,5 +59,6 @@ def test_traced_child_calls_every_entry_point(tmp_path):
     assert layers["kalman.calls"] <= 6
     assert layers["features.calls"] == 1
     # the kept candidates are counted with len(), so a candidate table's
-    # length must be its row count, never more than the components
-    assert 0 < layers["labeling.kept_ratio"] <= 1
+    # length must be its row count: two of the three components
+    assert layers["labeling.components"] == 3
+    assert layers["labeling.kept_ratio"] == pytest.approx(2 / 3)

@@ -4,12 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from photontrack import pipeline
 from photontrack.association import AssocMode, AssociationConfig
 from photontrack.errors import ConfigViolationError, EntryEvictedError
 from photontrack.labeling import BoundingBox, ImportanceConfig, importance_sort
-from photontrack.raw_ingest import SensorConfig, group_frames
-from photontrack.simulator import SceneSpec, TargetSpec, simulate
 from photontrack.track_manager import (
     HISTORY_LEN,
     HistoryRing,
@@ -219,7 +216,7 @@ def test_coasting_carries_the_box_along():
     f = t.features
     assert (f.centroid_x, f.centroid_y, f.centroid_z) == tuple(tracker.kf.position[0])
     # the track's row of the candidate bank: centroid, then box faces
-    centroid, lo, hi = np.split(tracker.obs[0, :9], 3)
+    centroid, lo, hi = np.split(tracker.obs.rows[0, :9], 3)
     shift = int(np.rint(f.centroid_x - centroid[0]))
     assert shift >= 1
     assert f.bbox_min_x == lo[0] + shift
@@ -314,7 +311,7 @@ def test_tracker_invariants_over_random_streams(run, mode):
         assert len(set(ids)) == len(ids) <= t_max
         assert all(0 <= s.bad_count <= max_coast for s in entry.tracks)
         assert len(entry.fwlink) == len(entry.bwlink) == len(ids)
-        assert len(tracker.obs) == len(tracker.clouds) == len(ids)
+        assert len(tracker.obs) == len(ids)
         if prev is None:
             assert entry.bwlink == [None] * len(ids)
         else:
@@ -325,34 +322,3 @@ def test_tracker_invariants_over_random_streams(run, mode):
                 assert p is None or prev.tracks[p].track_id == ids[s]
         assert entry.fwlink == [None] * len(ids)
         prev = entry
-
-
-def test_bank_clouds_own_their_memory(monkeypatch):
-    """Over a swarm of targets, more than ``t_max``, each live track's
-    voxel cloud is its own array, not a view of the voxels of the step
-    it was matched in, and the banks stay row-aligned with the tracks."""
-    steps = []
-
-    class Checked(Tracker):
-        def step(self, candidates):
-            kept = super().step(candidates)
-            assert len(self.obs) == len(self.clouds) == len(kept)
-            for cloud, row in zip(self.clouds, self.obs):
-                assert cloud.base is None and len(cloud) == row[9]
-            steps.append(len(kept))
-            return kept
-
-    monkeypatch.setattr(pipeline, "Tracker", Checked)
-    drift = ((0, (0.02, -0.01, 0.0)),)
-    targets = tuple(
-        TargetSpec((3, 3, 3), (4.0 + 6 * (k % 5), 5.0 + 7 * (k // 5), 60.0 + 40 * k),
-                   2.0, drift)
-        for k in range(12)
-    )
-    sensor = SensorConfig()
-    scene = SceneSpec(targets, noise_rate=50.0, n_groups=6, seed=3)
-    frames, _ = simulate(scene, sensor)
-    assoc = AssociationConfig(mode=AssocMode.KALMAN_BBOX)
-    cfg = pipeline.RunConfig(tracker=TrackerConfig(t_max=8, assoc=assoc))
-    pipeline.run_groups(group_frames(frames, sensor), cfg)
-    assert steps == [8] * 6
