@@ -21,7 +21,9 @@ milliseconds a group over the ``--rounds`` rounds, their ratio (this
 checkout over the other), the rounds this checkout won and the other
 side's interquartile range, then the whole step's row and, last, the
 geometric mean of the workloads' step ratios.  The timings are noisy
-and a run takes minutes, so it is no CI step.
+and a run of many rounds takes minutes, so CI runs one round against
+this checkout itself (``--against . --rounds 1 --seed 1``) and gates
+only the exit code.
 """
 from __future__ import annotations
 

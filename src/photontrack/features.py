@@ -109,10 +109,11 @@ def principal_axes(cov: np.ndarray) -> np.ndarray:
 def compute_features(tracks: list, kf, obs) -> list[FeatureVector]:
     """Refresh every track's descriptor from its filter and cluster.
 
-    Row i of the filter bank ``kf`` is ``tracks[i]``'s filter, row i of
-    the ``Candidates`` table ``obs`` the candidate row it last matched,
-    and ``tracks[i].features`` its previous row (None on its first
-    step).
+    Row i of the filter bank ``kf`` is ``tracks[i]``'s filter and row i
+    of the ``Candidates`` table ``obs`` the candidate row it last
+    matched.  ``tracks[i]`` is the fused track: it has this step's
+    ``bad_count`` and carries its previous features (None on its first
+    step) into this call.
     Acceleration is the first difference of the filter velocity between
     consecutive steps (zero on the first step), and age counts the steps
     the track has lived (1 on the first, ``prev.age + 1`` after that).

@@ -224,7 +224,7 @@ def extract_observations(labels: Labels, grid: VoxelGrid) -> Candidates:
         found = grid.flat[pos] == flat
         weights[found] = grid.values[pos[found]]
     starts = np.flatnonzero(np.diff(component, prepend=0))
-    volume = np.diff(starts, append=len(flat))
+    volume = np.concatenate((starts[1:], [len(flat)])) - starts
     total = np.add.reduceat(weights, starts)
     weighted = total > 0
     # a weighted mean where the component holds photons, else the plain one

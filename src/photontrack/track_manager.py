@@ -5,6 +5,11 @@ a candidate associates with it, coasts on predictions while missed,
 and dies after too many consecutive misses.  Each step the surviving old
 tracks and the newly born ones are fused by one stable importance sort
 (old tracks first on ties) and truncated to the configured capacity.
+A track is an immutable value: each step builds every fused track
+anew, with the step's state and miss count and its previous features,
+and builds each kept one once more with the features computed from
+them.  That one list is the tracker's live tracks, the step's record
+and what ``Tracker.step`` returns, so no record is copied.
 
 Each step's record, a ``StepRecord``, is the step's track list with
 slot-to-slot links to its neighbours; the last ten live in a ring
@@ -17,6 +22,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,26 +82,16 @@ class TrackerConfig:
             raise ValueError("max_coast must lie in [1, 7]")
 
 
-@dataclass
-class Track:
-    """A live track; its filters and candidate row are its row of the
-    tracker's banks."""
+class Track(NamedTuple):
+    """A track as of one step; the next step builds a new value.  Its
+    filters and candidate row are its row of the tracker's banks; its
+    position, box and age are the feature row's columns.  ``features``
+    is None only on a newborn before its first features are computed."""
 
     track_id: int
     state: TrackState
     bad_count: int
     features: FeatureVector | None = None
-
-
-@dataclass(frozen=True)
-class TrackSnapshot:
-    """Immutable copy of a track as recorded in one history entry; its
-    position, box and age are the feature row's columns."""
-
-    track_id: int
-    state: TrackState
-    bad_count: int
-    features: FeatureVector
 
 
 @dataclass(frozen=True)
@@ -113,7 +109,7 @@ class StepRecord:
     """
 
     step: int
-    tracks: list[TrackSnapshot]
+    tracks: list[Track]
     fwlink: list[int | None]
     bwlink: list[int | None]
     grid: VoxelGrid | None = None
@@ -270,33 +266,30 @@ class Tracker:
         # matched and the newborn candidates' rows
         obs = Candidates(np.concatenate([self.obs.rows, candidates.rows[cols + born]]))
 
-        # (track, bank row, previous slot if matched)
+        # (track, bank row, previous slot if matched); a track that goes
+        # on keeps its previous features until the new ones are computed
         fused: list[tuple[Track, int, int | None]] = []
         for i, t in enumerate(self.tracks):
-            j = matches.fw.get(i)
-            if j is not None:
-                t.state = (
+            if i in matches.fw:
+                state = (
                     TrackState.REACQUIRED
                     if t.state is TrackState.COASTING
                     else TrackState.MATCHED
                 )
-                t.bad_count = 0
-                fused.append((t, rows_of[i], i))
-            else:
-                if t.bad_count >= self.cfg.max_coast:
-                    logger.info(
-                        "track %d dropped after %d consecutive misses",
-                        t.track_id,
-                        t.bad_count,
-                    )
-                    continue
-                t.state = TrackState.COASTING
-                t.bad_count += 1
+                fused.append((Track(t.track_id, state, 0, t.features), rows_of[i], i))
+            elif t.bad_count < self.cfg.max_coast:
+                t = Track(t.track_id, TrackState.COASTING, t.bad_count + 1, t.features)
                 fused.append((t, i, None))
-        for n, j in enumerate(born):
-            t = Track(self._next_id, TrackState.NEW, 0)
-            self._next_id += 1
+            else:
+                logger.info(
+                    "track %d dropped after %d consecutive misses",
+                    t.track_id,
+                    t.bad_count,
+                )
+        for n in range(len(born)):
+            t = Track(self._next_id + n, TrackState.NEW, 0)
             fused.append((t, k + len(updated) + n, None))
+        self._next_id += len(born)
 
         if len(fused) > 2 * self.cfg.t_max:
             raise ConfigViolationError(
@@ -322,22 +315,20 @@ class Tracker:
             self.bbox_kf = bbox_kf.take(rows)
         self.obs = obs.take(rows)
 
-        for t, f in zip(kept, compute_features(kept, self.kf, self.obs)):
-            t.features = f
+        kept = [
+            Track(t.track_id, t.state, t.bad_count, f)
+            for t, f in zip(kept, compute_features(kept, self.kf, self.obs))
+        ]
 
         bwlink = [prev for _, _, prev in top]
         for s, p in enumerate(bwlink):
             if p is not None:
                 self.ring.latest.fwlink[p] = s
 
-        snapshots = [
-            TrackSnapshot(t.track_id, t.state, t.bad_count, t.features)
-            for t in kept
-        ]
         self.ring.push(
             StepRecord(
                 step=self._step,
-                tracks=snapshots,
+                tracks=kept,
                 fwlink=[None] * len(kept),
                 bwlink=bwlink,
             )

@@ -66,9 +66,9 @@ def test_feature_name_contract():
 @pytest.mark.parametrize("mode", ["bbox", "kalman_bbox"])
 def test_tracks_csv_rows_are_the_step_snapshots(tmp_path, mode):
     """Parsed by header, the ``tracks.csv`` rows are the steps'
-    snapshots in slot order: each carries its snapshot's step, id,
-    state and bad count, and its feature row (centroid, box faces, age
-    and the rest) printed with %.9g."""
+    recorded tracks in slot order: each carries its record's step and
+    its track's id, state and bad count, and its feature row (centroid,
+    box faces, age and the rest) printed with %.9g."""
     scene = SceneSpec(
         targets=(
             TargetSpec((3, 3, 3), (8.0, 8.0, 150.0), 2.0, ((0, (0.4, 0.2, 0.0)),)),

@@ -45,8 +45,8 @@ def make_obs(center, size=3, photons=50, label=1):
 
 
 def run_script(tracker, script):
-    """Feed a list of observation lists; returns the per-step recorded
-    snapshots (live Track objects mutate, snapshots do not)."""
+    """Feed a list of observation lists; returns each step's recorded
+    track list (the list the step returned)."""
     out = []
     for obs in script:
         tracker.step(candidates(obs))
@@ -267,6 +267,26 @@ def test_snapshot_features_present_and_fresh():
     snaps = tracker.ring.latest.tracks
     assert snaps[0].features is not None
     assert snaps[0].features.age == 3.0
+
+
+def test_a_track_is_one_immutable_value_from_step_to_record():
+    """``step`` returns the list its record holds, a track cannot be
+    assigned to, and a record reads the same after later steps."""
+    tracker = Tracker(TrackerConfig(max_coast=3))
+    hit = [make_obs([5, 5, 50])]
+    kept = tracker.step(candidates(hit))
+    record = tracker.ring.latest
+    assert kept is record.tracks is tracker.tracks
+    with pytest.raises(AttributeError):
+        kept[0].bad_count = 1
+
+    def fields(tracks):
+        return [(t.track_id, t.state, t.bad_count, t.features) for t in tracks]
+
+    before = fields(kept)
+    run_script(tracker, [hit, [], hit, [], [], hit, hit, [], hit, hit])
+    assert tracker.tracks[0].track_id == 1
+    assert fields(record.tracks) == before
 
 
 @pytest.mark.parametrize(
