@@ -81,7 +81,9 @@ class Side:
         t3 = perf_counter()
         for n, t in enumerate((t1 - t0, t2 - t1, t3 - t2, t3 - t0)):
             ms[n] += t * 1e3
-        record = self.tracker.ring.latest
+        # by iteration, so an older checkout whose ring is not a
+        # sequence can be the other side
+        record = list(self.tracker.ring)[-1]
         tracks = [
             (t.track_id, t.state.value, t.bad_count, np.array(t.features).tobytes())
             for t in record.tracks

@@ -26,7 +26,8 @@ class ConfigViolationError(PhotontrackError):
 
 
 class EntryEvictedError(PhotontrackError):
-    """Requested step is no longer held in the history ring."""
+    """Requested step is not among the records held: it has left the
+    history ring, or was never recorded."""
 
 
 class SceneParseError(PhotontrackError):

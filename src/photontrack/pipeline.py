@@ -4,7 +4,7 @@ A pulse group is a plain ``(pulses, height, width)`` frame array.
 Groups are handled strictly in order by one loop on the calling
 thread: reduce the group to a ranked table of candidates, advance the
 tracker, emit the step's record.  That record is the tracker's own
-``StepRecord``, the entry its history ring holds: a run's result is
+``StepRecord``, the one its history deque holds: a run's result is
 the list of its StepRecords, ``StepRecord.step`` is the index of the
 group it came from, and each record's ``fwlink`` is filled when the
 next group is tracked.
@@ -86,7 +86,7 @@ def run_groups(groups, cfg: RunConfig, on_step=None) -> list[StepRecord]:
     for group in groups:
         grid, candidates, t_prev = _reduce_group(group, cfg, t_prev)
         tracker.step(candidates)
-        record = tracker.ring.latest
+        record = tracker.ring[-1]
         if on_step is not None:
             on_step(replace(record, grid=grid))
         steps.append(record)

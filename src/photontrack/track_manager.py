@@ -12,8 +12,9 @@ them.  That one list is the tracker's live tracks, the step's record
 and what ``Tracker.step`` returns, so no record is copied.
 
 Each step's record, a ``StepRecord``, is the step's track list with
-slot-to-slot links to its neighbours; the last ten live in a ring
-buffer.  Following the links forward or backward replays a short
+slot-to-slot links to its neighbours; the tracker keeps the last ten
+in a plain deque, ``Tracker.ring``.  Following the links forward or
+backward, over the ring or over a run's whole result, replays a
 trajectory without storing full histories per track.
 """
 from __future__ import annotations
@@ -22,7 +23,7 @@ import logging
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,7 +106,7 @@ class StepRecord:
     boundary was not a confirmed match.  The tracker fills ``fwlink``
     in place when it records the next step.  ``grid`` is the step's
     histogram while a pipeline's ``on_step`` sees the record, and None
-    in the ring and in a run's results.
+    in ``Tracker.ring`` and in a run's results.
     """
 
     step: int
@@ -115,47 +116,41 @@ class StepRecord:
     grid: VoxelGrid | None = None
 
 
-class HistoryRing:
-    """Record of the most recent ``HISTORY_LEN`` steps."""
+def record_at(records: Sequence[StepRecord], step: int) -> StepRecord:
+    """The record of ``step`` in ``records``: the tracker's ring or a
+    run's result.
 
-    def __init__(self):
-        self._entries: deque[StepRecord] = deque(maxlen=HISTORY_LEN)
-
-    def push(self, entry: StepRecord) -> None:
-        self._entries.append(entry)
-
-    def entry(self, step: int) -> StepRecord:
-        for e in self._entries:
-            if e.step == step:
-                return e
-        raise EntryEvictedError(f"step {step} no longer in the ring")
-
-    @property
-    def latest(self) -> StepRecord | None:
-        return self._entries[-1] if self._entries else None
-
-    def __len__(self) -> int:
-        return len(self._entries)
-
-    def __iter__(self):
-        return iter(self._entries)
+    ``records`` must hold consecutive steps in order, as the tracker
+    and ``run_groups`` record them, so a step's record sits at its
+    distance from the first one.  Raises EntryEvictedError when the
+    step is not among them.
+    """
+    if not records:
+        raise EntryEvictedError(f"step {step} is not held: the history is empty")
+    at = step - records[0].step
+    if not 0 <= at < len(records):
+        raise EntryEvictedError(
+            f"step {step} is not held: the history holds steps "
+            f"{records[0].step}-{records[-1].step}"
+        )
+    return records[at]
 
 
 def _follow(
-    ring: HistoryRing, start_step: int, slot: int, links: str, step: int
+    records: Sequence[StepRecord], start_step: int, slot: int, links: str, step: int
 ) -> list[tuple[int, int]]:
     """The chain from (start_step, slot) along each entry's ``links``
     list (``"fwlink"`` or ``"bwlink"``), ``step`` steps at a time.
 
     Raises IndexError when ``slot`` is not one of the start step's
     tracks."""
-    entry = ring.entry(start_step)
+    entry = record_at(records, start_step)
     if slot not in range(n := len(entry.tracks)):
         raise IndexError(f"no slot {slot}: step {entry.step} has {n} tracks")
     chain = [(entry.step, slot)]
     while (nxt := getattr(entry, links)[slot]) is not None:
         try:
-            entry = ring.entry(entry.step + step)
+            entry = record_at(records, entry.step + step)
         except EntryEvictedError:
             break
         slot = nxt
@@ -164,22 +159,23 @@ def _follow(
 
 
 def reconstruct_forward(
-    ring: HistoryRing, start_step: int, slot: int
+    records: Sequence[StepRecord], start_step: int, slot: int
 ) -> list[tuple[int, int]]:
     """Follow forward links from (start_step, slot) to the chain's end.
 
-    Raises EntryEvictedError when the starting step has already left the
-    ring, and IndexError when ``slot`` is not a track of that step; a
-    chain cut short by eviction at its far end just stops there.
+    ``records`` is the tracker's ring or a run's result.  Raises
+    EntryEvictedError when ``records`` does not hold the starting step,
+    and IndexError when ``slot`` is not a track of that step; a chain
+    cut short at the end of ``records`` just stops there.
     """
-    return _follow(ring, start_step, slot, "fwlink", 1)
+    return _follow(records, start_step, slot, "fwlink", 1)
 
 
 def reconstruct_backward(
-    ring: HistoryRing, start_step: int, slot: int
+    records: Sequence[StepRecord], start_step: int, slot: int
 ) -> list[tuple[int, int]]:
     """Follow backward links; returned newest first."""
-    return _follow(ring, start_step, slot, "bwlink", -1)
+    return _follow(records, start_step, slot, "bwlink", -1)
 
 
 class Tracker:
@@ -204,7 +200,7 @@ class Tracker:
             else None
         )
         self.obs = Candidates(np.empty((0, 22)))
-        self.ring = HistoryRing()
+        self.ring: deque[StepRecord] = deque(maxlen=HISTORY_LEN)
         self._next_id = 1
         self._step = 0
 
@@ -323,9 +319,9 @@ class Tracker:
         bwlink = [prev for _, _, prev in top]
         for s, p in enumerate(bwlink):
             if p is not None:
-                self.ring.latest.fwlink[p] = s
+                self.ring[-1].fwlink[p] = s
 
-        self.ring.push(
+        self.ring.append(
             StepRecord(
                 step=self._step,
                 tracks=kept,

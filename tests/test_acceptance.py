@@ -29,6 +29,7 @@ from photontrack.track_manager import (
     TrackState,
     reconstruct_backward,
     reconstruct_forward,
+    record_at,
 )
 from photontrack.voxelizer import build_histogram
 
@@ -385,7 +386,7 @@ def test_acceptance_07_state_machine(report):
             got = []
             for hit in script:
                 tracker.step(candidates([obs] if hit else []))
-                snaps = tracker.ring.latest.tracks
+                snaps = tracker.ring[-1].tracks
                 if snaps:
                     s = snaps[0]
                     got.append((s.track_id, names[s.state], s.bad_count))
@@ -458,7 +459,7 @@ def _check_ring(ring):
         return f"ring holds {len(entries)} entries"
     for e in entries:
         try:
-            nxt = ring.entry(e.step + 1)
+            nxt = record_at(ring, e.step + 1)
         except EntryEvictedError:
             nxt = None
         for s, f in enumerate(e.fwlink):

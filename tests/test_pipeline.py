@@ -18,7 +18,12 @@ from photontrack.outputs import write_links_csv
 from photontrack.pipeline import RunConfig, run_groups, run_tracking
 from photontrack.raw_ingest import SensorConfig, group_frames, parse_frames
 from photontrack.simulator import SceneSpec, TargetSpec, simulate, write_raw
-from photontrack.track_manager import HISTORY_LEN, Tracker
+from photontrack.track_manager import (
+    HISTORY_LEN,
+    Tracker,
+    reconstruct_backward,
+    reconstruct_forward,
+)
 from photontrack.voxelizer import build_histogram
 
 SENSOR = SensorConfig()
@@ -58,11 +63,9 @@ def test_on_step_sees_each_histogram_and_results_drop_it():
         )
 
 
-def test_run_records_are_the_ring_entries_and_link_both_ways(tmp_path, monkeypatch):
-    """A run's records link both ways: each record's ``fwlink`` is the
-    inverse of the next record's ``bwlink``, and the last record's is
-    all None.  links.csv holds the ``bwlink`` pairs, and the tracker's
-    history ring holds the run's last ten records themselves."""
+def _tracked_churn_run(monkeypatch):
+    """The records of a 14-group churn run and the tracker that made
+    them."""
     trackers = []
 
     class Recorded(Tracker):
@@ -72,6 +75,16 @@ def test_run_records_are_the_ring_entries_and_link_both_ways(tmp_path, monkeypat
 
     monkeypatch.setattr(pipeline, "Tracker", Recorded)
     steps = run_tracking(io.BytesIO(churn_scene_bytes(n_groups=14)), RunConfig())
+    (tracker,) = trackers
+    return steps, tracker
+
+
+def test_run_records_are_the_ring_entries_and_link_both_ways(tmp_path, monkeypatch):
+    """A run's records link both ways: each record's ``fwlink`` is the
+    inverse of the next record's ``bwlink``, and the last record's is
+    all None.  links.csv holds the ``bwlink`` pairs, and the tracker's
+    history ring holds the run's last ten records themselves."""
+    steps, tracker = _tracked_churn_run(monkeypatch)
     assert len(steps) == 14
     for rec, nxt in zip(steps, steps[1:]):
         inverse = [None] * len(rec.tracks)
@@ -89,10 +102,42 @@ def test_run_records_are_the_ring_entries_and_link_both_ways(tmp_path, monkeypat
     assert pairs
     write_links_csv(steps, tmp_path / "links.csv")
     assert (tmp_path / "links.csv").read_text().splitlines()[1:] == pairs
-    (tracker,) = trackers
     ring = list(tracker.ring)
     assert len(ring) == HISTORY_LEN
     assert all(a is b for a, b in zip(ring, steps[-HISTORY_LEN:]))
+
+
+def test_chains_replay_over_a_runs_whole_result(tmp_path, monkeypatch):
+    """Replaying a run's result from every chain head gives the chain
+    that links.csv's rows give, and replaying it backward from the
+    chain's tail gives it newest first.  The part of each chain within
+    the last ten steps is what the tracker's ring replays from that
+    part's first step."""
+    steps, tracker = _tracked_churn_run(monkeypatch)
+    write_links_csv(steps, tmp_path / "links.csv")
+    nxt = {}
+    for row in (tmp_path / "links.csv").read_text().splitlines()[1:]:
+        n, a, b = map(int, row.split(","))
+        nxt[n, a] = (n + 1, b)
+    heads = [
+        (rec.step, s)
+        for rec in steps
+        for s in range(len(rec.tracks))
+        if (rec.step, s) not in nxt.values()
+    ]
+    held = tracker.ring[0].step
+    lengths = []
+    for n, s in heads:
+        chain = [(n, s)]
+        while chain[-1] in nxt:
+            chain.append(nxt[chain[-1]])
+        lengths.append(len(chain))
+        assert reconstruct_forward(steps, n, s) == chain
+        assert reconstruct_backward(steps, *chain[-1]) == chain[::-1]
+        recent = [link for link in chain if link[0] >= held]
+        if recent:
+            assert reconstruct_forward(tracker.ring, *recent[0]) == recent
+    assert max(lengths) == len(steps) and min(lengths) == 1
 
 
 @pytest.mark.parametrize("scheme", list(Scheme), ids=lambda s: s.value)

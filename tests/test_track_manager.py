@@ -1,4 +1,6 @@
-"""Track lifecycle, capacity fusion and the history ring."""
+"""Track lifecycle, capacity fusion and the history deque."""
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,13 +11,13 @@ from photontrack.errors import ConfigViolationError, EntryEvictedError
 from photontrack.labeling import BoundingBox, ImportanceConfig, importance_sort
 from photontrack.track_manager import (
     HISTORY_LEN,
-    HistoryRing,
     StepRecord,
     Tracker,
     TrackerConfig,
     TrackState,
     reconstruct_backward,
     reconstruct_forward,
+    record_at,
 )
 from frontend_reference import Observation, candidates
 
@@ -50,7 +52,7 @@ def run_script(tracker, script):
     out = []
     for obs in script:
         tracker.step(candidates(obs))
-        out.append(tracker.ring.latest.tracks)
+        out.append(tracker.ring[-1].tracks)
     return out
 
 
@@ -157,21 +159,24 @@ def test_ring_capacity_and_eviction():
     run_script(tracker, [hit] * 12)
     assert len(tracker.ring) == 10
     with pytest.raises(EntryEvictedError):
-        tracker.ring.entry(0)
+        record_at(tracker.ring, 0)
     with pytest.raises(EntryEvictedError):
-        tracker.ring.entry(1)
-    assert tracker.ring.entry(2).step == 2
-    assert tracker.ring.latest.step == 11
+        record_at(tracker.ring, 1)
+    assert record_at(tracker.ring, 2).step == 2
+    assert tracker.ring[-1].step == 11
+    # a chain whose far end has left the ring stops at the oldest step
+    bwd = reconstruct_backward(tracker.ring, 11, 0)
+    assert bwd == [(s, 0) for s in range(11, 1, -1)]
 
 
 def test_links_recorded_only_across_matched_boundaries():
     tracker = Tracker(TrackerConfig())
     hit = [make_obs([5, 5, 50])]
     run_script(tracker, [hit, [], hit])
-    assert tracker.ring.entry(0).fwlink == [None]  # step 1 missed
-    assert tracker.ring.entry(1).bwlink == [None]
-    assert tracker.ring.entry(1).fwlink == [0]  # step 2 reacquired
-    assert tracker.ring.entry(2).bwlink == [0]
+    assert record_at(tracker.ring, 0).fwlink == [None]  # step 1 missed
+    assert record_at(tracker.ring, 1).bwlink == [None]
+    assert record_at(tracker.ring, 1).fwlink == [0]  # step 2 reacquired
+    assert record_at(tracker.ring, 2).bwlink == [0]
 
 
 def test_reconstruction_round_trip():
@@ -195,10 +200,31 @@ def test_reconstruction_of_a_missing_slot_raises(slot):
             follow(tracker.ring, step, slot)
 
 
+def test_record_at_finds_each_held_step_and_names_the_held_ones():
+    """A ring of steps 2-11 gives its first and last step and refuses
+    the step before and the step after; an empty history is refused
+    with its own text."""
+    tracker = Tracker(TrackerConfig())
+    run_script(tracker, [[make_obs([5, 5, 50])]] * 12)
+    ring = tracker.ring
+    assert record_at(ring, 2) is ring[0]
+    assert record_at(ring, 11) is ring[-1]
+    for step in (1, 12):
+        with pytest.raises(
+            EntryEvictedError,
+            match=f"^step {step} is not held: the history holds steps 2-11$",
+        ):
+            record_at(ring, step)
+    with pytest.raises(
+        EntryEvictedError, match="^step 0 is not held: the history is empty$"
+    ):
+        record_at(deque(maxlen=HISTORY_LEN), 0)
+
+
 def test_reconstruction_of_evicted_step_raises():
-    ring = HistoryRing()
+    ring = deque(maxlen=HISTORY_LEN)
     for step in range(HISTORY_LEN + 1):
-        ring.push(StepRecord(step=step, tracks=[], fwlink=[], bwlink=[]))
+        ring.append(StepRecord(step=step, tracks=[], fwlink=[], bwlink=[]))
     with pytest.raises(EntryEvictedError):
         reconstruct_forward(ring, 0, 0)
 
@@ -252,7 +278,7 @@ def test_tracker_is_deterministic():
             out.append(
                 [
                     (s.track_id, s.state, s.bad_count, s.features[:3])
-                    for s in tracker.ring.latest.tracks
+                    for s in tracker.ring[-1].tracks
                 ]
             )
         return out
@@ -264,7 +290,7 @@ def test_snapshot_features_present_and_fresh():
     tracker = Tracker(TrackerConfig())
     hit = [make_obs([5, 5, 50])]
     run_script(tracker, [hit, hit, hit])
-    snaps = tracker.ring.latest.tracks
+    snaps = tracker.ring[-1].tracks
     assert snaps[0].features is not None
     assert snaps[0].features.age == 3.0
 
@@ -275,7 +301,7 @@ def test_a_track_is_one_immutable_value_from_step_to_record():
     tracker = Tracker(TrackerConfig(max_coast=3))
     hit = [make_obs([5, 5, 50])]
     kept = tracker.step(candidates(hit))
-    record = tracker.ring.latest
+    record = tracker.ring[-1]
     assert kept is record.tracks is tracker.tracks
     with pytest.raises(AttributeError):
         kept[0].bad_count = 1
@@ -326,7 +352,7 @@ def test_tracker_invariants_over_random_streams(run, mode):
     prev = None
     for observations in steps:
         tracker.step(importance_sort(candidates(observations), cfg.importance))
-        entry = tracker.ring.latest
+        entry = tracker.ring[-1]
         ids = [s.track_id for s in entry.tracks]
         assert len(set(ids)) == len(ids) <= t_max
         assert all(0 <= s.bad_count <= max_coast for s in entry.tracks)
