@@ -13,8 +13,10 @@ Three subcommands cover the usual workflow:
 
 A pipeline config is flat ``key value`` lines.  One table, ``_KEYS``,
 declares every key once: its value type and the RunConfig field it
-sets.  The defaults live in the config dataclasses alone, so an empty
-config is ``RunConfig()``.
+sets.  ``parse_config`` reads the file's lines and the ``--set``
+overrides through it in one pass, and an unknown key or a bad value
+names its line or its ``--set``.  The defaults live in the config
+dataclasses alone, so an empty config is ``RunConfig()``.
 
 The commands are straight-line code: every library error and every
 I/O failure propagates to ``main``, which turns it into a one-line
@@ -105,48 +107,41 @@ _KEYS = {
 }
 
 
-def _coerce(key: str, val: str):
-    if key not in _KEYS:
-        raise ValueError(f"unknown config key {key!r}")
-    kind = _KEYS[key][0]
-    try:
-        return kind[val] if isinstance(kind, dict) else kind(val)
-    except (KeyError, ValueError):
-        raise ValueError(f"bad value {val!r} for {key!r}") from None
-
-
-def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
-    """Parse the flat ``key value`` config format; ``#`` comments.
-
-    ``overrides`` holds ``KEY=VALUE`` strings (from --set) that win
-    over the file.
-    """
-    values: dict = {}
+def _settings(text: str, overrides: list[str] | None):
+    """Each setting as ``(where, key, value)``: the non-blank lines of
+    ``text`` in order, then the ``overrides``.  ``where`` is ``line N``
+    or ``--set KEY=VALUE``."""
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
+        parts = raw.split("#", 1)[0].split()
+        if not parts:
             continue
-        parts = line.split()
         if len(parts) != 2:
             raise ValueError(f"line {lineno}: expected 'key value'")
-        values[parts[0]] = _coerce(parts[0], parts[1])
+        yield f"line {lineno}", parts[0], parts[1]
     for item in overrides or []:
         key, sep, val = item.partition("=")
         if not sep:
             raise ValueError(f"--set needs KEY=VALUE, got {item!r}")
-        values[key] = _coerce(key, val)
-    return build_run_config(values)
+        yield f"--set {item}", key, val
 
 
-def build_run_config(values: dict) -> RunConfig:
-    """The RunConfig that coerced ``values`` give; every key left out
-    keeps its dataclass default."""
+def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
+    """The RunConfig of the flat ``key value`` config ``text`` (``#``
+    comments) and the ``KEY=VALUE`` ``overrides`` (from --set).
+
+    The last setting of a key wins, and the overrides win over the
+    file; every key left out keeps its dataclass default.  An unknown
+    key or a bad value raises ValueError naming its line or its --set.
+    """
     parts: dict[str, dict] = defaultdict(dict)
-    for key, value in values.items():
+    for where, key, val in _settings(text, overrides):
         if key not in _KEYS:
-            raise ValueError(f"unknown config key {key!r}")
-        _, part, name = _KEYS[key]
-        parts[part][name] = value
+            raise ValueError(f"{where}: unknown config key {key!r}")
+        kind, part, name = _KEYS[key]
+        try:
+            parts[part][name] = kind[val] if isinstance(kind, dict) else kind(val)
+        except (KeyError, ValueError):
+            raise ValueError(f"{where}: bad value {val!r} for {key!r}") from None
 
     den = parts["denoise"]
     mode = den.get("threshold_mode", Fixed)

@@ -96,8 +96,6 @@ def label_components(mask: np.ndarray, connectivity: int = 26) -> tuple[Labels, 
     back = np.array([o for o in neighbor_offsets(connectivity) if o < (0, 0, 0)])
     flat = np.flatnonzero(mask)
     n = len(flat)
-    if n == 0:
-        return Labels(flat, np.zeros(0, dtype=np.int64)), 0
 
     _, py, pz = (size + 2 for size in mask.shape)
     x, y, z = np.unravel_index(flat, mask.shape)

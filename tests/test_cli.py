@@ -711,6 +711,66 @@ def test_parse_config_defaults_and_overrides():
         parse_config("scheme sorcery\n")
 
 
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("warp_speed 9", "line 3: unknown config key 'warp_speed'"),
+        ("t_max banana", "line 3: bad value 'banana' for 't_max'"),
+        ("threshold_mode sorcery", "line 3: bad value 'sorcery' for 'threshold_mode'"),
+        ("t_max 4 5", "line 3: expected 'key value'"),
+    ],
+    ids=["unknown key", "bad value", "bad mode", "three words"],
+)
+def test_config_file_error_names_its_line(line, message):
+    """Lines count from 1, comment and blank lines included."""
+    with pytest.raises(ValueError) as info:
+        parse_config(f"# settings\n\n{line}\nt_max 4\n", ["t_max=5"])
+    assert str(info.value) == message
+
+
+@pytest.mark.parametrize(
+    "override, message",
+    [
+        ("t_max=banana", "--set t_max=banana: bad value 'banana' for 't_max'"),
+        ("t_max=4=5", "--set t_max=4=5: bad value '4=5' for 't_max'"),
+        ("warp_speed=9", "--set warp_speed=9: unknown config key 'warp_speed'"),
+        ("=9", "--set =9: unknown config key ''"),
+        ("t_max", "--set needs KEY=VALUE, got 't_max'"),
+    ],
+    ids=["bad value", "value with =", "unknown key", "empty key", "no ="],
+)
+def test_override_error_names_the_whole_override(override, message):
+    with pytest.raises(ValueError) as info:
+        parse_config("t_max 4\n", ["scheme=threshold", override, "t_max=6"])
+    assert str(info.value) == message
+
+
+def test_config_file_errors_come_before_override_errors():
+    with pytest.raises(ValueError, match="^line 2: bad value 'banana' for 't_max'$"):
+        parse_config("t_max 4\nt_max banana\nwarp_speed 9\n", ["t_max=banana"])
+    with pytest.raises(ValueError, match="^line 1: unknown config key 'warp_speed'$"):
+        parse_config("warp_speed 9\n", ["t_max"])
+
+
+def test_last_setting_of_a_key_wins():
+    assert parse_config("t_max 4\nt_max 5\n").tracker.t_max == 5
+    assert parse_config("t_max 4\n", ["t_max=6"]).tracker.t_max == 6
+    assert parse_config("t_max 4\n", ["t_max=6", "t_max=7"]).tracker.t_max == 7
+    cfg = parse_config("sigma_x 2\nsigma_x 3\nimportance_speed 1\nimportance_speed 2\n")
+    assert cfg.denoise.sigmas == (3.0, 1.0, 1.0)
+    assert cfg.tracker.importance.weights == {"speed": 2.0}
+
+
+def test_track_bad_override_exits_1_naming_it_before_any_output(workspace, tmp_path, capsys):
+    _, _, config, raw = workspace
+    out = tmp_path / "o"
+    argv = ["track", "--raw", str(raw), "--config", str(config), "--out-dir", str(out)]
+    assert main([*argv, "--set", "t_max=banana"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: config: --set t_max=banana: bad value 'banana' for 't_max'\n"
+    assert not (out / "tracks.csv").exists() and not (out / "links.csv").exists()
+
+
 def test_empty_config_is_the_dataclass_defaults():
     assert parse_config("") == RunConfig()
 

@@ -50,11 +50,19 @@ def test_labels_follow_scan_order():
     assert labels[2, 2, 2] == 2
 
 
-def test_empty_mask():
-    labels, n = label_components(np.zeros((3, 3, 3), dtype=bool), 26)
-    assert n == 0
-    assert not dense_labels(labels, (3, 3, 3)).any()
-    assert len(extract_observations(labels, grid_of(np.zeros((3, 3, 3))))) == 0
+@pytest.mark.parametrize("connectivity", [6, 18, 26])
+@pytest.mark.parametrize(
+    "shape",
+    [(3, 3, 3), (32, 32, 600), (1, 1, 1), (0, 3, 3)],
+    ids=lambda shape: "x".join(map(str, shape)),
+)
+def test_empty_mask(shape, connectivity):
+    labels, n = label_components(np.zeros(shape, dtype=bool), connectivity)
+    assert n == 0 and type(n) is int
+    for column in labels:
+        assert column.dtype == np.int64 and column.shape == (0,)
+    assert not dense_labels(labels, shape).any()
+    assert len(extract_observations(labels, grid_of(np.zeros(shape)))) == 0
 
 
 def test_photon_weighted_centroid():
