@@ -5,17 +5,20 @@ one process, and check that both track alike.
 
 Builds the capture of each benchmark workload (crossing, parzen, swarm
 and clutter, from ``perfbench/workloads.py``) once, with
-``perfbench/child.py``'s ``build_scene`` and the simulator.  Each side,
-this checkout and the ``src/photontrack`` of CHECKOUT (loaded under a
-module name of its own), builds its config from its own
-``cli.parse_config`` of ``configs/default.cfg`` and the workload's
-``--set`` overrides, and tracks every group with its own tracker: the
-front end (histogram, denoise, label), extract+rank (extract, sort,
-truncate) and ``Tracker.step``.  The side that runs a group first
-alternates from group to group and from round to round.
+``scripts/_checkout.py``, the module this script shares with
+``parzen_sweep.py``.  Each side, this checkout and the
+``src/photontrack`` of CHECKOUT (loaded under a module name of its
+own), builds its config from its own ``cli.parse_config`` of
+``configs/default.cfg`` and the workload's ``--set`` overrides, and
+tracks every group with its own tracker: the front end (histogram,
+denoise, label), extract+rank (extract, sort, truncate) and
+``Tracker.step``.  The side that runs a group first alternates from
+group to group and from round to round.
 
 The script exits 1 at the first step whose tracks (id, state, bad
-count, feature bits) or backward links differ between the sides.
+count, feature bits) or backward links differ between the sides,
+naming the workload, the round and the step, and exits 2 when CHECKOUT
+holds no ``src/photontrack``.
 Otherwise it prints, for each workload and stage, each side's median
 milliseconds a group over the ``--rounds`` rounds, their ratio (this
 checkout over the other), the rounds this checkout won and the other
@@ -35,15 +38,9 @@ from pathlib import Path
 from time import perf_counter
 
 import numpy as np
-
-ROOT = Path(__file__).resolve().parent.parent
-sys.path.insert(0, str(ROOT / "src"))
-sys.path.insert(0, str(ROOT / "perfbench"))  # child.build_scene imports workloads
-
-import child  # noqa: E402
-import photontrack  # noqa: E402
-from _checkout import load_package  # noqa: E402
-from workloads import CONFIG, WORKLOADS  # noqa: E402
+# _checkout puts this checkout's src/ and perfbench/ on the path
+from _checkout import ROOT, alternate, capture, load_package, photontrack, summary
+from workloads import CONFIG, WORKLOADS
 
 NAMES = ("crossing", "parzen", "swarm", "clutter")
 STAGES = ("front end", "extract+rank", "Tracker.step", "step")
@@ -91,28 +88,6 @@ class Side:
         return tracks, record.bwlink
 
 
-def run_rounds(name: str, groups, packages, rounds: int):
-    """Track every group on both sides in each round; returns each
-    side's milliseconds a group per stage, one list of rounds each, or
-    exits 1 at the first step where the sides differ."""
-    sets = overrides(WORKLOADS[name].track_args)
-    ms = [[[] for _ in STAGES] for _ in packages]
-    for r in range(rounds):
-        sides = [Side(p, sets) for p in packages]
-        totals = [[0.0] * len(STAGES) for _ in packages]
-        for i, frames in enumerate(groups):
-            order = (0, 1) if (r + i) % 2 == 0 else (1, 0)
-            records = [None, None]
-            for s in order:
-                records[s] = sides[s].step(frames, totals[s])
-            if records[0] != records[1]:
-                sys.exit(f"{name}, round {r}, step {i}: the two checkouts differ")
-        for s, total in enumerate(totals):
-            for n, t in enumerate(total):
-                ms[s][n].append(t / len(groups))
-    return ms
-
-
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -136,19 +111,17 @@ def main(argv=None) -> int:
           f"{'ratio':>6} {'won':>5} {'IQR':>6}")
     step_ratios = []
     for name in NAMES:
-        scene, sensor = child.build_scene(
-            photontrack, ROOT, WORKLOADS[name].capture, args.seed
+        groups, _ = capture(WORKLOADS[name].capture, args.seed)
+        sets = overrides(WORKLOADS[name].track_args)
+        ms = alternate(
+            lambda: [Side(p, sets) for p in packages],
+            groups, args.rounds, name, len(STAGES),
         )
-        frames, _ = photontrack.simulate(scene, sensor)
-        groups = list(photontrack.group_frames(frames, sensor))
-        ms, other_ms = run_rounds(name, groups, packages, args.rounds)
-        for stage, mine, theirs in zip(STAGES, ms, other_ms):
-            a, b = statistics.median(mine), statistics.median(theirs)
-            won = sum(x < y for x, y in zip(mine, theirs))
-            q = statistics.quantiles(theirs, n=4) if len(theirs) > 1 else [b] * 3
-            print(f"{name:<9} {stage:<13} {a:7.3f} {b:7.3f} {a / b:6.3f} "
-                  f"{won:>2}/{args.rounds:<2} {q[2] - q[0]:6.3f}")
-        step_ratios.append(statistics.median(ms[-1]) / statistics.median(other_ms[-1]))
+        for stage, mine, theirs in zip(STAGES, *ms):
+            a, b, ratio, won, iqr = summary(mine, theirs)
+            print(f"{name:<9} {stage:<13} {a:7.3f} {b:7.3f} {ratio:6.3f} "
+                  f"{won:>2}/{args.rounds:<2} {iqr:6.3f}")
+        step_ratios.append(ratio)  # the last stage is the whole step
         print(f"{name}: {len(groups)} steps equal in each of {args.rounds} rounds")
     print(f"geometric mean step ratio {statistics.geometric_mean(step_ratios):.3f}")
     return 0

@@ -15,8 +15,10 @@ A pipeline config is flat ``key value`` lines.  One table, ``_KEYS``,
 declares every key once: its value type and the RunConfig field it
 sets.  ``parse_config`` reads the file's lines and the ``--set``
 overrides through it in one pass, and an unknown key or a bad value
-names its line or its ``--set``.  The defaults live in the config
-dataclasses alone, so an empty config is ``RunConfig()``.
+names its line or its ``--set``; so does a config part (the sensor, a
+threshold mode, ...) that refuses the values set for it.  The defaults
+live in the config dataclasses alone, so an empty config is
+``RunConfig()``.
 
 The commands are straight-line code: every library error and every
 I/O failure propagates to ``main``, which turns it into a one-line
@@ -131,9 +133,12 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
 
     The last setting of a key wins, and the overrides win over the
     file; every key left out keeps its dataclass default.  An unknown
-    key or a bad value raises ValueError naming its line or its --set.
+    key or a bad value raises ValueError naming its line or its --set,
+    and a config part that refuses its values names the settings they
+    came from.
     """
     parts: dict[str, dict] = defaultdict(dict)
+    given: dict[tuple, str] = {}  # (part, field) -> its last setting, in order
     for where, key, val in _settings(text, overrides):
         if key not in _KEYS:
             raise ValueError(f"{where}: unknown config key {key!r}")
@@ -142,23 +147,40 @@ def parse_config(text: str, overrides: list[str] | None = None) -> RunConfig:
             parts[part][name] = kind[val] if isinstance(kind, dict) else kind(val)
         except (KeyError, ValueError):
             raise ValueError(f"{where}: bad value {val!r} for {key!r}") from None
+        given.pop((part, name), None)
+        given[part, name] = where
+
+    def build(make, names: set[str], **values):
+        """``make(**values)``, a ValueError it raises prefixed with the
+        settings of the parts ``names`` that are in use."""
+        try:
+            return make(**values)
+        except ValueError as exc:
+            where = ", ".join(
+                w for (part, name), w in given.items()
+                if part in names and name in parts[part]
+            )
+            raise ValueError(f"{where}: {exc}") from None
 
     den = parts["denoise"]
     mode = den.get("threshold_mode", Fixed)
-    own = {f.name for f in fields(mode)}
-    den["threshold_mode"] = mode(**{k: v for k, v in parts["mode"].items() if k in own})
+    own = {f.name for f in fields(mode)}  # the other modes' keys are ignored
+    parts["mode"] = {k: v for k, v in parts["mode"].items() if k in own}
+    den["threshold_mode"] = build(mode, {"mode"}, **parts["mode"])
     axes = enumerate(DenoiseConfig.sigmas)
     den["sigmas"] = tuple(parts["sigmas"].get(axis, sigma) for axis, sigma in axes)
 
     tracker = parts["tracker"]
-    tracker["assoc"] = AssociationConfig(**parts["assoc"])
-    tracker["kalman"] = KalmanParams(**parts["kalman"])
+    tracker["assoc"] = build(AssociationConfig, {"assoc"}, **parts["assoc"])
+    tracker["kalman"] = build(KalmanParams, {"kalman"}, **parts["kalman"])
     if parts["importance"]:  # any weight given replaces the default weights
-        tracker["importance"] = ImportanceConfig(weights=parts["importance"])
+        tracker["importance"] = build(
+            ImportanceConfig, {"importance"}, weights=parts["importance"]
+        )
     return RunConfig(
-        sensor=SensorConfig(**parts["sensor"]),
-        denoise=DenoiseConfig(**den),
-        tracker=TrackerConfig(**tracker),
+        sensor=build(SensorConfig, {"sensor"}, **parts["sensor"]),
+        denoise=build(DenoiseConfig, {"denoise", "sigmas"}, **den),
+        tracker=build(TrackerConfig, {"tracker"}, **tracker),
         **parts["run"],
     )
 

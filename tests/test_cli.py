@@ -745,6 +745,62 @@ def test_override_error_names_the_whole_override(override, message):
     assert str(info.value) == message
 
 
+NOISE = "noise intensities must be finite and nonnegative"
+
+
+@pytest.mark.parametrize(
+    "text, overrides, message",
+    [
+        ("", ["t_max=0"], "--set t_max=0: t_max must be positive"),
+        ("", ["kf_r=-1"], f"--set kf_r=-1: {NOISE}"),
+        ("kf_q 1\nkf_r -1\n", [], f"line 1, line 2: {NOISE}"),
+        ("width 0\n", [], "line 1: sensor dimensions must be positive"),
+        (
+            "threshold 2\n",
+            ["threshold_mode=peak_fraction", "alpha=2"],
+            "--set alpha=2: alpha must lie in (0, 1]",
+        ),
+        (
+            "sigma_x 0\n",
+            ["majority_min=2"],
+            "line 1, --set majority_min=2: sigmas must be finite and positive",
+        ),
+        ("", ["gate_radius=0"], "--set gate_radius=0: gate_radius must be finite and positive"),
+        (
+            "",
+            ["importance_volume=0"],
+            "--set importance_volume=0: at least one importance weight must be positive",
+        ),
+    ],
+    ids=[
+        "tracker", "kalman", "two lines", "sensor", "threshold mode", "denoise",
+        "association", "importance",
+    ],
+)
+def test_refused_config_part_names_its_settings(text, overrides, message):
+    """A part names the settings it was built from, in the order given;
+    the other threshold modes' keys and the mode choice are not among
+    them."""
+    with pytest.raises(ValueError) as info:
+        parse_config(text, overrides)
+    assert str(info.value) == message
+
+
+def test_run_config_checks_keep_their_text():
+    with pytest.raises(ValueError) as info:
+        parse_config("connectivity 26\n", ["connectivity=5"])
+    assert str(info.value) == "connectivity must be one of (6, 18, 26)"
+
+
+def test_track_refused_part_exits_1_naming_its_override(workspace, tmp_path, capsys):
+    _, _, _, raw = workspace
+    out = tmp_path / "o"
+    argv = ["track", "--raw", str(raw), "--config", os.devnull, "--out-dir", str(out)]
+    assert main([*argv, "--set", "t_max=0"]) == 1
+    assert capsys.readouterr().err == "error: config: --set t_max=0: t_max must be positive\n"
+    assert not out.exists()
+
+
 def test_config_file_errors_come_before_override_errors():
     with pytest.raises(ValueError, match="^line 2: bad value 'banana' for 't_max'$"):
         parse_config("t_max 4\nt_max banana\nwarp_speed 9\n", ["t_max=banana"])
